@@ -268,10 +268,12 @@ mod tests {
         let _guard = ve_sched::parallel::test_parallelism_guard();
         ve_sched::parallel::set_parallelism(1);
         let single = cross_validate(&xs, &ys, 3, &cfg).unwrap();
-        ve_sched::parallel::set_parallelism(4);
-        let multi = cross_validate(&xs, &ys, 3, &cfg).unwrap();
+        for threads in [2, 4] {
+            ve_sched::parallel::set_parallelism(threads);
+            let multi = cross_validate(&xs, &ys, 3, &cfg).unwrap();
+            assert_eq!(single.to_bits(), multi.to_bits(), "{threads} threads");
+        }
         ve_sched::parallel::set_parallelism(0);
-        assert_eq!(single.to_bits(), multi.to_bits());
     }
 
     #[test]

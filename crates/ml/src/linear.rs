@@ -8,7 +8,7 @@
 //! model while multi-label tasks (Charades verbs, BDD objects) use one
 //! binary head per class.
 
-use crate::tensor::{dot, Matrix};
+use crate::tensor::{dot, Lane, LaneMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -139,7 +139,7 @@ impl SoftmaxModel {
             num_classes,
             cfg,
             cfg.warm_epochs,
-            Some((init.weights.clone(), init.bias.clone())),
+            Some((&init.weights, &init.bias)),
         )
     }
 
@@ -159,7 +159,7 @@ impl SoftmaxModel {
         num_classes: usize,
         cfg: &TrainConfig,
         epochs: usize,
-        init: Option<(Matrix, Vec<f32>)>,
+        init: Option<(&Matrix, &[f32])>,
     ) -> Self {
         assert!(!features.is_empty(), "cannot train on an empty set");
         assert_eq!(features.len(), labels.len(), "features/labels mismatch");
@@ -174,53 +174,14 @@ impl SoftmaxModel {
             "label out of range"
         );
 
-        let (mut weights, mut bias) =
-            init.unwrap_or_else(|| (Matrix::zeros(num_classes, dim), vec![0.0f32; num_classes]));
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let n = features.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut prev_loss = f64::INFINITY;
-
-        for _epoch in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                // Accumulate gradients over the mini-batch.
-                let mut grad_w = Matrix::zeros(num_classes, dim);
-                let mut grad_b = vec![0.0f32; num_classes];
-                for &i in chunk {
-                    let x = &features[i];
-                    let mut logits = weights.matvec(x);
-                    for (l, b) in logits.iter_mut().zip(&bias) {
-                        *l += b;
-                    }
-                    let probs = softmax(&logits);
-                    epoch_loss += -(probs[labels[i]].max(1e-12) as f64).ln();
-                    for c in 0..num_classes {
-                        let err = probs[c] - if c == labels[i] { 1.0 } else { 0.0 };
-                        grad_b[c] += err;
-                        let row = grad_w.row_mut(c);
-                        for (g, &xv) in row.iter_mut().zip(x.iter()) {
-                            *g += err * xv;
-                        }
-                    }
-                }
-                let scale = cfg.learning_rate / chunk.len() as f32;
-                // L2 shrink (weights only).
-                if cfg.l2 > 0.0 {
-                    weights.scale(1.0 - cfg.learning_rate * cfg.l2);
-                }
-                weights.axpy(-scale, &grad_w);
-                for (b, g) in bias.iter_mut().zip(&grad_b) {
-                    *b -= scale * g;
-                }
+        let (weights, bias) = sgd(features, num_classes, cfg, epochs, init, true, |i, z| {
+            softmax_in_place(z);
+            let loss = -(z[labels[i]].max(1e-12) as f64).ln();
+            for (c, p) in z.iter_mut().enumerate() {
+                *p -= if c == labels[i] { 1.0 } else { 0.0 };
             }
-            let epoch_loss = epoch_loss / n as f64;
-            if (prev_loss - epoch_loss).abs() < cfg.tolerance * prev_loss.abs().max(1e-9) {
-                break;
-            }
-            prev_loss = epoch_loss;
-        }
+            loss
+        });
 
         Self {
             weights,
@@ -301,7 +262,7 @@ impl OneVsRestModel {
             num_classes,
             cfg,
             cfg.warm_epochs,
-            Some((init.weights.clone(), init.bias.clone())),
+            Some((&init.weights, &init.bias)),
         )
     }
 
@@ -321,7 +282,7 @@ impl OneVsRestModel {
         num_classes: usize,
         cfg: &TrainConfig,
         epochs: usize,
-        init: Option<(Matrix, Vec<f32>)>,
+        init: Option<(&Matrix, &[f32])>,
     ) -> Self {
         assert!(!features.is_empty(), "cannot train on an empty set");
         assert_eq!(features.len(), label_sets.len());
@@ -341,39 +302,12 @@ impl OneVsRestModel {
             }
         }
 
-        let (mut weights, mut bias) =
-            init.unwrap_or_else(|| (Matrix::zeros(num_classes, dim), vec![0.0f32; num_classes]));
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..n).collect();
-
-        for _epoch in 0..epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let mut grad_w = Matrix::zeros(num_classes, dim);
-                let mut grad_b = vec![0.0f32; num_classes];
-                for &i in chunk {
-                    let x = &features[i];
-                    for c in 0..num_classes {
-                        let z = dot(weights.row(c), x) + bias[c];
-                        let p = sigmoid(z);
-                        let err = p - targets[c][i];
-                        grad_b[c] += err;
-                        let row = grad_w.row_mut(c);
-                        for (g, &xv) in row.iter_mut().zip(x.iter()) {
-                            *g += err * xv;
-                        }
-                    }
-                }
-                let scale = cfg.learning_rate / chunk.len() as f32;
-                if cfg.l2 > 0.0 {
-                    weights.scale(1.0 - cfg.learning_rate * cfg.l2);
-                }
-                weights.axpy(-scale, &grad_w);
-                for (b, g) in bias.iter_mut().zip(&grad_b) {
-                    *b -= scale * g;
-                }
+        let (weights, bias) = sgd(features, num_classes, cfg, epochs, init, false, |i, z| {
+            for (c, v) in z.iter_mut().enumerate() {
+                *v = sigmoid(*v) - targets[c][i];
             }
-        }
+            0.0
+        });
 
         Self {
             weights,
@@ -443,14 +377,101 @@ impl Classifier for TrainedModel {
     }
 }
 
+/// Mini-batch SGD shared by both linear models, on the class-minor
+/// [`LaneMatrix`] kernel. Starts from `init` (or zeros) and returns the
+/// class-major weights and the bias.
+///
+/// `per_example(i, z)` receives example `i`'s logits plus bias in `z`
+/// (`num_classes` long), overwrites them with the per-class error
+/// `∂loss/∂z`, and returns the example's loss. With `early_stop`, training
+/// ends once the mean epoch loss improves by less than `cfg.tolerance`
+/// relative to the previous epoch.
+fn sgd(
+    features: &[Vec<f32>],
+    num_classes: usize,
+    cfg: &TrainConfig,
+    epochs: usize,
+    init: Option<(&Matrix, &[f32])>,
+    early_stop: bool,
+    mut per_example: impl FnMut(usize, &mut [f32]) -> f64,
+) -> (Matrix, Vec<f32>) {
+    let dim = features[0].len();
+    let (mut weights, mut bias) = match init {
+        Some((w, b)) => (LaneMatrix::from_matrix(w), b.to_vec()),
+        None => (
+            LaneMatrix::zeros(dim, num_classes),
+            vec![0.0f32; num_classes],
+        ),
+    };
+    let mut grad_w = LaneMatrix::zeros(dim, num_classes);
+    let mut grad_b = vec![0.0f32; num_classes];
+    let mut z = vec![Lane::default(); weights.lanes()];
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let n = features.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut prev_loss = f64::INFINITY;
+
+    for _epoch in 0..epochs {
+        order.shuffle(&mut rng);
+        let mut epoch_loss = 0.0f64;
+        for chunk in order.chunks(cfg.batch_size.max(1)) {
+            // Accumulate gradients over the mini-batch.
+            grad_w.clear();
+            grad_b.fill(0.0);
+            for &i in chunk {
+                let x = &features[i];
+                weights.logits_into(x, &mut z);
+                let (err, padding) = z.as_flattened_mut().split_at_mut(num_classes);
+                for (l, b) in err.iter_mut().zip(&bias) {
+                    *l += b;
+                }
+                epoch_loss += per_example(i, err);
+                for (g, e) in grad_b.iter_mut().zip(err.iter()) {
+                    *g += e;
+                }
+                padding.fill(0.0);
+                grad_w.add_outer(&z, x);
+            }
+            let scale = cfg.learning_rate / chunk.len() as f32;
+            // L2 shrink (weights only).
+            if cfg.l2 > 0.0 {
+                weights.scale(1.0 - cfg.learning_rate * cfg.l2);
+            }
+            weights.axpy(-scale, &grad_w);
+            for (b, g) in bias.iter_mut().zip(&grad_b) {
+                *b -= scale * g;
+            }
+        }
+        if early_stop {
+            let epoch_loss = epoch_loss / n as f64;
+            if (prev_loss - epoch_loss).abs() < cfg.tolerance * prev_loss.abs().max(1e-9) {
+                break;
+            }
+            prev_loss = epoch_loss;
+        }
+    }
+    (weights.to_matrix(num_classes), bias)
+}
+
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = logits.to_vec();
+    softmax_in_place(&mut probs);
+    probs
+}
+
+/// [`softmax`] over `z`, overwriting the logits with the probabilities.
+fn softmax_in_place(z: &mut [f32]) {
     // ve-lint: allow(float-reduction-order) -- max is order-insensitive (commutative and associative)
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
+    let max = z.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for v in z.iter_mut() {
+        *v = (*v - max).exp();
+    }
     // ve-lint: allow(float-reduction-order) -- slice iteration order is fixed
-    let sum: f32 = exps.iter().sum::<f32>();
-    exps.iter().map(|e| e / sum).collect()
+    let sum: f32 = z.iter().sum::<f32>();
+    for v in z.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Logistic sigmoid.
@@ -478,6 +499,280 @@ pub fn argmax(xs: &[f32]) -> usize {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    /// The scalar class-major softmax the lane kernel must reproduce.
+    fn reference_softmax(logits: &[f32]) -> Vec<f32> {
+        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
+        let sum: f32 = exps.iter().sum::<f32>();
+        exps.iter().map(|e| e / sum).collect()
+    }
+
+    /// The scalar class-major `SoftmaxModel` training loop the lane kernel
+    /// must reproduce bit for bit. Returns the weights, the bias and the
+    /// number of epochs run.
+    fn reference_softmax_fit(
+        features: &[Vec<f32>],
+        labels: &[usize],
+        num_classes: usize,
+        cfg: &TrainConfig,
+        epochs: usize,
+        init: Option<(Matrix, Vec<f32>)>,
+    ) -> (Matrix, Vec<f32>, usize) {
+        let dim = features[0].len();
+        let (mut weights, mut bias) =
+            init.unwrap_or_else(|| (Matrix::zeros(num_classes, dim), vec![0.0f32; num_classes]));
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let n = features.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut prev_loss = f64::INFINITY;
+        let mut epochs_run = 0;
+
+        for _epoch in 0..epochs {
+            epochs_run += 1;
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0f64;
+            for chunk in order.chunks(cfg.batch_size.max(1)) {
+                // Accumulate gradients over the mini-batch.
+                let mut grad_w = Matrix::zeros(num_classes, dim);
+                let mut grad_b = vec![0.0f32; num_classes];
+                for &i in chunk {
+                    let x = &features[i];
+                    let mut logits = weights.matvec(x);
+                    for (l, b) in logits.iter_mut().zip(&bias) {
+                        *l += b;
+                    }
+                    let probs = reference_softmax(&logits);
+                    epoch_loss += -(probs[labels[i]].max(1e-12) as f64).ln();
+                    for c in 0..num_classes {
+                        let err = probs[c] - if c == labels[i] { 1.0 } else { 0.0 };
+                        grad_b[c] += err;
+                        let row = grad_w.row_mut(c);
+                        for (g, &xv) in row.iter_mut().zip(x.iter()) {
+                            *g += err * xv;
+                        }
+                    }
+                }
+                let scale = cfg.learning_rate / chunk.len() as f32;
+                // L2 shrink (weights only).
+                if cfg.l2 > 0.0 {
+                    weights.scale(1.0 - cfg.learning_rate * cfg.l2);
+                }
+                weights.axpy(-scale, &grad_w);
+                for (b, g) in bias.iter_mut().zip(&grad_b) {
+                    *b -= scale * g;
+                }
+            }
+            let epoch_loss = epoch_loss / n as f64;
+            if (prev_loss - epoch_loss).abs() < cfg.tolerance * prev_loss.abs().max(1e-9) {
+                break;
+            }
+            prev_loss = epoch_loss;
+        }
+        (weights, bias, epochs_run)
+    }
+
+    /// The scalar class-major `OneVsRestModel` training loop the lane kernel
+    /// must reproduce bit for bit.
+    fn reference_one_vs_rest_fit(
+        features: &[Vec<f32>],
+        label_sets: &[Vec<usize>],
+        num_classes: usize,
+        cfg: &TrainConfig,
+        epochs: usize,
+        init: Option<(Matrix, Vec<f32>)>,
+    ) -> (Matrix, Vec<f32>) {
+        let dim = features[0].len();
+        // Dense 0/1 targets per class.
+        let n = features.len();
+        let mut targets = vec![vec![0.0f32; n]; num_classes];
+        for (i, ls) in label_sets.iter().enumerate() {
+            for &c in ls {
+                targets[c][i] = 1.0;
+            }
+        }
+
+        let (mut weights, mut bias) =
+            init.unwrap_or_else(|| (Matrix::zeros(num_classes, dim), vec![0.0f32; num_classes]));
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..n).collect();
+
+        for _epoch in 0..epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(cfg.batch_size.max(1)) {
+                let mut grad_w = Matrix::zeros(num_classes, dim);
+                let mut grad_b = vec![0.0f32; num_classes];
+                for &i in chunk {
+                    let x = &features[i];
+                    for c in 0..num_classes {
+                        let z = dot(weights.row(c), x) + bias[c];
+                        let p = sigmoid(z);
+                        let err = p - targets[c][i];
+                        grad_b[c] += err;
+                        let row = grad_w.row_mut(c);
+                        for (g, &xv) in row.iter_mut().zip(x.iter()) {
+                            *g += err * xv;
+                        }
+                    }
+                }
+                let scale = cfg.learning_rate / chunk.len() as f32;
+                if cfg.l2 > 0.0 {
+                    weights.scale(1.0 - cfg.learning_rate * cfg.l2);
+                }
+                weights.axpy(-scale, &grad_w);
+                for (b, g) in bias.iter_mut().zip(&grad_b) {
+                    *b -= scale * g;
+                }
+            }
+        }
+        (weights, bias)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Features in [-2, 2) with about one entry in eight an exact `+0.0` or
+    /// `-0.0`.
+    fn signed_zero_features(n: usize, dim: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.gen_range(0..16u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen::<f32>() * 4.0 - 2.0,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One oracle case per (class count, dim): every lane count and padding
+    /// for class counts up to 40, each dim, and the batch size, `l2` and
+    /// early-stop settings cycling so every dim meets every batch size.
+    fn oracle_cases(classes: std::ops::RangeInclusive<usize>) -> Vec<(usize, usize, TrainConfig)> {
+        const DIMS: [usize; 4] = [1, 3, 64, 131];
+        const N: usize = 70;
+        const BATCHES: [usize; 4] = [1, 7, 64, N + 5];
+        let mut cases = Vec::new();
+        for k in classes {
+            for (di, &dim) in DIMS.iter().enumerate() {
+                let cfg = TrainConfig {
+                    epochs: 4,
+                    warm_epochs: 2,
+                    batch_size: BATCHES[(k + di) % 4],
+                    l2: if (k / 4 + di) % 2 == 0 { 0.0 } else { 1e-3 },
+                    tolerance: if (k + di / 2) % 2 == 0 { 0.0 } else { 0.2 },
+                    seed: (k * 10 + di) as u64,
+                    ..TrainConfig::default()
+                };
+                cases.push((k, dim, cfg));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn softmax_lane_kernel_matches_reference_bit_for_bit() {
+        let (mut stopped_early, mut ran_all) = (0, 0);
+        for (classes, dim, cfg) in oracle_cases(2..=40) {
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed);
+            let xs = signed_zero_features(70, dim, &mut rng);
+            let ys: Vec<usize> = (0..xs.len()).map(|_| rng.gen_range(0..classes)).collect();
+            let case = format!("classes {classes} dim {dim} cfg {cfg:?}");
+
+            let (ref_w, ref_b, epochs_run) =
+                reference_softmax_fit(&xs, &ys, classes, &cfg, cfg.epochs, None);
+            if epochs_run < cfg.epochs {
+                stopped_early += 1;
+            } else {
+                ran_all += 1;
+            }
+            let cold = SoftmaxModel::fit(&xs, &ys, classes, &cfg);
+            assert_eq!(
+                bits(cold.weights().as_slice()),
+                bits(ref_w.as_slice()),
+                "{case}"
+            );
+            assert_eq!(bits(cold.bias()), bits(&ref_b), "{case}");
+
+            let half = xs.len() / 2;
+            let (warm_w, warm_b, _) = reference_softmax_fit(
+                &xs[half..],
+                &ys[half..],
+                classes,
+                &cfg,
+                cfg.warm_epochs,
+                Some((ref_w, ref_b)),
+            );
+            let warm = SoftmaxModel::fit_warm(&xs[half..], &ys[half..], classes, &cfg, &cold);
+            assert_eq!(
+                bits(warm.weights().as_slice()),
+                bits(warm_w.as_slice()),
+                "warm {case}"
+            );
+            assert_eq!(bits(warm.bias()), bits(&warm_b), "warm {case}");
+        }
+        assert!(
+            stopped_early > 0 && ran_all > 0,
+            "{stopped_early} early, {ran_all} full"
+        );
+    }
+
+    #[test]
+    fn one_vs_rest_lane_kernel_matches_reference_bit_for_bit() {
+        for (classes, dim, cfg) in oracle_cases(1..=40) {
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0f5);
+            let xs = signed_zero_features(70, dim, &mut rng);
+            let ls: Vec<Vec<usize>> = (0..xs.len())
+                .map(|_| {
+                    let mut set: Vec<usize> = (0..classes)
+                        .filter(|_| rng.gen_range(0..4u32) == 0)
+                        .collect();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            let case = format!("classes {classes} dim {dim} cfg {cfg:?}");
+
+            let (ref_w, ref_b) =
+                reference_one_vs_rest_fit(&xs, &ls, classes, &cfg, cfg.epochs, None);
+            let cold = OneVsRestModel::fit(&xs, &ls, classes, &cfg);
+            assert_eq!(
+                bits(cold.weights().as_slice()),
+                bits(ref_w.as_slice()),
+                "{case}"
+            );
+            assert_eq!(bits(cold.bias()), bits(&ref_b), "{case}");
+
+            let half = xs.len() / 2;
+            let (warm_w, warm_b) = reference_one_vs_rest_fit(
+                &xs[half..],
+                &ls[half..],
+                classes,
+                &cfg,
+                cfg.warm_epochs,
+                Some((ref_w, ref_b)),
+            );
+            let warm = OneVsRestModel::fit_warm(&xs[half..], &ls[half..], classes, &cfg, &cold);
+            assert_eq!(
+                bits(warm.weights().as_slice()),
+                bits(warm_w.as_slice()),
+                "warm {case}"
+            );
+            assert_eq!(bits(warm.bias()), bits(&warm_b), "warm {case}");
+        }
+    }
+
+    #[test]
+    fn softmax_matches_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for k in 1..=40 {
+            let logits: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 60.0 - 30.0).collect();
+            assert_eq!(bits(&softmax(&logits)), bits(&reference_softmax(&logits)));
+        }
+    }
 
     fn blob_dataset(
         n_per_class: usize,

@@ -143,6 +143,168 @@ impl Matrix {
     }
 }
 
+/// Width of one class lane in [`LaneMatrix`].
+const LANE: usize = 4;
+
+/// One lane: four consecutive classes' values for a single feature.
+pub(crate) type Lane = [f32; LANE];
+
+/// Most lanes a kernel pass keeps in registers. Wider class counts run as
+/// consecutive blocks; each class's reduction stays within one block, so
+/// the split never changes a result.
+const MAX_BLOCK: usize = 10;
+
+/// Calls `$this.$kernel::<W>($args)` with `W == $width`, for any width in
+/// `1..=MAX_BLOCK`.
+macro_rules! with_block_width {
+    ($width:expr, $this:ident.$kernel:ident($($arg:expr),*)) => {
+        match $width {
+            1 => $this.$kernel::<1>($($arg),*),
+            2 => $this.$kernel::<2>($($arg),*),
+            3 => $this.$kernel::<3>($($arg),*),
+            4 => $this.$kernel::<4>($($arg),*),
+            5 => $this.$kernel::<5>($($arg),*),
+            6 => $this.$kernel::<6>($($arg),*),
+            7 => $this.$kernel::<7>($($arg),*),
+            8 => $this.$kernel::<8>($($arg),*),
+            9 => $this.$kernel::<9>($($arg),*),
+            _ => $this.$kernel::<MAX_BLOCK>($($arg),*),
+        }
+    };
+}
+
+/// Class-minor weights of a linear model while SGD trains it: `dim` rows,
+/// each holding every class's weight for one feature as zero-padded
+/// [`Lane`]s, so one example's logits (and its gradient update) for all
+/// classes advance together in register lanes.
+///
+/// **Bit-identity contract.** Every per-class value is computed with the
+/// same IEEE operations, in the same order, as the class-major scalar loop
+/// over a [`Matrix`]: a logit adds `w[c][d] * x[d]` in ascending `d` from
+/// `-0.0` (the start value of `f32: Sum`, as in [`dot`]), and each gradient
+/// element adds `err * x[d]` per example in call order. Multiply and add
+/// stay separate operations (no `mul_add`), and no sum is split or
+/// reassociated. Padded lanes hold zero weight and must be given zero error.
+#[derive(Debug)]
+pub(crate) struct LaneMatrix {
+    lanes: usize,
+    data: Vec<Lane>,
+}
+
+impl LaneMatrix {
+    /// A zero `dim × classes` matrix.
+    pub(crate) fn zeros(dim: usize, classes: usize) -> Self {
+        let lanes = classes.div_ceil(LANE);
+        Self {
+            lanes,
+            data: vec![[0.0; LANE]; dim * lanes],
+        }
+    }
+
+    /// Transposes class-major `weights` (`classes × dim`) in.
+    pub(crate) fn from_matrix(weights: &Matrix) -> Self {
+        let mut out = Self::zeros(weights.cols(), weights.rows());
+        let lanes = out.lanes;
+        for c in 0..weights.rows() {
+            for (row, &w) in out.data.chunks_exact_mut(lanes).zip(weights.row(c)) {
+                row[c / LANE][c % LANE] = w;
+            }
+        }
+        out
+    }
+
+    /// Transposes the first `classes` classes out, class-major.
+    pub(crate) fn to_matrix(&self, classes: usize) -> Matrix {
+        let dim = self.data.len() / self.lanes;
+        let mut out = Matrix::zeros(classes, dim);
+        for c in 0..classes {
+            for (w, row) in out
+                .row_mut(c)
+                .iter_mut()
+                .zip(self.data.chunks_exact(self.lanes))
+            {
+                *w = row[c / LANE][c % LANE];
+            }
+        }
+        out
+    }
+
+    /// Number of lanes per feature row.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Resets every element to zero.
+    pub(crate) fn clear(&mut self) {
+        self.data.fill([0.0; LANE]);
+    }
+
+    /// Writes `W · x` for every class into `out` (`lanes()` long).
+    pub(crate) fn logits_into(&self, x: &[f32], out: &mut [Lane]) {
+        assert_eq!(out.len(), self.lanes, "logit buffer must span every lane");
+        let mut l0 = 0;
+        while l0 < self.lanes {
+            let width = (self.lanes - l0).min(MAX_BLOCK);
+            with_block_width!(width, self.logits_block(x, l0, out));
+            l0 += width;
+        }
+    }
+
+    fn logits_block<const W: usize>(&self, x: &[f32], l0: usize, out: &mut [Lane]) {
+        let mut acc = [[-0.0f32; LANE]; W];
+        for (row, &xd) in self.data.chunks_exact(self.lanes).zip(x) {
+            for (a, w) in acc.iter_mut().zip(&row[l0..l0 + W]) {
+                for k in 0..LANE {
+                    a[k] += w[k] * xd;
+                }
+            }
+        }
+        out[l0..l0 + W].copy_from_slice(&acc);
+    }
+
+    /// Adds the outer product `err ⊗ x` (`err` is `lanes()` long).
+    pub(crate) fn add_outer(&mut self, err: &[Lane], x: &[f32]) {
+        assert_eq!(err.len(), self.lanes, "error buffer must span every lane");
+        let mut l0 = 0;
+        while l0 < self.lanes {
+            let width = (self.lanes - l0).min(MAX_BLOCK);
+            with_block_width!(width, self.add_outer_block(err, x, l0));
+            l0 += width;
+        }
+    }
+
+    fn add_outer_block<const W: usize>(&mut self, err: &[Lane], x: &[f32], l0: usize) {
+        let mut block = [[0.0f32; LANE]; W];
+        block.copy_from_slice(&err[l0..l0 + W]);
+        for (row, &xd) in self.data.chunks_exact_mut(self.lanes).zip(x) {
+            for (g, e) in row[l0..l0 + W].iter_mut().zip(&block) {
+                for k in 0..LANE {
+                    g[k] += e[k] * xd;
+                }
+            }
+        }
+    }
+
+    /// Scales every element in place, as [`Matrix::scale`].
+    pub(crate) fn scale(&mut self, s: f32) {
+        for lane in &mut self.data {
+            for v in lane {
+                *v *= s;
+            }
+        }
+    }
+
+    /// Adds `other * s` element-wise in place, as [`Matrix::axpy`].
+    pub(crate) fn axpy(&mut self, s: f32, other: &LaneMatrix) {
+        assert_eq!(self.data.len(), other.data.len(), "shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            for k in 0..LANE {
+                a[k] += s * b[k];
+            }
+        }
+    }
+}
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -216,6 +378,48 @@ mod tests {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
+    }
+
+    /// Class counts past `MAX_BLOCK` lanes run as several blocks; every
+    /// count up to 50 (13 lanes, two blocks) must match the class-major
+    /// kernels bit for bit.
+    #[test]
+    fn lane_kernels_match_class_major_kernels_across_blocks() {
+        let dim = 5;
+        let x: Vec<f32> = (0..dim).map(|d| d as f32 * 0.37 - 0.9).collect();
+        for classes in 1..=50 {
+            let w: Vec<f32> = (0..classes * dim)
+                .map(|i| (i as f32 * 0.61).sin())
+                .collect();
+            let weights = Matrix::from_vec(classes, dim, w);
+            let lanes = LaneMatrix::from_matrix(&weights);
+            assert_eq!(lanes.to_matrix(classes), weights);
+
+            let mut logits = vec![[0.0; LANE]; lanes.lanes()];
+            lanes.logits_into(&x, &mut logits);
+            let logits = &logits.as_flattened()[..classes];
+            let expected = weights.matvec(&x);
+            assert_eq!(
+                logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{classes} classes"
+            );
+
+            let mut err = vec![[0.0; LANE]; lanes.lanes()];
+            err.as_flattened_mut()[..classes].copy_from_slice(&expected);
+            let mut grad = LaneMatrix::zeros(dim, classes);
+            grad.add_outer(&err, &x);
+            grad.add_outer(&err, &x);
+            let mut reference = Matrix::zeros(classes, dim);
+            for _ in 0..2 {
+                for (c, &e) in expected.iter().enumerate() {
+                    for (g, &xv) in reference.row_mut(c).iter_mut().zip(&x) {
+                        *g += e * xv;
+                    }
+                }
+            }
+            assert_eq!(grad.to_matrix(classes), reference, "{classes} classes");
+        }
     }
 
     #[test]

@@ -96,8 +96,9 @@ impl Histogram {
     }
 
     /// Quantile estimate as the upper bound of the first bucket whose
-    /// cumulative count reaches `ceil(q_num/q_den * total)`. Integer math
-    /// only; `quantile(1, 2)` is the p50 estimate, `quantile(99, 100)` p99.
+    /// cumulative count reaches `ceil(q_num/q_den * total)`, clamped to the
+    /// observed maximum so no quantile exceeds `max()`. Integer math only;
+    /// `quantile(1, 2)` is the p50 estimate, `quantile(99, 100)` p99.
     /// Observations past the last bound report the true maximum.
     pub fn quantile(&self, q_num: u64, q_den: u64) -> u64 {
         assert!(q_den > 0 && q_num <= q_den);
@@ -109,7 +110,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return self.bounds[i];
+                return self.bounds[i].min(self.max);
             }
         }
         self.max
@@ -318,6 +319,7 @@ mod tests {
         for _ in 0..100 {
             h.observe(5100);
         }
+        h.observe(9000);
         assert_eq!(h.p50(), 5120);
     }
 
@@ -344,15 +346,37 @@ mod tests {
     }
 
     #[test]
-    fn full_quantile_is_the_highest_nonempty_bucket_bound() {
+    fn quantiles_are_clamped_to_the_observed_max() {
         let mut h = Histogram::new(vec![10, 100, 1000]);
         h.observe(5);
         h.observe(50);
         h.observe(500);
-        // No overflow: quantile(1,1) is the upper bound of the highest
-        // non-empty bucket.
-        assert_eq!(h.quantile(1, 1), 1000);
+        // The highest non-empty bucket's bound (1000) over-states the
+        // largest observation; the quantile reports the maximum instead.
+        assert_eq!(h.quantile(1, 1), 500);
         assert_eq!(h.max(), 500);
+        assert_eq!(h.p50(), 100);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn quantiles_lie_between_min_and_max(
+                values in proptest::collection::vec(0u64..40_000_000, 1..64)
+            ) {
+                let mut h = Histogram::with_default_bounds();
+                for &v in &values {
+                    h.observe(v);
+                }
+                let (p50, p99) = (h.p50(), h.p99());
+                prop_assert!(h.min() <= p50, "min {} > p50 {}", h.min(), p50);
+                prop_assert!(p50 <= p99, "p50 {} > p99 {}", p50, p99);
+                prop_assert!(p99 <= h.max(), "p99 {} > max {}", p99, h.max());
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@ use ve_vidsim::{TimeRange, VideoId};
 
 const MAGIC: &[u8; 4] = b"VESM";
 const VERSION: u8 = 1;
+/// Smallest encoding of one feature vector: `start f64, end f64` and an
+/// empty `f32[]` (its `u32` length).
+const MIN_VECTOR_BYTES: usize = 8 + 8 + 4;
 
 /// Encodes the three stores into a snapshot buffer.
 pub fn encode_snapshot(
@@ -161,7 +164,9 @@ pub fn decode_snapshot(
         let extractor = ExtractorId::from_index(eidx);
         let vid = VideoId(r.get_u64()?);
         let n_vectors = r.get_u32()?;
-        let mut vectors = Vec::with_capacity(n_vectors as usize);
+        // The count is untrusted: reserve no more than the buffer can hold.
+        let mut vectors =
+            Vec::with_capacity((n_vectors as usize).min(r.remaining() / MIN_VECTOR_BYTES));
         for _ in 0..n_vectors {
             let start = r.get_f64()?;
             let end = r.get_f64()?;
@@ -338,6 +343,23 @@ mod tests {
         let err = decode_snapshot_with_fault(&bytes, Some(&inj)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "got {err}");
         assert_eq!(inj.injected_at(FaultSite::SnapshotDecode), 1);
+    }
+
+    #[test]
+    fn decode_rejects_a_vector_count_past_the_buffer() {
+        let mut w = Writer::with_capacity(32);
+        for &b in MAGIC {
+            w.put_u8(b);
+        }
+        w.put_u8(VERSION);
+        w.put_u32(0); // videos
+        w.put_u32(0); // labels
+        w.put_u32(1); // feature entries
+        w.put_u8(0);
+        w.put_u64(7);
+        w.put_u32(u32::MAX); // vectors, none of which follow
+        let err = decode_snapshot(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "got {err}");
     }
 
     mod proptests {
