@@ -1,8 +1,8 @@
 //! Machine-readable scheduler-latency benchmark: writes `BENCH_latency.json`.
 //!
-//! Runs one measured labeling session per scheduling strategy on the async
-//! session engine (real `ve_sched::Executor` threads, scaled wall-clock task
-//! costs) and records the *measured* median visible latency per iteration
+//! Runs one measured labeling session per scheduling strategy
+//! (`SessionRunner::run_measured`: real `ve_sched::Executor` threads, scaled
+//! wall-clock task costs) and records the *measured* median visible latency per iteration
 //! next to the analytic model's prediction — the paper's Figure 6 with real
 //! concurrency instead of a formula:
 //!
@@ -29,16 +29,16 @@ struct StrategyRow {
     tasks_failed: u64,
     /// Paper-notation per-phase wall totals from the `ve-obs` timing plane:
     /// selection (`T_s`), feature extraction (`T_f`), model training
-    /// (`T_m`), and inference (`T_i`) seconds. Serial runs extraction and
-    /// training inline, so its `T_f`/`T_m` task groups are legitimately
-    /// empty (zero).
+    /// (`T_m`), and inference (`T_i`) seconds. The lazy strategies extract
+    /// inside selection, so their `T_f` lands in `T_s` and their eager group
+    /// is empty (zero).
     phase_secs: [f64; 4],
 }
 
 /// Sums the timing plane into `[T_s, T_f, T_m, T_i]` seconds: the `select`
 /// session phase plus the run time of the `eager`, `train`, and `infer`
 /// executor task groups.
-fn phase_breakdown(outcome: &AsyncSessionOutcome) -> [f64; 4] {
+fn phase_breakdown(outcome: &SessionOutcome) -> [f64; 4] {
     let t_s: u64 = outcome
         .phases
         .iter()
@@ -86,15 +86,18 @@ fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
         cfg.system.t_user = 4.0;
         cfg.system.train.epochs = 40;
     }
-    let outcome = AsyncSessionRunner::new(cfg).run();
+    let outcome = SessionRunner::new(cfg).run_measured();
+    let measured_median = outcome.median_measured_visible().expect("measured run");
+    let total_measured = outcome.total_measured_visible().expect("measured run");
+    let total_spill = outcome.total_spill_wall().expect("measured run");
     eprintln!(
         "{:<12} measured median {:>7.2}s  modeled {:>7.2}s  ({} tasks, {} failed, spill {:.2}s wall)",
         strategy.to_string(),
-        outcome.median_measured_visible(),
+        measured_median,
         outcome.median_modeled_visible(),
         outcome.executor.submitted,
         outcome.executor.failed,
-        outcome.total_spill_wall(),
+        total_spill,
     );
     assert_eq!(outcome.executor.pending(), 0, "executor failed to drain");
     StrategyRow {
@@ -102,12 +105,11 @@ fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
             SchedulerStrategy::Serial => "serial",
             SchedulerStrategy::VePartial => "ve_partial",
             SchedulerStrategy::VeFull => "ve_full",
-            SchedulerStrategy::VeFullSpeculative => "ve_full_speculative",
         },
-        measured_median_visible_secs: outcome.median_measured_visible(),
+        measured_median_visible_secs: measured_median,
         modeled_median_visible_secs: outcome.median_modeled_visible(),
-        total_measured_visible_secs: outcome.total_measured_visible(),
-        total_spill_wall_secs: outcome.total_spill_wall(),
+        total_measured_visible_secs: total_measured,
+        total_spill_wall_secs: total_spill,
         tasks_submitted: outcome.executor.submitted,
         tasks_failed: outcome.executor.failed,
         phase_secs: phase_breakdown(&outcome),

@@ -3,7 +3,7 @@
 //! because the run absorbs an injected fault storm — a post-mortem
 //! diagnostic bundle (`BENCH_obs_bundle.json`).
 //!
-//! Runs one instrumented `VeFull` session on the async engine under a
+//! Runs one instrumented, measured `VeFull` session under a
 //! deterministic fault plan (transient training failures that force retries,
 //! plus a low rate of permanent row-inference faults that degrade served
 //! predictions) and exports what the two `ve-obs` planes saw:
@@ -101,7 +101,7 @@ fn main() {
     cfg.system.train.epochs = 40;
     assert!(cfg.system.observability, "observability defaults on");
 
-    let outcome = AsyncSessionRunner::new(cfg).run();
+    let outcome = SessionRunner::new(cfg).run_measured();
     assert_eq!(outcome.executor.pending(), 0, "executor failed to drain");
     assert!(
         !outcome.events.is_empty() && !outcome.timings.is_empty() && !outcome.phases.is_empty(),

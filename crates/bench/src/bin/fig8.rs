@@ -68,16 +68,6 @@ fn main() {
                 })
             }),
         ));
-        // The paper's sketched future-work extension: speculative Ts/Ti.
-        rows.push((
-            "VE-full (spec.)".to_string(),
-            run_averaged(&profile, dataset, |cfg| {
-                with_system(cfg, |s| {
-                    s.with_strategy(SchedulerStrategy::VeFullSpeculative)
-                        .with_extra_candidates(0)
-                })
-            }),
-        ));
 
         for (name, outcome) in rows {
             print_row(

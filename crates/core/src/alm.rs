@@ -26,7 +26,7 @@ use ve_al::{
 };
 use ve_bandit::{RisingBandit, RisingBanditConfig};
 use ve_features::ExtractorId;
-use ve_storage::{LabelRecord, LabelStore};
+use ve_storage::LabelStore;
 use ve_vidsim::{ClassId, TimeRange, VideoCorpus, VideoId};
 
 /// Statistics about the most recent selection (used for latency accounting).
@@ -219,8 +219,8 @@ impl ActiveLearningManager {
 
     /// The extractors the next feature-evaluation step would score: the
     /// bandit's live arms, or nothing once it has converged (or the policy is
-    /// fixed). The async session engine uses this to spawn one `T_e` task per
-    /// candidate on the executor; the synchronous path scores them inline.
+    /// fixed). The deferred work submits one `T_e` executor task per
+    /// candidate.
     pub fn evaluation_candidates(&self) -> Vec<ExtractorId> {
         match &self.features {
             FeatureState::Fixed(_) => Vec::new(),
@@ -235,9 +235,9 @@ impl ActiveLearningManager {
     }
 
     /// Feeds one round of CV scores (produced by
-    /// [`ModelManager::evaluate_cv`], possibly on executor worker threads)
-    /// into the rising bandit. Empty score sets are ignored, matching the
-    /// synchronous path.
+    /// [`ModelManager::evaluate_cv`] for each of
+    /// [`ActiveLearningManager::evaluation_candidates`], possibly on executor
+    /// worker threads) into the rising bandit. Empty score sets are ignored.
     pub fn observe_feature_scores(&mut self, scores: &[(ExtractorId, f64)]) {
         let FeatureState::Bandit {
             bandit,
@@ -251,28 +251,6 @@ impl ActiveLearningManager {
         }
         bandit.observe(scores);
         *last_scores = scores.to_vec();
-    }
-
-    /// Runs one feature-evaluation step: computes the CV score of every
-    /// extractor still alive and feeds the rising bandit. Returns the scores
-    /// that were evaluated (one `T_e` task each).
-    pub fn feature_evaluation_step(
-        &mut self,
-        corpus: &VideoCorpus,
-        fm: &FeatureManager,
-        mm: &ModelManager,
-        labels: &[LabelRecord],
-    ) -> Vec<(ExtractorId, f64)> {
-        let scores: Vec<(ExtractorId, f64)> = self
-            .evaluation_candidates()
-            .into_iter()
-            .filter_map(|extractor| {
-                mm.evaluate_cv(extractor, corpus, fm, labels)
-                    .map(|score| (extractor, score))
-            })
-            .collect();
-        self.observe_feature_scores(&scores);
-        scores
     }
 
     /// Selects `budget` unlabeled segments of duration `clip_len` for the
@@ -594,7 +572,7 @@ fn unlabeled_windows(
 mod tests {
     use super::*;
     use ve_features::FeatureSimulator;
-    use ve_storage::StorageManager;
+    use ve_storage::{LabelRecord, StorageManager};
     use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind};
 
     struct Fixture {
@@ -749,8 +727,16 @@ mod tests {
         // Run enough evaluation steps for warm-up plus elimination.
         let mut converged_at = None;
         for step in 0..60 {
-            let scores =
-                alm.feature_evaluation_step(&fx.dataset.train, &fx.fm, &fx.mm, fx.labels.records());
+            let scores: Vec<(ExtractorId, f64)> = alm
+                .evaluation_candidates()
+                .into_iter()
+                .filter_map(|e| {
+                    fx.mm
+                        .evaluate_cv(e, &fx.dataset.train, &fx.fm, fx.labels.records())
+                        .map(|score| (e, score))
+                })
+                .collect();
+            alm.observe_feature_scores(&scores);
             if step == 0 {
                 assert_eq!(scores.len(), 5, "all extractors evaluated initially");
             }

@@ -185,19 +185,19 @@ pub struct VocalExploreConfig {
     /// when a [`crate::VocalExplore`] is constructed, so the most recently
     /// constructed system's setting governs all systems in the process.
     pub compute_threads: usize,
-    /// Worker threads of the `ve_sched::Executor` the async session engine
-    /// submits training / evaluation / eager-extraction tasks to. The paper's
+    /// Worker threads of the `ve_sched::Executor` a measured session run
+    /// (`SessionRunner::run_measured`) submits its tasks to. The paper's
     /// evaluation runs two extraction tasks concurrently on the GPU, hence
     /// the default of 2. Unlike `compute_threads` this knob changes *when*
     /// tasks complete (and therefore measured latency), never *what* they
     /// compute.
     pub executor_workers: usize,
-    /// Real seconds per simulated second for the async session engine's
-    /// measured-latency mode: modeled task costs (GPU extraction, training,
+    /// Real seconds per simulated second for a measured session run
+    /// (`SessionRunner::run_measured`): modeled task costs (GPU extraction, training,
     /// user think time, ...) are slept for `cost * time_scale` wall-clock
     /// seconds on the thread executing the task, so wall-clock measurements
     /// divided by `time_scale` are comparable to the paper's latency axes.
-    /// The synchronous facade ignores this knob entirely.
+    /// `SessionRunner::run` and the facade's own calls ignore this knob.
     pub time_scale: f64,
     /// Deterministic fault-injection plan for chaos testing. `None` (the
     /// default) disables injection entirely; a plan makes feature
@@ -206,9 +206,9 @@ pub struct VocalExploreConfig {
     /// thread count.
     pub fault_plan: Option<FaultPlan>,
     /// Retry budget and virtual-time backoff applied to faultable
-    /// operations (extraction, training, inference) by both the synchronous
-    /// facade and the async session engine. The two paths share the attempt
-    /// numbering, so their outcomes under a fault plan are identical.
+    /// operations (extraction, training, inference). Every operation numbers
+    /// its attempts from zero, so its outcome under a fault plan does not
+    /// depend on which executor runs it.
     pub retry: RetryPolicy,
     /// Whether the `ve-obs` sinks (deterministic event ledger, metrics
     /// registry, executor timing plane) record. Defaults on; turning it off
@@ -312,7 +312,7 @@ impl VocalExploreConfig {
         self
     }
 
-    /// Overrides the executor worker count used by the async session engine.
+    /// Overrides the executor worker count of a measured session run.
     ///
     /// # Panics
     /// Panics if `workers == 0` (the executor needs at least one thread).
@@ -368,8 +368,7 @@ impl VocalExploreConfig {
         self
     }
 
-    /// Overrides the simulated-to-real time scale of the async session
-    /// engine's measured-latency mode.
+    /// Overrides the simulated-to-real time scale of a measured session run.
     ///
     /// # Panics
     /// Panics if the scale is not positive and finite.

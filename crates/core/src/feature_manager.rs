@@ -49,7 +49,7 @@ pub struct FeatureManager {
     gpu_seconds: Mutex<f64>,
     /// When non-zero (stored as `f64` bits), every cache-missing extraction
     /// sleeps `cost * scale` wall-clock seconds on the calling thread, so
-    /// the async session engine can *measure* the Table-3 GPU costs instead
+    /// a measured session run can *measure* the Table-3 GPU costs instead
     /// of modeling them. Zero (the default) disables the sleep entirely.
     latency_scale_bits: AtomicU64,
     /// Deterministic GPU-fault injection; `None` disables it.
@@ -156,32 +156,22 @@ impl FeatureManager {
     /// Attempt numbering restarts at zero per call, so a given
     /// `(extractor, vid)` either always succeeds within the budget or always
     /// gives up — a pure constant of the fault plan, at any thread count.
+    /// The virtual-time backoff sleeps only when latency simulation is on
+    /// (decisions are unaffected).
     fn extraction_gate(&self, extractor: ExtractorId, vid: VideoId) -> Result<(), ExtractionError> {
         let Some(inj) = &self.fault else {
             return Ok(());
         };
         let key = Self::fault_key(extractor, vid);
-        let max = self.retry.max_attempts.max(1);
-        for attempt in 0..max {
-            if !inj.should_fail(FaultSite::FeatureExtraction, key, attempt) {
-                return Ok(());
-            }
-            if attempt + 1 < max {
-                // Deterministic virtual-time backoff; sleeps only when the
-                // latency simulation is on (decisions are unaffected).
-                if let Some(scale) = self.latency_scale() {
-                    let secs = self.retry.backoff_secs(attempt + 1) * scale;
-                    if secs > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-                    }
-                }
-            }
-        }
-        Err(ExtractionError {
-            extractor,
-            vid,
-            attempts: max,
-        })
+        let policy = self
+            .retry
+            .with_time_scale(self.latency_scale().unwrap_or(0.0));
+        inj.gate(FaultSite::FeatureExtraction, key, &policy)
+            .map_err(|attempts| ExtractionError {
+                extractor,
+                vid,
+                attempts,
+            })
     }
 
     /// Ensures features for one whole clip are extracted (no-op if cached).
@@ -212,8 +202,8 @@ impl FeatureManager {
         let cost = self.simulator.extraction_seconds(extractor, clip);
         if let Some(scale) = self.latency_scale() {
             // The simulated GPU is busy for `cost` seconds before the
-            // features become available; scaled down to wall-clock so the
-            // async engine can measure it.
+            // features become available; scaled down to wall-clock so a
+            // measured session run can measure it.
             std::thread::sleep(std::time::Duration::from_secs_f64(cost * scale));
         }
         let inserted = self.storage.with_features_mut(|f| {

@@ -17,10 +17,12 @@
 //! * the **Active Learning Manager** ([`alm::ActiveLearningManager`]) that
 //!   selects which segments the user labels next (`VE-sample`) and which
 //!   feature extractor to converge on (rising bandit); and
-//! * the **experiment harness** ([`harness`]) that drives labeling sessions
-//!   with an oracle user, accounts user-visible latency per scheduling
-//!   strategy, and measures macro F1 on a held-out evaluation set — the
-//!   machinery behind every figure and table reproduction in `ve-bench`.
+//! * the **session engine** ([`harness`]) that drives labeling sessions
+//!   with an oracle user through one iteration loop on an inline or
+//!   threaded `ve_sched::Executor`, accounts user-visible latency per
+//!   scheduling strategy (modeled, and measured on the threaded executor),
+//!   and measures macro F1 on a held-out evaluation set — the machinery
+//!   behind every figure and table reproduction in `ve-bench`.
 //!
 //! # Quickstart
 //!
@@ -52,7 +54,6 @@ pub mod model_manager;
 pub mod observability;
 pub mod prob_cache;
 pub mod report;
-pub mod session;
 pub mod system;
 
 pub use acquisition_index::{AcquisitionIndex, AcquisitionIndexStats};
@@ -69,7 +70,6 @@ pub use model_manager::{InferenceError, ModelManager, TrainError, TrainingStats}
 pub use observability::{Obs, ObsHandle, SessionEvent};
 pub use prob_cache::{ProbCacheStats, ProbabilityCache};
 pub use report::{detect_session_anomalies, retry_storms, DiagnosticBundle, SessionReport};
-pub use session::{AsyncSessionOutcome, AsyncSessionRunner, MeasuredIteration};
 pub use system::VocalExplore;
 
 /// Convenience re-exports for examples and downstream users.
@@ -82,7 +82,6 @@ pub mod prelude {
     pub use crate::harness::{IterationRecord, SessionConfig, SessionOutcome, SessionRunner};
     pub use crate::observability::{Obs, ObsHandle, SessionEvent};
     pub use crate::report::{detect_session_anomalies, DiagnosticBundle, SessionReport};
-    pub use crate::session::{AsyncSessionOutcome, AsyncSessionRunner, MeasuredIteration};
     pub use crate::system::VocalExplore;
     pub use ve_al::AcquisitionKind;
     pub use ve_bandit::RisingBanditConfig;

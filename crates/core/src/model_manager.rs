@@ -181,10 +181,9 @@ impl ModelManager {
     }
 
     /// Installs the observability recorder. Training attempts, published
-    /// versions, and CV evaluations are recorded as deterministic events —
-    /// both the synchronous in-place retry loop and the async executor's
-    /// retryable tasks share the per-`(iteration, extractor)` fault fate, so
-    /// the recorded attempt multisets are identical on either path.
+    /// versions, and CV evaluations are recorded as deterministic events;
+    /// every training attempt shares the per-`(iteration, extractor)` fault
+    /// fate, so the recorded attempts are the same on any executor.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = Some(obs);
     }
@@ -202,27 +201,20 @@ impl ModelManager {
     }
 
     /// Decision key for a training request: one fate per
-    /// `(iteration, extractor)` pair, so sync-path internal retries and
-    /// async-path executor retries replay the identical schedule.
+    /// `(iteration, extractor)` pair, so every retry of the request replays
+    /// the identical schedule.
     fn train_key(extractor: ExtractorId, iteration: u32) -> u64 {
         (u64::from(iteration) << 3) | extractor.index() as u64
     }
 
     /// Consults the injector for attempts `0..retry.max_attempts` at one
     /// site/key. `Ok` as soon as an attempt is allowed through;
-    /// `Err(attempts)` when the whole budget was burned. Purely logical —
-    /// no sleeping, so the sync path stays wall-clock-free.
+    /// `Err(attempts)` when the whole budget was burned.
     fn fault_gate(&self, site: FaultSite, key: u64) -> Result<(), u32> {
         let Some(inj) = &self.fault else {
             return Ok(());
         };
-        let max = self.config.retry.max_attempts.max(1);
-        for attempt in 0..max {
-            if !inj.should_fail(site, key, attempt) {
-                return Ok(());
-            }
-        }
-        Err(max)
+        inj.gate(site, key, &self.config.retry)
     }
 
     /// Counters of how training requests were satisfied so far.
@@ -297,43 +289,19 @@ impl ModelManager {
         iteration: u32,
         cv_f1: Option<f64>,
     ) -> Result<bool, TrainError> {
-        // Inlined fault gate so every consulted attempt lands in the event
-        // plane — one `TrainAttempt` per attempt, exactly what the async
-        // path's per-attempt `train_attempt` calls record.
-        let key = Self::train_key(extractor, iteration);
-        let max = self.config.retry.max_attempts.max(1);
-        let mut allowed = false;
-        for attempt in 0..max {
-            let failed = self
-                .fault
-                .as_ref()
-                .is_some_and(|inj| inj.should_fail(FaultSite::Training, key, attempt));
-            self.record(SessionEvent::TrainAttempt {
-                extractor,
-                iteration,
-                attempt,
-                ok: !failed,
-            });
-            if !failed {
-                allowed = true;
-                break;
-            }
-        }
-        if !allowed {
-            return Err(TrainError {
-                extractor,
-                iteration,
-                attempts: max,
-            });
-        }
-        Ok(self.train_inner(extractor, corpus, fm, labels, iteration, cv_f1))
+        self.config
+            .retry
+            .run(|attempt| {
+                self.train_attempt(extractor, corpus, fm, labels, iteration, cv_f1, attempt)
+            })
+            .1
     }
 
-    /// Single-attempt variant of [`ModelManager::train`] for executor-level
-    /// retry: consults the injector exactly once at `attempt` (same decision
-    /// key as `train`, so the async retry loop replays the sync schedule) and
-    /// trains only when that attempt is allowed through.
-    #[allow(clippy::too_many_arguments)] // mirrors `train` plus the attempt index
+    /// One attempt of [`ModelManager::train`], for a caller that runs its
+    /// own retry loop (the session engine's retryable training task):
+    /// consults the injector exactly once at `attempt`, records the attempt,
+    /// and trains only when that attempt is allowed through.
+    #[allow(clippy::too_many_arguments)] // `train`'s arguments plus the attempt index
     pub fn train_attempt(
         &self,
         extractor: ExtractorId,
@@ -364,37 +332,23 @@ impl ModelManager {
                 attempts: attempt + 1,
             });
         }
-        Ok(self.train_inner(extractor, corpus, fm, labels, iteration, cv_f1))
-    }
-
-    /// The fault-free training path shared by [`ModelManager::train`] and
-    /// [`ModelManager::train_attempt`].
-    fn train_inner(
-        &self,
-        extractor: ExtractorId,
-        corpus: &VideoCorpus,
-        fm: &FeatureManager,
-        labels: &[LabelRecord],
-        iteration: u32,
-        cv_f1: Option<f64>,
-    ) -> bool {
         if self.config.warm_start.enabled {
             if let WarmOutcome::Published =
                 self.warm_update(extractor, corpus, fm, labels, iteration, cv_f1)
             {
-                return true;
+                return Ok(true);
             }
         }
         let (features, single, multi) = self.training_set(extractor, corpus, fm, labels);
         if features.len() < 2 {
-            return false;
+            return Ok(false);
         }
         let (scaled, scaler) = StandardScaler::fit_transform(&features);
         let model = match self.config.task {
             TaskKind::SingleLabel => {
                 let distinct: std::collections::HashSet<usize> = single.iter().copied().collect();
                 if distinct.len() < 2 {
-                    return false;
+                    return Ok(false);
                 }
                 TrainedModel::Softmax(SoftmaxModel::fit(
                     &scaled,
@@ -444,7 +398,7 @@ impl ModelManager {
             iteration,
             version,
         });
-        true
+        Ok(true)
     }
 
     /// Attempts a warm (fine-tuning) update for the extractor. Only runs when

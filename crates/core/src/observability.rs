@@ -5,22 +5,21 @@
 //!
 //! Every [`SessionEvent`] is recorded at a point where its *content* is a
 //! pure function of the session's inputs, and where the *per-iteration
-//! multiset* of events is identical between the synchronous harness and the
-//! async engine at any `executor_workers × compute_threads`. Wall-clock
-//! facts (queue wait, run time, spill waits) are banned here; they live in
-//! the timing plane and join by span/iteration.
+//! multiset* of events is identical whether the session engine runs its
+//! tasks inline or on a worker pool, at any
+//! `executor_workers × compute_threads`. Wall-clock facts (queue wait, run
+//! time, spill waits) are banned here; they live in the timing plane and
+//! join by span/iteration.
 //!
 //! # Iteration attribution
 //!
 //! The recorder carries the current iteration in an atomic set by
 //! `sample_segments` *after* it increments the session counter. The
-//! synchronous path runs its deferred training/evaluation at the start of
-//! `explore(N+1)` — before the counter moves to `N+1` — which is exactly the
-//! work the async engine runs inside window `N`; both therefore attribute it
-//! to iteration `N`, and the canonicalized ledgers line up bucket for
-//! bucket. (The async engine's final window trains once more than a
-//! synchronous session of the same length; equality assertions trim that
-//! boundary bucket, the same allowance `chaos_faults` makes.)
+//! deferred training/evaluation for the labels of iteration `N` runs before
+//! the counter moves to `N+1` — inside `explore(N+1)` under Serial, in the
+//! labeling window of `N` otherwise — so it is attributed to iteration `N`
+//! under every strategy. No deferred work runs after a session's last
+//! labels, so every run of a config has the same buckets.
 //!
 //! # Ordering
 //!
@@ -78,8 +77,8 @@ pub enum SessionEvent {
         /// numeric order).
         score_bits: u64,
     },
-    /// One training attempt ran (both the synchronous in-place retry loop
-    /// and the executor's retryable task record these, one per attempt).
+    /// One training attempt ran (recorded once per attempt of the retry
+    /// loop).
     TrainAttempt {
         extractor: ExtractorId,
         /// The training request's own iteration argument.
@@ -198,7 +197,7 @@ impl Obs {
     }
 
     /// The ledger in canonical (iteration-major, event-`Ord`) order — the
-    /// form sync/async and cross-parallelism equality is asserted on.
+    /// form inline/threaded and cross-parallelism equality is asserted on.
     pub fn canonical_events(&self) -> Vec<(u32, SessionEvent)> {
         self.ledger.canonical()
     }

@@ -1,6 +1,6 @@
 //! Session reports and post-mortem diagnostic bundles.
 //!
-//! Two consumers of a finished [`AsyncSessionOutcome`]:
+//! Two consumers of a finished (measured) [`SessionOutcome`]:
 //!
 //! * [`SessionReport`] — a compact summary with an **anomaly section**:
 //!   timing-plane findings (phase outliers, queue-wait spikes — see
@@ -16,8 +16,8 @@
 //! All JSON is hand-rolled (no serde in this environment) with keys in
 //! sorted order, so documents are deterministic for a given outcome.
 
+use crate::harness::SessionOutcome;
 use crate::observability::SessionEvent;
-use crate::session::AsyncSessionOutcome;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use ve_obs::{detect_timing_anomalies, Anomaly, AnomalyConfig, AnomalyKind, EventKind, TaskTiming};
@@ -70,7 +70,7 @@ pub fn retry_storms(
 
 /// Every anomaly of a finished session: timing-plane outliers/spikes plus
 /// event-plane retry storms, in trace-timestamp order.
-pub fn detect_session_anomalies(out: &AsyncSessionOutcome, cfg: &AnomalyConfig) -> Vec<Anomaly> {
+pub fn detect_session_anomalies(out: &SessionOutcome, cfg: &AnomalyConfig) -> Vec<Anomaly> {
     let mut anomalies = detect_timing_anomalies(&out.timings, &out.phases, cfg);
     anomalies.extend(retry_storms(&out.events, &out.timings, cfg));
     anomalies.sort_by(|a, b| {
@@ -90,9 +90,9 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
-    pub fn from_outcome(out: &AsyncSessionOutcome, cfg: &AnomalyConfig) -> Self {
+    pub fn from_outcome(out: &SessionOutcome, cfg: &AnomalyConfig) -> Self {
         Self {
-            iterations: out.iterations.len(),
+            iterations: out.records.len(),
             events_total: out.events.len(),
             degradations: out.degradations.len(),
             dropped_events: out.dropped_events.clone(),
@@ -136,7 +136,7 @@ pub struct DiagnosticBundle {
 }
 
 impl DiagnosticBundle {
-    pub fn from_outcome(out: &AsyncSessionOutcome, last_n: usize, cfg: &AnomalyConfig) -> Self {
+    pub fn from_outcome(out: &SessionOutcome, last_n: usize, cfg: &AnomalyConfig) -> Self {
         let skip = out.events.len().saturating_sub(last_n);
         Self {
             last_events: out.events[skip..].to_vec(),

@@ -2,13 +2,14 @@
 //!
 //! [`VocalExplore`] wires the Storage, Feature, Model, and Active Learning
 //! managers together behind the four API calls of the paper: `AddVideo`,
-//! `Watch`, `Explore`, and `AddLabel`. This facade is the "real" in-process
-//! execution path used by the examples and integration tests; the latency
-//! experiments use the [`crate::harness`] driver on top of it so that GPU
-//! costs (which are simulated) can be accounted per scheduling strategy.
+//! `Watch`, `Explore`, and `AddLabel`. The facade's own calls run their
+//! tasks on the calling thread; the session engine ([`crate::harness`])
+//! drives the same pieces — selection, inference, the deferred
+//! training/evaluation work, eager extraction — on a `ve_sched::Executor`
+//! to account visible latency per scheduling strategy.
 
 use crate::alm::{ActiveLearningManager, SelectionStats};
-use crate::api::{ExploreBatch, SegmentRef};
+use crate::api::{ExploreBatch, Prediction, SegmentRef};
 use crate::config::VocalExploreConfig;
 use crate::degradation::Degradation;
 use crate::feature_manager::FeatureManager;
@@ -17,20 +18,22 @@ use crate::observability::{Obs, ObsHandle, SessionEvent};
 use std::sync::Arc;
 use ve_al::AcquisitionKind;
 use ve_features::{ExtractorId, FeatureSimulator};
+use ve_obs::TaskLabel;
 use ve_sched::fault::FaultInjector;
+use ve_sched::{Executor, Priority};
 use ve_storage::{LabelRecord, StorageManager, VideoRecord};
 use ve_vidsim::{ClassId, TimeRange, VideoClip, VideoCorpus, VideoId};
 
 /// The VOCALExplore system.
 ///
-/// The Feature and Model managers are held behind `Arc` so the async session
-/// engine ([`crate::session::AsyncSessionRunner`]) can hand clones of them to
-/// closures running on `ve_sched::Executor` worker threads; both managers use
-/// interior locking and are safe to share. The ALM and corpus stay owned —
-/// all selection (and its RNG) runs on the calling thread.
+/// The corpus and the Feature and Model managers are held behind `Arc` so
+/// executor tasks (inference, evaluation, training, eager extraction) can
+/// hold clones of them on worker threads; both managers use interior
+/// locking and are safe to share. The ALM stays owned — all selection (and
+/// its RNG) runs on the calling thread.
 pub struct VocalExplore {
     config: VocalExploreConfig,
-    corpus: VideoCorpus,
+    corpus: Arc<VideoCorpus>,
     storage: StorageManager,
     fm: Arc<FeatureManager>,
     mm: Arc<ModelManager>,
@@ -74,7 +77,7 @@ impl VocalExplore {
         alm.set_obs(Arc::clone(&obs));
         Self {
             config,
-            corpus: VideoCorpus::new(),
+            corpus: Arc::new(VideoCorpus::new()),
             storage,
             fm,
             mm,
@@ -107,8 +110,8 @@ impl VocalExplore {
     }
 
     /// Records a degradation the caller absorbed on the system's behalf
-    /// (the async session engine routes its task-level losses through here
-    /// so the ledger view stays complete and ordered).
+    /// (the session engine routes eager-extraction give-ups through here so
+    /// the ledger view stays complete and ordered).
     pub fn record_degradation(&mut self, degradation: Degradation) {
         self.obs.record_degradation(degradation);
     }
@@ -138,19 +141,9 @@ impl VocalExplore {
         &self.mm
     }
 
-    /// Shared handle to the model manager (for executor task closures).
-    pub fn model_manager_arc(&self) -> Arc<ModelManager> {
-        Arc::clone(&self.mm)
-    }
-
     /// The active learning manager (exposed for the experiment harness).
     pub fn alm(&self) -> &ActiveLearningManager {
         &self.alm
-    }
-
-    /// Mutable ALM access (harness only).
-    pub fn alm_mut(&mut self) -> &mut ActiveLearningManager {
-        &mut self.alm
     }
 
     /// Number of labels collected so far.
@@ -177,7 +170,7 @@ impl VocalExplore {
             duration: clip.duration,
             start_timestamp: clip.start_timestamp,
         };
-        let vid = self.corpus.add_with_id(clip);
+        let vid = Arc::make_mut(&mut self.corpus).add_with_id(clip);
         self.storage.with_metadata_mut(|m| {
             m.insert(VideoRecord { vid, ..record });
         });
@@ -216,10 +209,8 @@ impl VocalExplore {
         target_label: Option<ClassId>,
     ) -> ExploreBatch {
         assert!(clip_len > 0.0, "clip length must be positive");
-        // Keep models and feature selection up to date before sampling (in
-        // the in-process facade this work is synchronous; the harness
-        // accounts its latency according to the scheduling strategy, and the
-        // async engine runs the equivalent work on executor threads instead).
+        // Keep models and feature selection up to date before sampling, on
+        // the calling thread (the Serial schedule).
         self.process_pending_work();
         let (picks, stats) = self.sample_segments(budget, clip_len, target_label);
         let refs = self.attach_predictions(picks);
@@ -232,9 +223,9 @@ impl VocalExplore {
 
     /// The selection step of `Explore` alone: advances the iteration counter
     /// and picks `budget` segments, without running the deferred
-    /// training/evaluation work and without attaching predictions. The async
-    /// session engine calls this directly — it schedules the deferred work on
-    /// the executor and fans inference out as critical tasks.
+    /// training/evaluation work and without attaching predictions. The
+    /// session engine calls this directly — it places the deferred work by
+    /// strategy and fans inference out as critical tasks.
     pub fn sample_segments(
         &mut self,
         budget: usize,
@@ -243,11 +234,10 @@ impl VocalExplore {
     ) -> (Vec<(VideoId, TimeRange)>, SelectionStats) {
         assert!(clip_len > 0.0, "clip length must be positive");
         self.iteration += 1;
-        // Events recorded from here (including by executor tasks of the
-        // async engine's current window) attribute to the new iteration; the
-        // synchronous path's deferred work runs *before* this bump, which is
-        // how both paths tag the equivalent work identically (see the
-        // `observability` module docs).
+        // Events recorded from here attribute to the new iteration; the
+        // deferred work for the labels so far ran (Serial) or will run
+        // (labeling window) before this bump, so it is tagged with the
+        // iteration whose labels it serves (see the `observability` docs).
         self.obs.set_iteration(self.iteration);
         // The ALM's persistent acquisition index tracks the feature-bearing
         // pool by itself (via the feature store's change log), so no
@@ -299,54 +289,108 @@ impl VocalExplore {
         self.alm.observe_labels(&counts);
     }
 
-    /// Runs the deferred work the Task Scheduler would run in the background:
-    /// model (re)training for the current extractor and one feature-evaluation
-    /// step for the rising bandit. Returns the number of `T_e` tasks executed.
+    /// Runs the deferred work on the calling thread; see
+    /// [`VocalExplore::process_pending_work_on`]. Returns the number of
+    /// `T_e` scores produced.
     pub fn process_pending_work(&mut self) -> usize {
+        let executor = Executor::inline();
+        executor.set_timing_enabled(false);
+        self.process_pending_work_on(&executor, 0.0)
+    }
+
+    /// Runs the deferred work the Task Scheduler would run in the background:
+    /// one `T_e` feature-evaluation task per extractor the rising bandit
+    /// still scores, joined and fed to the bandit, then — when labels have
+    /// arrived since the last published model — one retryable `T_m` training
+    /// task for the extractor used for predictions. Every task is submitted
+    /// to `executor` at `Normal` priority and sleeps its modeled cost at
+    /// `time_scale` (0 sleeps nothing). A training request that exhausts the
+    /// retry budget keeps the previous model version serving and is recorded
+    /// as [`Degradation::TrainingFailed`]. Returns the number of `T_e`
+    /// scores produced.
+    pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
         let labels = self.label_records();
         if labels.len() < self.config.min_labels_for_predictions {
             return 0;
         }
-        // Feature evaluation for the bandit (one T_e per active extractor).
-        let scores = self
+        let labels = Arc::new(labels);
+        let iteration = self.iteration;
+        let eval_secs = self.config.costs.eval_secs;
+        let evaluations: Vec<_> = self
             .alm
-            .feature_evaluation_step(&self.corpus, &self.fm, &self.mm, &labels);
-        // (Re)train the model of the extractor used for predictions when new
-        // labels have arrived since the previous training.
+            .evaluation_candidates()
+            .into_iter()
+            .map(|extractor| {
+                let ((mm, fm, corpus), labels) = (self.task_context(), Arc::clone(&labels));
+                executor.submit_with_handle_labeled(
+                    Priority::Normal,
+                    TaskLabel::new("eval", iteration),
+                    move || {
+                        sleep_scaled(eval_secs, time_scale);
+                        mm.evaluate_cv(extractor, &corpus, &fm, &labels)
+                            .map(|score| (extractor, score))
+                    },
+                )
+            })
+            .collect();
+        let scores: Vec<(ExtractorId, f64)> = evaluations
+            .into_iter()
+            .filter_map(|h| h.join().expect("evaluation task must not panic"))
+            .collect();
+        self.alm.observe_feature_scores(&scores);
+
         if labels.len() > self.labels_at_last_training {
             let extractor = self.alm.current_extractor();
             let cv = scores
                 .iter()
                 .find(|(e, _)| *e == extractor)
                 .map(|(_, s)| *s);
-            match self.mm.train(
-                extractor,
-                &self.corpus,
-                &self.fm,
-                &labels,
-                self.iteration,
-                cv,
-            ) {
+            let train_secs = self.config.costs.train_secs(labels.len());
+            let ((mm, fm, corpus), task_labels) = (self.task_context(), Arc::clone(&labels));
+            let training = executor.submit_retryable_labeled(
+                Priority::Normal,
+                TaskLabel::new("train", iteration),
+                self.config.retry.with_time_scale(time_scale),
+                move |attempt| {
+                    sleep_scaled(train_secs, time_scale);
+                    mm.train_attempt(
+                        extractor,
+                        &corpus,
+                        &fm,
+                        &task_labels,
+                        iteration,
+                        cv,
+                        attempt,
+                    )
+                },
+            );
+            match training.join_task() {
                 Ok(true) => self.labels_at_last_training = labels.len(),
                 Ok(false) => {}
                 // A failed train keeps serving the previously published
                 // model version (if any) — record the loss and move on.
-                Err(err) => self.obs.record_degradation(Degradation::TrainingFailed {
-                    iteration: err.iteration,
-                    extractor: err.extractor,
+                Err(_) => self.obs.record_degradation(Degradation::TrainingFailed {
+                    iteration,
+                    extractor,
                 }),
             }
         }
         scores.len()
     }
 
+    /// The shared handles an executor task closure needs.
+    fn task_context(&self) -> (Arc<ModelManager>, Arc<FeatureManager>, Arc<VideoCorpus>) {
+        (
+            Arc::clone(&self.mm),
+            Arc::clone(&self.fm),
+            Arc::clone(&self.corpus),
+        )
+    }
+
     /// The videos the next eager-extraction round would process: up to
     /// `max_videos` corpus videos not yet covered by the primary extractor,
-    /// in corpus order. Exposed separately from [`VocalExplore::eager_extract`]
-    /// so the async engine can submit one background `T_f⁻` task per video to
-    /// the executor while the synchronous path processes the identical set
-    /// inline — keeping the two paths' feature pools (and therefore
-    /// selections) bit-identical.
+    /// in corpus order. The session engine submits one background `T_f⁻`
+    /// task per planned video.
     pub fn eager_plan(&self, max_videos: usize) -> Vec<VideoId> {
         if max_videos == 0 {
             return Vec::new();
@@ -361,33 +405,6 @@ impl VocalExplore {
             .take(max_videos)
             .map(|clip| clip.id)
             .collect()
-    }
-
-    /// Eagerly extracts features for up to `max_videos` unlabeled videos for
-    /// every active candidate extractor (`T_f⁻` work). Returns the simulated
-    /// GPU seconds spent. Used by the `VE-full` strategy during labeling time.
-    pub fn eager_extract(&mut self, max_videos: usize) -> f64 {
-        let extractors = self.alm.active_extractors();
-        let mut spent = 0.0;
-        for vid in self.eager_plan(max_videos) {
-            let Some(clip) = self.corpus.get(vid) else {
-                continue;
-            };
-            for &e in &extractors {
-                // A permanently failed extraction leaves the video pending;
-                // a later eager round (or lazy extension) may retry it under
-                // its own fault schedule.
-                match self.fm.ensure_clip(e, clip) {
-                    Ok(cost) => spent += cost,
-                    Err(err) => self.obs.record_degradation(Degradation::ExtractionGaveUp {
-                        iteration: self.iteration,
-                        extractor: err.extractor,
-                        vid: err.vid,
-                    }),
-                }
-            }
-        }
-        spent
     }
 
     /// Current acquisition function.
@@ -407,34 +424,48 @@ impl VocalExplore {
             && self.mm.has_model(self.alm.current_extractor())
     }
 
+    /// Predictions for an `Explore` batch as `Critical` executor tasks, one
+    /// per segment, joined in submission order (each sleeps the modeled
+    /// `T_i` at `time_scale`). The first failed segment drops the whole
+    /// batch's predictions. Empty rows while predictions are not ready.
+    pub(crate) fn predict_on(
+        &mut self,
+        executor: &Executor,
+        segments: &[(VideoId, TimeRange)],
+        time_scale: f64,
+    ) -> Vec<Vec<Prediction>> {
+        self.serve_predictions(segments, |system| {
+            let extractor = system.alm.current_extractor();
+            let infer_secs = system.config.costs.infer_secs;
+            let handles: Vec<_> = segments
+                .iter()
+                .map(|&(vid, range)| {
+                    let (mm, fm, corpus) = system.task_context();
+                    executor.submit_with_handle_labeled(
+                        Priority::Critical,
+                        TaskLabel::new("infer", system.iteration),
+                        move || {
+                            sleep_scaled(infer_secs, time_scale);
+                            mm.predict(extractor, &corpus, &fm, vid, &range)
+                        },
+                    )
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("inference task must not panic"))
+                .collect()
+        })
+    }
+
     fn attach_predictions(&mut self, segments: Vec<(VideoId, TimeRange)>) -> Vec<SegmentRef> {
-        let predictions = if self.predictions_ready() {
-            match self.mm.predict_batch(
-                self.alm.current_extractor(),
-                &self.corpus,
-                &self.fm,
+        let predictions = self.serve_predictions(&segments, |system| {
+            system.mm.predict_batch(
+                system.alm.current_extractor(),
+                &system.corpus,
+                &system.fm,
                 &segments,
-            ) {
-                Ok(predictions) => predictions,
-                // Degraded serving: the batch is returned without
-                // predictions rather than failing the Explore/Watch call.
-                Err(err) => {
-                    if let InferenceError::Row { vid, .. } = err {
-                        self.obs.record_degradation(Degradation::PredictionDropped {
-                            iteration: self.iteration,
-                            vid,
-                        });
-                    }
-                    segments.iter().map(|_| Vec::new()).collect()
-                }
-            }
-        } else {
-            segments.iter().map(|_| Vec::new()).collect()
-        };
-        let predicted = predictions.iter().filter(|p| !p.is_empty()).count() as u32;
-        self.obs.record(SessionEvent::PredictionsServed {
-            segments: segments.len() as u32,
-            predicted,
+            )
         });
         segments
             .into_iter()
@@ -445,6 +476,45 @@ impl VocalExplore {
                 predictions,
             })
             .collect()
+    }
+
+    /// Runs `infer` once predictions are ready and does the serving
+    /// bookkeeping. Degraded serving: a failed inference returns the batch
+    /// without predictions (recording the failed segment) rather than
+    /// failing the call.
+    fn serve_predictions(
+        &mut self,
+        segments: &[(VideoId, TimeRange)],
+        infer: impl FnOnce(&Self) -> Result<Vec<Vec<Prediction>>, InferenceError>,
+    ) -> Vec<Vec<Prediction>> {
+        let unpredicted = || vec![Vec::new(); segments.len()];
+        let predictions = match self.predictions_ready().then(|| infer(self)) {
+            Some(Ok(predictions)) => predictions,
+            Some(Err(err)) => {
+                if let InferenceError::Row { vid, .. } = err {
+                    self.obs.record_degradation(Degradation::PredictionDropped {
+                        iteration: self.iteration,
+                        vid,
+                    });
+                }
+                unpredicted()
+            }
+            None => unpredicted(),
+        };
+        self.obs.record(SessionEvent::PredictionsServed {
+            segments: segments.len() as u32,
+            predicted: predictions.iter().filter(|p| !p.is_empty()).count() as u32,
+        });
+        predictions
+    }
+}
+
+/// Sleeps `modeled_secs * time_scale` wall-clock seconds (no-op at scale 0):
+/// how a measured run turns a modeled cost into real time.
+pub(crate) fn sleep_scaled(modeled_secs: f64, time_scale: f64) {
+    let wall = modeled_secs * time_scale;
+    if wall > 0.0 {
+        std::thread::sleep(std::time::Duration::from_secs_f64(wall));
     }
 }
 
@@ -545,30 +615,34 @@ mod tests {
 
     #[test]
     fn eager_extraction_grows_the_feature_pool() {
-        let (_, mut system) = small_system(6);
+        let (_, system) = small_system(6);
         let extractor = system.current_extractor();
-        assert!(system
-            .feature_manager()
-            .videos_with_features(extractor)
-            .is_empty());
-        let spent = system.eager_extract(10);
-        assert!(spent > 0.0);
-        assert_eq!(
+        let covered = |system: &VocalExplore| {
             system
                 .feature_manager()
                 .videos_with_features(extractor)
-                .len(),
-            10
-        );
-        // A second call skips the already-covered videos.
-        system.eager_extract(10);
-        assert_eq!(
-            system
-                .feature_manager()
-                .videos_with_features(extractor)
-                .len(),
-            20
-        );
+                .len()
+        };
+        assert_eq!(covered(&system), 0);
+        let extract = |system: &VocalExplore, plan: &[VideoId]| {
+            plan.iter()
+                .map(|&vid| {
+                    let clip = system.corpus().get(vid).unwrap();
+                    system
+                        .feature_manager()
+                        .ensure_clip(extractor, clip)
+                        .unwrap()
+                })
+                .sum::<f64>()
+        };
+        let plan = system.eager_plan(10);
+        assert!(extract(&system, &plan) > 0.0);
+        assert_eq!(covered(&system), 10);
+        // The next plan skips the already-covered videos.
+        let next = system.eager_plan(10);
+        assert!(next.iter().all(|vid| !plan.contains(vid)));
+        extract(&system, &next);
+        assert_eq!(covered(&system), 20);
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //!    degradation ledgers, and retry counters at any `executor_workers` /
 //!    `compute_threads` setting.
 //! 3. **No hang** — `wait_idle` (exercised at every iteration boundary of
-//!    the async engine) converges under fault storms; sessions finish with
+//!    a measured run) converges under fault storms; sessions finish with
 //!    zero pending tasks.
+//!
+//! Under permanent faults, the inline run (`SessionRunner::run`) and the
+//! threaded run (`SessionRunner::run_measured`) must also absorb the same
+//! faults in the same order.
+
+mod common;
 
 use vocalexplore::prelude::*;
 use vocalexplore::Degradation;
@@ -32,15 +38,6 @@ fn base_config(seed: u64, iterations: usize) -> SessionConfig {
         .with_time_scale(1e-4);
     cfg.system.train.epochs = 40;
     cfg
-}
-
-/// Canonical order for ledger comparison: the sync and async paths record
-/// the same absorbed faults but interleave system-ledger and task-level
-/// events differently within an iteration.
-fn sorted_ledger(degradations: &[Degradation]) -> Vec<String> {
-    let mut entries: Vec<String> = degradations.iter().map(|d| format!("{d:?}")).collect();
-    entries.sort();
-    entries
 }
 
 #[test]
@@ -72,12 +69,12 @@ fn transient_faults_within_the_retry_budget_are_invisible() {
             faulted.degradations
         );
 
-        // The async engine absorbs the same transient storm to the same
+        // A threaded run absorbs the same transient storm to the same
         // final state.
-        let measured = AsyncSessionRunner::new(faulted_cfg).run();
+        let measured = SessionRunner::new(faulted_cfg).run_measured();
         assert_eq!(
             measured.labels, oracle.labels,
-            "async transient-fault labels diverged under {strategy}"
+            "threaded transient-fault labels diverged under {strategy}"
         );
         assert!(measured.degradations.is_empty(), "{strategy}");
     }
@@ -101,7 +98,7 @@ fn permanent_faults_degrade_identically_at_any_parallelism() {
             .with_fault_plan(plan.clone())
             .with_executor_workers(workers)
             .with_compute_threads(threads);
-        AsyncSessionRunner::new(cfg).run()
+        SessionRunner::new(cfg).run_measured()
     };
     let reference = run(1, 1);
     assert!(
@@ -140,31 +137,19 @@ fn async_engine_matches_synchronous_path_under_permanent_faults() {
             .system
             .with_strategy(strategy)
             .with_fault_plan(plan.clone());
-        let sync = SessionRunner::new(cfg.clone()).run();
-        let measured = AsyncSessionRunner::new(cfg.clone()).run();
-        assert_eq!(
-            measured.labels, sync.labels,
-            "faulted label sequences diverged under {strategy}"
-        );
-        assert_eq!(measured.final_extractor, sync.final_extractor);
-        // The async engine trains once more than the synchronous harness:
-        // its window-N training corresponds to the synchronous path's
-        // explore-(N+1) deferred work, which a session of N iterations never
-        // issues. Ignore that boundary event, then the absorbed-fault
-        // ledgers must agree exactly (as multisets; the two paths interleave
-        // system-ledger and task-level events differently).
-        let last = cfg.iterations as u32;
-        let trimmed: Vec<Degradation> = measured
-            .degradations
-            .iter()
-            .filter(|d| !matches!(d, Degradation::TrainingFailed { iteration, .. } if *iteration == last))
-            .cloned()
-            .collect();
-        assert_eq!(
-            sorted_ledger(&trimmed),
-            sorted_ledger(&sync.degradations),
-            "degradation ledgers diverged under {strategy}"
-        );
+        let inline = SessionRunner::new(cfg.clone()).run();
+        for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+            let mut threaded = cfg.clone();
+            threaded.system = threaded
+                .system
+                .with_executor_workers(workers)
+                .with_compute_threads(threads);
+            common::assert_same_session(
+                &inline,
+                &SessionRunner::new(threaded).run_measured(),
+                &format!("{strategy} at workers={workers} threads={threads}"),
+            );
+        }
     }
 }
 
@@ -181,8 +166,8 @@ fn fault_storm_does_not_hang_the_session_engine() {
         .with_fault_plan(plan)
         .with_retry(RetryPolicy::new(2, 0.01, 2.0))
         .with_executor_workers(4);
-    let out = AsyncSessionRunner::new(cfg).run();
-    assert_eq!(out.iterations.len(), 5, "every iteration must complete");
+    let out = SessionRunner::new(cfg).run_measured();
+    assert_eq!(out.records.len(), 5, "every iteration must complete");
     assert_eq!(out.executor.pending(), 0, "no task may be left behind");
     assert!(
         !out.degradations.is_empty(),
@@ -202,7 +187,7 @@ fn training_faults_exercise_executor_retry_counters() {
         .system
         .with_strategy(SchedulerStrategy::VePartial)
         .with_fault_plan(plan);
-    let out = AsyncSessionRunner::new(cfg).run();
+    let out = SessionRunner::new(cfg).run_measured();
     assert!(
         out.executor.retried > 0,
         "failed attempts must be retried: {:?}",
@@ -219,7 +204,7 @@ fn training_faults_exercise_executor_retry_counters() {
         .iter()
         .any(|d| matches!(d, Degradation::TrainingFailed { .. })));
     assert!(
-        out.iterations.len() == 6,
+        out.records.len() == 6,
         "the session must run to completion without a trained model"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The unit tests and the `acquisition_index_equivalence` properties pin the
 //! cache at the selection-call level; these tests pin it end to end: two
-//! complete [`AsyncSessionRunner`] sessions — identical except that one runs
+//! complete measured `SessionRunner` sessions — identical except that one runs
 //! with the probability cache enabled (the default) and one with it disabled
 //! — must produce the **same label sequence and the same per-iteration
 //! acquisition sequence**, for Coreset, Cluster-Margin, and rare-class
@@ -17,7 +17,7 @@ use ve_features::ExtractorId;
 use ve_sched::SchedulerStrategy;
 use ve_vidsim::DatasetName;
 use vocalexplore::config::{FeatureSelectionPolicy, SamplingPolicy};
-use vocalexplore::{AsyncSessionOutcome, AsyncSessionRunner, SessionConfig};
+use vocalexplore::{SessionConfig, SessionOutcome, SessionRunner};
 
 /// A small measured session: fixed extractor, VE-full, fine time scale so
 /// the run is dominated by real compute, 6 iterations.
@@ -46,8 +46,8 @@ fn session_config(
     cfg
 }
 
-fn acquisitions(outcome: &AsyncSessionOutcome) -> Vec<AcquisitionKind> {
-    outcome.iterations.iter().map(|r| r.acquisition).collect()
+fn acquisitions(outcome: &SessionOutcome) -> Vec<AcquisitionKind> {
+    outcome.records.iter().map(|r| r.acquisition).collect()
 }
 
 fn assert_cache_equivalence(kind: AcquisitionKind, target: Option<usize>) {
@@ -55,8 +55,9 @@ fn assert_cache_equivalence(kind: AcquisitionKind, target: Option<usize>) {
     // guard serializes against every other test mutating it.
     let _guard = ve_sched::parallel::test_parallelism_guard();
     for threads in [1usize, 4] {
-        let cached = AsyncSessionRunner::new(session_config(kind, target, threads, true)).run();
-        let uncached = AsyncSessionRunner::new(session_config(kind, target, threads, false)).run();
+        let cached = SessionRunner::new(session_config(kind, target, threads, true)).run_measured();
+        let uncached =
+            SessionRunner::new(session_config(kind, target, threads, false)).run_measured();
         ve_sched::parallel::set_parallelism(0);
         assert_eq!(
             cached.labels, uncached.labels,

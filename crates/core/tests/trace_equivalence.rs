@@ -3,19 +3,21 @@
 //!
 //! Three contracts:
 //!
-//! 1. **Sync/async equivalence** — a synchronous `SessionRunner` session and
-//!    an `AsyncSessionRunner` session with the same config produce identical
-//!    canonical event ledgers, for every scheduling strategy and at every
-//!    tested `executor_workers × compute_threads`, modulo the async engine's
-//!    final-window training (the same boundary allowance `chaos_faults`
-//!    makes for the degradation ledger).
-//! 2. **Parallelism invariance** — the async ledger is bit-identical across
-//!    worker/thread counts, with no trimming at all.
+//! 1. **Inline/threaded equivalence** — `SessionRunner::run` (every task on
+//!    the session thread) and `SessionRunner::run_measured` (a worker pool,
+//!    modeled costs slept) with the same config produce the same labels,
+//!    records, canonical event ledger, and degradation sequence, for every
+//!    scheduling strategy (and a preprocessing baseline) at every tested
+//!    `executor_workers × compute_threads`.
+//! 2. **Parallelism invariance** — under faults, the threaded ledger is
+//!    bit-identical across worker/thread counts.
 //! 3. **Chaos reconciliation** — under injected training faults, the event
 //!    plane and the scheduler's counters tell the same story: re-run
 //!    `TrainAttempt`s equal `ExecutorStats::retried`, `TrainingFailed`
 //!    degradation events equal `gave_up`, and the `Degraded` events are
 //!    exactly the outcome's degradation ledger.
+
+mod common;
 
 use vocalexplore::prelude::*;
 use vocalexplore::Degradation;
@@ -36,48 +38,38 @@ fn base_config(seed: u64, iterations: usize) -> SessionConfig {
     cfg
 }
 
-/// Drops the async engine's final-window training events: its window-N
-/// training corresponds to the synchronous path's explore-(N+1) deferred
-/// work, which a session of N iterations never issues.
-fn trim_final_window(events: &[(u32, SessionEvent)], last: u32) -> Vec<(u32, SessionEvent)> {
-    events
-        .iter()
-        .filter(|(bucket, event)| {
-            *bucket != last
-                || !matches!(
-                    event,
-                    SessionEvent::TrainAttempt { .. }
-                        | SessionEvent::TrainCompleted { .. }
-                        | SessionEvent::EvaluationCompleted { .. }
-                        | SessionEvent::Degraded(Degradation::TrainingFailed { .. })
-                )
-        })
-        .cloned()
-        .collect()
-}
-
 #[test]
 fn sync_and_async_ledgers_are_identical_for_every_strategy() {
-    for strategy in SchedulerStrategy::all() {
-        let mut cfg = base_config(29, 6);
-        cfg.system = cfg.system.with_strategy(strategy);
-        let sync = SessionRunner::new(cfg.clone()).run();
+    let mut configs: Vec<(String, SessionConfig)> = SchedulerStrategy::all()
+        .into_iter()
+        .map(|strategy| {
+            let mut cfg = base_config(29, 6);
+            cfg.system = cfg.system.with_strategy(strategy);
+            (strategy.to_string(), cfg)
+        })
+        .collect();
+    let mut pp = base_config(29, 6);
+    pp.system = pp
+        .system
+        .with_strategy(SchedulerStrategy::Serial)
+        .with_preprocess(PreprocessPolicy::AllVideos);
+    configs.push(("Serial-PP".to_string(), pp));
+    for (name, cfg) in configs {
+        let inline = SessionRunner::new(cfg.clone()).run();
         assert!(
-            !sync.events.is_empty(),
-            "instrumentation must actually record events under {strategy}"
+            !inline.events.is_empty(),
+            "instrumentation must actually record events under {name}"
         );
-        let last = cfg.iterations as u32;
         for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-            let mut async_cfg = cfg.clone();
-            async_cfg.system = async_cfg
+            let mut threaded = cfg.clone();
+            threaded.system = threaded
                 .system
                 .with_executor_workers(workers)
                 .with_compute_threads(threads);
-            let measured = AsyncSessionRunner::new(async_cfg).run();
-            assert_eq!(
-                trim_final_window(&measured.events, last),
-                sync.events,
-                "event ledgers diverged under {strategy} at workers={workers} threads={threads}"
+            common::assert_same_session(
+                &inline,
+                &SessionRunner::new(threaded).run_measured(),
+                &format!("{name} at workers={workers} threads={threads}"),
             );
         }
     }
@@ -85,8 +77,6 @@ fn sync_and_async_ledgers_are_identical_for_every_strategy() {
 
 #[test]
 fn async_ledger_is_invariant_across_parallelism() {
-    // Async vs async needs no boundary trim: every run issues the same
-    // windows, so the ledgers must be bit-identical, faults included.
     let plan = FaultPlan::new(7)
         .with_rule(FaultSite::FeatureExtraction, FaultRule::permanent(0.2))
         .with_rule(FaultSite::Training, FaultRule::permanent(0.3))
@@ -100,7 +90,7 @@ fn async_ledger_is_invariant_across_parallelism() {
             .with_fault_plan(plan.clone())
             .with_executor_workers(workers)
             .with_compute_threads(threads);
-        AsyncSessionRunner::new(cfg).run()
+        SessionRunner::new(cfg).run_measured()
     };
     let reference = run(1, 1);
     assert!(!reference.events.is_empty());
@@ -116,7 +106,7 @@ fn async_ledger_is_invariant_across_parallelism() {
 /// Shared fault-storm run for the flight-recorder contracts: same config as
 /// `async_ledger_is_invariant_across_parallelism`, with an optional
 /// recorder capacity.
-fn storm_run(workers: usize, threads: usize, capacity: Option<usize>) -> AsyncSessionOutcome {
+fn storm_run(workers: usize, threads: usize, capacity: Option<usize>) -> SessionOutcome {
     let plan = FaultPlan::new(7)
         .with_rule(FaultSite::FeatureExtraction, FaultRule::permanent(0.2))
         .with_rule(FaultSite::Training, FaultRule::permanent(0.3))
@@ -130,7 +120,7 @@ fn storm_run(workers: usize, threads: usize, capacity: Option<usize>) -> AsyncSe
         .with_executor_workers(workers)
         .with_compute_threads(threads)
         .with_recorder_capacity(capacity);
-    AsyncSessionRunner::new(cfg).run()
+    SessionRunner::new(cfg).run_measured()
 }
 
 fn kind_counts(events: &[(u32, SessionEvent)]) -> std::collections::BTreeMap<&'static str, u64> {
@@ -223,7 +213,7 @@ fn chaos_fault_events_reconcile_with_executor_counters() {
         .system
         .with_strategy(SchedulerStrategy::VePartial)
         .with_fault_plan(plan);
-    let out = AsyncSessionRunner::new(cfg).run();
+    let out = SessionRunner::new(cfg).run_measured();
 
     let reruns = out
         .events

@@ -5,7 +5,7 @@
 //! **Contract.** Selection, training, and storage state are pure functions
 //! of their inputs (ROADMAP determinism invariant); a wall-clock read in any
 //! of those paths makes behavior a function of *when* the code ran. The
-//! async session engine's latency timers in `vocalexplore` are legitimate —
+//! session engine's latency timers in `vocalexplore` are legitimate —
 //! measurement is the product there — and carry `ve-lint: allow` annotations
 //! saying so, which keeps every wall-clock read in the repo explicitly
 //! accounted for.

@@ -8,8 +8,8 @@
 //! equality claims are made over the [`EventLedger::canonical`] form:
 //! iteration-major, then the event type's total order. Because the
 //! per-iteration event *multiset* is parallelism-invariant, the canonical
-//! sequence is bit-comparable across worker/thread counts and across the
-//! synchronous and asynchronous session paths.
+//! sequence is bit-comparable across worker/thread counts and between a
+//! session run inline and one run on a worker pool.
 //!
 //! **Flight-recorder mode.** [`EventLedger::with_capacity`] bounds the
 //! ledger to the most recent `C` droppable events. Eviction is

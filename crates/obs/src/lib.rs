@@ -10,7 +10,8 @@
 //!   order* are a pure function of the session's inputs. No wall-clock
 //!   reads, no thread ids, no allocation addresses. Because per-iteration
 //!   event multisets are parallelism-invariant, the canonicalized ledger of
-//!   a synchronous session and an asynchronous one can be asserted *equal*.
+//!   a session run inline and one run on a worker pool can be asserted
+//!   *equal*.
 //! * the **timing plane** ([`timing`]) — wall-clock enrichment (queue wait,
 //!   run duration, worker id) captured at task boundaries inside `ve-sched`
 //!   and joined to events by span id. This is the only module in the crate

@@ -7,9 +7,12 @@
 //! critical work always runs before normal work, which runs before
 //! background (eager) work.
 //!
-//! The executor is the engine behind the async session path in `ve-core`:
-//! `Explore` submits training, evaluation, and eager-extraction closures here
-//! and measures visible latency from their actual completion times.
+//! The executor is what the session engine in `ve-core` submits every task
+//! to: inference, evaluation, training, and eager extraction. A pool built
+//! with [`Executor::new`] runs them on worker threads, so visible latency is
+//! measured from their actual completion times; [`Executor::inline`] runs
+//! each job on the submitting thread through the same wrapper, for the
+//! fast modeled-latency runs and the synchronous facade.
 //!
 //! # Counter semantics
 //!
@@ -294,12 +297,23 @@ impl RetryPolicy {
         self.backoff_base_secs * self.backoff_factor.powi(retry as i32 - 1)
     }
 
-    fn backoff_wall(&self, retry: u32) -> Duration {
-        let secs = self.backoff_secs(retry) * self.time_scale;
-        if secs > 0.0 {
-            Duration::from_secs_f64(secs)
-        } else {
-            Duration::ZERO
+    /// The retry loop: calls `attempt` with the 0-based attempt index until
+    /// it succeeds or `max_attempts` (at least 1) attempts have failed,
+    /// sleeping the scaled backoff between attempts. Returns the number of
+    /// attempts consumed together with the last attempt's result.
+    pub fn run<T, E>(&self, mut attempt: impl FnMut(u32) -> Result<T, E>) -> (u32, Result<T, E>) {
+        let max = self.max_attempts.max(1);
+        let mut consumed = 0;
+        loop {
+            let result = attempt(consumed);
+            consumed += 1;
+            if result.is_ok() || consumed >= max {
+                return (consumed, result);
+            }
+            let wall = self.backoff_secs(consumed) * self.time_scale;
+            if wall > 0.0 {
+                std::thread::sleep(Duration::from_secs_f64(wall));
+            }
         }
     }
 }
@@ -376,29 +390,36 @@ impl Executor {
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State::default()),
-            available: Condvar::new(),
-            drained: Condvar::new(),
-            plane: TimingPlane::new(),
-        });
-        let mut handles = Vec::with_capacity(workers);
+        let mut executor = Self::inline();
         for i in 0..workers {
-            let inner = Arc::clone(&inner);
-            handles.push(
+            let inner = Arc::clone(&executor.inner);
+            executor.workers.push(
                 std::thread::Builder::new()
                     .name(format!("ve-sched-worker-{i}"))
                     .spawn(move || worker_loop(inner, i))
                     .expect("spawn worker"),
             );
         }
+        executor
+    }
+
+    /// An executor with no threads: every submitted job runs to completion
+    /// on the submitting thread before `submit` returns, through the same
+    /// wrapper the pool's workers use (panic capture, counters, timing
+    /// span), so handles, counters, and retries behave exactly as on a pool.
+    pub fn inline() -> Self {
         Self {
-            inner,
-            workers: handles,
+            inner: Arc::new(Inner {
+                state: Mutex::new(State::default()),
+                available: Condvar::new(),
+                drained: Condvar::new(),
+                plane: TimingPlane::new(),
+            }),
+            workers: Vec::new(),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0 for [`Executor::inline`]).
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -433,23 +454,27 @@ impl Executor {
         F: FnOnce() + Send + 'static,
     {
         let submit_us = self.inner.plane.now_us();
-        {
-            let mut state = self.inner.state.lock();
-            // `submitted` is bumped before the push, inside the same critical
-            // section — see the module docs on counter semantics.
-            state.submitted += 1;
-            let span = state.submitted;
-            state.push(
-                priority,
-                QueuedJob {
-                    job: Box::new(job),
-                    span,
-                    label,
-                    class: queue_class(priority),
-                    submit_us,
-                },
-            );
+        let mut state = self.inner.state.lock();
+        // `submitted` is bumped before the push, inside the same critical
+        // section — see the module docs on counter semantics.
+        state.submitted += 1;
+        let queued = QueuedJob {
+            job: Box::new(job),
+            span: state.submitted,
+            label,
+            class: queue_class(priority),
+            submit_us,
+        };
+        if self.workers.is_empty() {
+            // Inline: the caller is the worker, and runs the job outside
+            // the lock.
+            state.in_flight += 1;
+            drop(state);
+            run_job(&self.inner, queued, 0);
+            return;
         }
+        state.push(priority, queued);
+        drop(state);
         self.inner.available.notify_one();
     }
 
@@ -481,17 +506,11 @@ impl Executor {
         });
         let slot = Arc::clone(&shared);
         self.submit_labeled(priority, label, move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            let panicked = match &outcome {
-                Ok(_) => None,
-                Err(payload) => Some(panic_message(payload.as_ref())),
-            };
-            *slot.result.lock() = Some(match outcome {
-                Ok(value) => Ok(value),
-                Err(_) => Err(JobPanicked {
-                    message: panicked.clone().unwrap_or_default(),
-                }),
+            let result = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| JobPanicked {
+                message: panic_message(payload.as_ref()),
             });
+            let panicked = result.as_ref().err().map(|p| p.message.clone());
+            *slot.result.lock() = Some(result);
             slot.done.notify_all();
             if let Some(message) = panicked {
                 // Re-raise so the worker loop counts this job as failed; the
@@ -543,58 +562,25 @@ impl Executor {
         E: Send + 'static,
         F: FnMut(u32) -> Result<T, E> + Send + 'static,
     {
-        let shared = Arc::new(HandleShared {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let slot = Arc::clone(&shared);
         let inner = Arc::clone(&self.inner);
-        self.submit_labeled(priority, label, move || {
-            let max = policy.max_attempts.max(1);
-            let mut attempt = 0u32;
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| job(attempt))) {
-                    Ok(Ok(value)) => {
-                        *slot.result.lock() = Some(Ok(Ok(value)));
-                        slot.done.notify_all();
-                        return;
-                    }
-                    Ok(Err(error)) => {
-                        attempt += 1;
-                        if attempt >= max {
-                            let failure = if max == 1 {
-                                TaskFailure::Failed(error)
-                            } else {
-                                inner.state.lock().gave_up += 1;
-                                TaskFailure::GaveUp {
-                                    attempts: attempt,
-                                    error,
-                                }
-                            };
-                            *slot.result.lock() = Some(Ok(Err(failure)));
-                            slot.done.notify_all();
-                            return;
-                        }
-                        inner.state.lock().retried += 1;
-                        let backoff = policy.backoff_wall(attempt);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        *slot.result.lock() = Some(Ok(Err(TaskFailure::Panicked(JobPanicked {
-                            message: message.clone(),
-                        }))));
-                        slot.done.notify_all();
-                        // Re-raise so the worker loop counts this job as
-                        // failed; the handle already holds the error.
-                        std::panic::resume_unwind(Box::new(message));
-                    }
+        // The handle wrapper catches a panicking attempt (never retried),
+        // stores it, and re-raises it so the worker counts the job failed.
+        self.submit_with_handle_labeled(priority, label, move || {
+            let (attempts, result) = policy.run(|attempt| {
+                if attempt > 0 {
+                    inner.state.lock().retried += 1;
                 }
-            }
-        });
-        TaskHandle { shared }
+                job(attempt)
+            });
+            result.map_err(|error| {
+                if policy.max_attempts <= 1 {
+                    TaskFailure::Failed(error)
+                } else {
+                    inner.state.lock().gave_up += 1;
+                    TaskFailure::GaveUp { attempts, error }
+                }
+            })
+        })
     }
 
     /// Blocks until every submitted job has completed (including jobs that
@@ -664,33 +650,40 @@ fn worker_loop(inner: Arc<Inner>, worker: usize) {
             }
         };
         let Some(queued) = queued else { return };
-        let start_us = inner.plane.now_us();
-        let outcome = catch_unwind(AssertUnwindSafe(queued.job));
-        let end_us = inner.plane.now_us();
-        {
-            let mut state = inner.state.lock();
-            state.in_flight -= 1;
-            state.completed += 1;
-            state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
-            if outcome.is_err() {
-                state.failed += 1;
-            }
-            if state.is_drained() {
-                inner.drained.notify_all();
-            }
-        }
-        // Recorded after the queue lock is released: the timing plane has
-        // its own lock and the two must never nest.
-        inner.plane.record_task(TaskTiming {
-            span: queued.span,
-            label: queued.label,
-            class: queued.class,
-            worker,
-            submit_us: queued.submit_us,
-            start_us,
-            end_us,
-        });
+        run_job(&inner, queued, worker);
     }
+}
+
+/// Runs one in-flight job with no executor lock held: catches its panic,
+/// settles the counters, and records its timing span. Shared by the pool's
+/// workers and the inline executor.
+fn run_job(inner: &Inner, queued: QueuedJob, worker: usize) {
+    let start_us = inner.plane.now_us();
+    let outcome = catch_unwind(AssertUnwindSafe(queued.job));
+    let end_us = inner.plane.now_us();
+    {
+        let mut state = inner.state.lock();
+        state.in_flight -= 1;
+        state.completed += 1;
+        state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
+        if outcome.is_err() {
+            state.failed += 1;
+        }
+        if state.is_drained() {
+            inner.drained.notify_all();
+        }
+    }
+    // Recorded after the queue lock is released: the timing plane has its
+    // own lock and the two must never nest.
+    inner.plane.record_task(TaskTiming {
+        span: queued.span,
+        label: queued.label,
+        class: queued.class,
+        worker,
+        submit_us: queued.submit_us,
+        start_us,
+        end_us,
+    });
 }
 
 #[cfg(test)]
@@ -1098,6 +1091,73 @@ mod tests {
         assert_eq!(policy.backoff_secs(2), 1.0);
         assert_eq!(policy.backoff_secs(3), 2.0);
         assert_eq!(RetryPolicy::none().backoff_secs(1), 0.0);
+    }
+
+    #[test]
+    fn retry_run_reports_attempts_and_the_last_result() {
+        let policy = RetryPolicy::new(4, 0.0, 2.0);
+        // Success at attempt k reports k + 1 attempts.
+        for k in 0..4u32 {
+            let (attempts, result) = policy.run(|attempt| {
+                if attempt < k {
+                    Err(attempt)
+                } else {
+                    Ok(attempt)
+                }
+            });
+            assert_eq!((attempts, result), (k + 1, Ok(k)));
+        }
+        // Exhaustion reports `max_attempts` and the last error.
+        let mut seen = Vec::new();
+        let (attempts, result) = policy.run(|attempt| -> Result<(), u32> {
+            seen.push(attempt);
+            Err(attempt * 10)
+        });
+        assert_eq!((attempts, result), (4, Err(30)));
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        // Between attempts it sleeps `backoff_secs(retry) * time_scale`:
+        // 0.01 s + 0.02 s before the second and third attempts.
+        let start = Instant::now();
+        let (attempts, _) = RetryPolicy::new(3, 0.01, 2.0)
+            .with_time_scale(1.0)
+            .run(|_| -> Result<(), ()> { Err(()) });
+        assert_eq!(attempts, 3);
+        assert!(start.elapsed() >= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn retry_run_with_zero_max_attempts_behaves_as_one() {
+        let policy = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::none()
+        };
+        let mut calls = 0;
+        let (attempts, result) = policy.run(|_| -> Result<(), ()> {
+            calls += 1;
+            Err(())
+        });
+        assert_eq!((attempts, result, calls), (1, Err(()), 1));
+    }
+
+    #[test]
+    fn inline_executor_runs_jobs_on_the_caller_and_counts_them() {
+        let ex = Executor::inline();
+        let caller = std::thread::current().id();
+        let handle = ex.submit_with_handle_labeled(
+            Priority::Background,
+            TaskLabel::new("eager", 2),
+            move || std::thread::current().id() == caller,
+        );
+        assert!(handle.is_finished(), "the job ran before submit returned");
+        assert!(handle.join().unwrap());
+        ex.submit(Priority::Normal, || panic!("inline job exploded"));
+        ex.wait_idle();
+        let stats = ex.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (2, 2, 1));
+        assert_eq!(stats.depth_hwm, [0, 0, 0], "nothing is ever queued");
+        let tasks = ex.timing().tasks();
+        assert_eq!(tasks.len(), 2);
+        assert_eq!((tasks[0].span, tasks[0].label.kind), (1, "eager"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the async session engine.
+//! Deterministic fault injection for the session engine.
 //!
 //! Production deployments of VOCALExplore face GPU extraction errors,
 //! training-backend failures, and storage I/O faults. To test that the
@@ -23,6 +23,7 @@
 //! a per-site injection counter kept for observability, which never feeds
 //! back into decisions.
 
+use crate::executor::RetryPolicy;
 use parking_lot::Mutex;
 
 /// Where a fault can be injected.
@@ -213,6 +214,20 @@ impl FaultInjector {
             self.injected.lock()[site.index()] += 1;
         }
         fail
+    }
+
+    /// Runs one operation's attempts through `policy`'s retry loop:
+    /// `Ok` as soon as an attempt is allowed through, `Err(attempts)` once
+    /// the whole budget was burned.
+    pub fn gate(&self, site: FaultSite, key: u64, policy: &RetryPolicy) -> Result<(), u32> {
+        let (attempts, allowed) = policy.run(|attempt| {
+            if self.should_fail(site, key, attempt) {
+                Err(())
+            } else {
+                Ok(())
+            }
+        });
+        allowed.map_err(|()| attempts)
     }
 
     /// Failures injected at `site` so far.

@@ -14,8 +14,9 @@
 //! * [`queue`] — a priority queue (critical → normal → background, FIFO
 //!   within a priority),
 //! * [`executor`] — a panic-safe worker pool that runs closures in priority
-//!   order (the "real" execution path behind `ve-core`'s async session
-//!   engine), with condvar-based idle waits and typed task handles,
+//!   order, or inline on the caller (the execution path behind `ve-core`'s
+//!   session engine), with condvar-based idle waits, typed task handles,
+//!   and the one retry loop (`RetryPolicy::run`),
 //! * [`simclock`] — a resource-limited simulated clock used by the latency
 //!   experiments (the GPU costs themselves are simulated, Table 3),
 //! * [`strategy`] — the Serial, `VE-partial`, and `VE-full` scheduling

@@ -15,10 +15,7 @@
 //! `VE-full` additionally hides feature extraction behind eager background
 //! extraction, so only sample selection and inference remain visible.
 
-/// The scheduling strategies evaluated in the paper, plus the speculative
-/// extension the paper sketches but does not implement (Section 4: visible
-/// latency "could be reduced further with speculative execution (i.e.,
-/// prepare `T_s` and `T_i` before the next call to Explore)").
+/// The scheduling strategies evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerStrategy {
     /// Everything runs synchronously inside the API call.
@@ -27,11 +24,6 @@ pub enum SchedulerStrategy {
     VePartial,
     /// `VE-partial` plus eager background feature extraction.
     VeFull,
-    /// `VE-full` plus speculative pre-computation of the next batch's sample
-    /// selection and inference during the current labeling window, driving
-    /// visible latency to (near) zero. Implemented as the paper's suggested
-    /// future-work extension.
-    VeFullSpeculative,
 }
 
 impl SchedulerStrategy {
@@ -45,23 +37,12 @@ impl SchedulerStrategy {
         ]
     }
 
-    /// Every strategy including the speculative extension.
-    pub fn all_with_extensions() -> [SchedulerStrategy; 4] {
-        [
-            SchedulerStrategy::Serial,
-            SchedulerStrategy::VePartial,
-            SchedulerStrategy::VeFull,
-            SchedulerStrategy::VeFullSpeculative,
-        ]
-    }
-
     /// Display name used in experiment output.
     pub fn as_str(&self) -> &'static str {
         match self {
             SchedulerStrategy::Serial => "Serial",
             SchedulerStrategy::VePartial => "VE-partial",
             SchedulerStrategy::VeFull => "VE-full",
-            SchedulerStrategy::VeFullSpeculative => "VE-full (spec.)",
         }
     }
 }
@@ -162,12 +143,6 @@ pub fn iteration_latency(strategy: SchedulerStrategy, costs: &IterationCosts) ->
             // visible is selection + inference. The extraction work itself is
             // accounted as background.
             (select_and_infer, extraction + train_and_eval)
-        }
-        SchedulerStrategy::VeFullSpeculative => {
-            // Selection and inference for the next batch were precomputed
-            // during the previous labeling window, so nothing is visible;
-            // all work (including the speculative Ts/Ti) is background.
-            (0.0, select_and_infer + extraction + train_and_eval)
         }
     };
     IterationLatency {
@@ -276,16 +251,5 @@ mod tests {
     fn display_names() {
         assert_eq!(SchedulerStrategy::VeFull.to_string(), "VE-full");
         assert_eq!(SchedulerStrategy::all().len(), 3);
-        assert_eq!(SchedulerStrategy::all_with_extensions().len(), 4);
-    }
-
-    #[test]
-    fn speculative_extension_has_zero_visible_latency() {
-        let c = costs(5, 10);
-        let lat = iteration_latency(SchedulerStrategy::VeFullSpeculative, &c);
-        assert_eq!(lat.visible_secs, 0.0);
-        // The work does not disappear; it all becomes background.
-        let full = iteration_latency(SchedulerStrategy::VeFull, &c);
-        assert!(lat.background_secs >= full.background_secs);
     }
 }

@@ -252,3 +252,62 @@ fn handles_resolve_under_concurrent_load() {
     ex.wait_idle();
     assert_eq!(ex.stats().failed, 0);
 }
+
+/// One storm of transient, permanent, single-attempt, panicking-retryable,
+/// and plain panicking jobs; returns every handle's rendered result in
+/// submission order plus the settled counters.
+fn storm_on(ex: &Executor) -> (Vec<String>, [u64; 5]) {
+    let policy = RetryPolicy::new(3, 0.0, 2.0);
+    let mut results = Vec::new();
+    let mut handles = Vec::new();
+    for i in 0..120u64 {
+        let priority = PRIORITIES[(i % 3) as usize];
+        match i % 6 {
+            0 => ex.submit(priority, || panic!("plain storm")),
+            1 => handles.push(ex.submit_retryable(
+                priority,
+                RetryPolicy::none(),
+                move |attempt| -> Result<u64, String> { Err(format!("once #{attempt}")) },
+            )),
+            2 => handles.push(ex.submit_retryable(priority, policy, move |attempt| {
+                if attempt == 1 {
+                    panic!("attempt {attempt} exploded");
+                }
+                Err(format!("before panic #{attempt}"))
+            })),
+            3 => handles.push(ex.submit_retryable(priority, policy, move |attempt| {
+                Err(format!("permanent #{attempt}"))
+            })),
+            _ => handles.push(ex.submit_retryable(priority, policy, move |attempt| {
+                if u64::from(attempt) < i % 3 {
+                    Err(format!("transient #{attempt}"))
+                } else {
+                    Ok(i)
+                }
+            })),
+        }
+    }
+    ex.wait_idle();
+    for handle in handles {
+        results.push(format!("{:?}", handle.join_task()));
+    }
+    let s = ex.stats();
+    (
+        results,
+        [s.submitted, s.completed, s.failed, s.retried, s.gave_up],
+    )
+}
+
+#[test]
+fn inline_executor_matches_a_worker_pool_on_a_retry_and_panic_storm() {
+    let inline = Executor::inline();
+    assert_eq!(inline.workers(), 0);
+    let (inline_results, inline_counters) = storm_on(&inline);
+    let (pool_results, pool_counters) = storm_on(&Executor::new(4));
+    assert_eq!(inline_results, pool_results);
+    assert_eq!(inline_counters, pool_counters);
+    // 20 plain panics plus 20 retryable jobs that panic on their retry;
+    // re-runs: one per panicking job, two per permanent job, one or two per
+    // transient job; single-attempt failures are `Failed`, not give-ups.
+    assert_eq!(inline_counters, [120, 120, 40, 20 + 40 + 60, 20]);
+}

@@ -2,17 +2,17 @@
 //!
 //! The analytic model (`ve_sched::iteration_latency`) predicts that visible
 //! per-iteration latency strictly decreases from Serial to `VE-partial` to
-//! `VE-full`. The async session engine executes the same schedule on real
-//! `ve_sched::Executor` threads — training, feature evaluation, and eager
-//! extraction as prioritized tasks overlapping simulated think time — and
-//! *measures* visible latency from wall-clock task completion times. This
+//! `VE-full`. `SessionRunner::run_measured` executes the same schedule on
+//! real `ve_sched::Executor` threads — training, feature evaluation, and
+//! eager extraction as prioritized tasks overlapping simulated think time —
+//! and *measures* visible latency from wall-clock task completion times. This
 //! test asserts the measured ordering matches the model's prediction and
 //! that per-strategy measured medians agree with the analytic medians within
 //! tolerance.
 
 use vocalexplore::prelude::*;
 
-fn run_strategy(strategy: SchedulerStrategy) -> AsyncSessionOutcome {
+fn run_strategy(strategy: SchedulerStrategy) -> SessionOutcome {
     let mut cfg = SessionConfig::new(DatasetName::Deer, 0.08, 42)
         .with_iterations(6)
         .with_eval_every(1000);
@@ -26,7 +26,7 @@ fn run_strategy(strategy: SchedulerStrategy) -> AsyncSessionOutcome {
         .with_time_scale(2e-2);
     cfg.system.t_user = 4.0;
     cfg.system.train.epochs = 40;
-    AsyncSessionRunner::new(cfg).run()
+    SessionRunner::new(cfg).run_measured()
 }
 
 #[test]
@@ -46,11 +46,8 @@ fn measured_visible_latency_reproduces_figure6_ordering_within_model_tolerance()
     }
 
     // Measured ordering: Serial > VE-partial > VE-full (Figure 6).
-    let (s, p, f) = (
-        serial.median_measured_visible(),
-        partial.median_measured_visible(),
-        full.median_measured_visible(),
-    );
+    let measured = |o: &SessionOutcome| o.median_measured_visible().unwrap();
+    let (s, p, f) = (measured(&serial), measured(&partial), measured(&full));
     assert!(
         s > p && p > f,
         "measured medians must order Serial > VE-partial > VE-full, got \
@@ -78,7 +75,7 @@ fn measured_visible_latency_reproduces_figure6_ordering_within_model_tolerance()
         ("VE-partial", &partial),
         ("VE-full", &full),
     ] {
-        let measured = outcome.median_measured_visible();
+        let measured = measured(outcome);
         let modeled = outcome.median_modeled_visible();
         assert!(
             measured <= 3.0 * modeled + 5.0,
