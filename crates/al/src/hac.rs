@@ -32,10 +32,10 @@
 //! stores only the upper triangle, condensed into one `f32` buffer of
 //! `n·(n−1)/2` entries — 2 bytes/pair steady state versus the previous full
 //! square `f64` matrix's 8 bytes/pair (recurrence arithmetic stays in `f64`;
-//! only storage is rounded). The previous representation is kept as
-//! [`hac_average_linkage_dense`], the memory-heavy reference the equivalence
-//! tests pin the condensed implementation against (bit-identical cluster
-//! assignments at n = 1,000 on the benchmark-shaped input).
+//! only storage is rounded). The previous representation survives only in
+//! this module's tests, as the oracle the condensed implementation is pinned
+//! against (bit-identical cluster assignments at n = 1,000 on the
+//! benchmark-shaped input).
 //!
 //! # Determinism
 //!
@@ -197,140 +197,6 @@ pub fn hac_average_linkage(points: &FeatureBlock, num_clusters: usize) -> Vec<us
     assignment
 }
 
-/// The previous full-square-`f64`-matrix implementation, kept as the
-/// reference the condensed representation is pinned against (8 bytes/pair
-/// steady state; prefer [`hac_average_linkage`]).
-pub fn hac_average_linkage_dense(points: &FeatureBlock, num_clusters: usize) -> Vec<usize> {
-    assert!(!points.is_empty(), "cannot cluster an empty set");
-    assert!(num_clusters > 0, "need at least one cluster");
-    let n = points.rows();
-    let target = num_clusters.min(n);
-
-    // Full symmetric distance matrix in f64 (the Lance–Williams updates stay
-    // in f64 so repeated weighted averaging does not drift).
-    let base = points.pairwise_sq_distances(points);
-    let mut dist = vec![0.0f64; n * n];
-    for (d, &b) in dist.iter_mut().zip(base.as_slice()) {
-        *d = b as f64;
-    }
-    // The f32 matrix is only the seed for the f64 working copy; free it now
-    // so peak memory on this O(n²) path is 8 bytes/pair, not 12.
-    drop(base);
-
-    let mut active: Vec<bool> = vec![true; n];
-    let mut sizes: Vec<usize> = vec![1; n];
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut num_active = n;
-
-    // Cached row minima over the upper triangle: for every active slot i,
-    // the smallest distance to an active slot j > i (first j wins ties).
-    let mut min_d = vec![f64::INFINITY; n];
-    let mut min_j = vec![usize::MAX; n];
-    let recompute_row = |dist: &[f64], active: &[bool], i: usize| -> (f64, usize) {
-        let mut best = f64::INFINITY;
-        let mut best_j = usize::MAX;
-        for (j, &a) in active.iter().enumerate().skip(i + 1) {
-            if !a {
-                continue;
-            }
-            let d = dist[i * n + j];
-            if d < best {
-                best = d;
-                best_j = j;
-            }
-        }
-        (best, best_j)
-    };
-    for i in 0..n {
-        let (d, j) = recompute_row(&dist, &active, i);
-        min_d[i] = d;
-        min_j[i] = j;
-    }
-
-    while num_active > target {
-        // Closest pair = first active row attaining the global minimum of the
-        // cached row minima (strict < ⇒ lexicographically first pair wins).
-        let mut bi = usize::MAX;
-        let mut bd = f64::INFINITY;
-        for (i, &a) in active.iter().enumerate() {
-            if a && min_j[i] != usize::MAX && min_d[i] < bd {
-                bd = min_d[i];
-                bi = i;
-            }
-        }
-        if bi == usize::MAX {
-            break;
-        }
-        let (i, j) = (bi, min_j[bi]);
-
-        // Lance–Williams update of row/column i to represent i ∪ j.
-        let (ni, nj) = (sizes[i] as f64, sizes[j] as f64);
-        let inv = 1.0 / (ni + nj);
-        for k in 0..n {
-            if !active[k] || k == i || k == j {
-                continue;
-            }
-            let nd = (ni * dist[i * n + k] + nj * dist[j * n + k]) * inv;
-            dist[i * n + k] = nd;
-            dist[k * n + i] = nd;
-        }
-        sizes[i] += sizes[j];
-        active[j] = false;
-        num_active -= 1;
-        let moved = std::mem::take(&mut members[j]);
-        members[i].extend(moved);
-
-        // Repair the cached minima.
-        let (d, jj) = recompute_row(&dist, &active, i);
-        min_d[i] = d;
-        min_j[i] = jj;
-        for k in 0..n {
-            if !active[k] || k == i {
-                continue;
-            }
-            if k < i {
-                let nd = dist[k * n + i];
-                if min_j[k] == j {
-                    // Its minimum pointed at the vanished slot.
-                    let (d, jj) = recompute_row(&dist, &active, k);
-                    min_d[k] = d;
-                    min_j[k] = jj;
-                } else if min_j[k] == i {
-                    if nd <= min_d[k] {
-                        min_d[k] = nd;
-                    } else {
-                        let (d, jj) = recompute_row(&dist, &active, k);
-                        min_d[k] = d;
-                        min_j[k] = jj;
-                    }
-                } else if nd < min_d[k] || (nd == min_d[k] && i < min_j[k]) {
-                    min_d[k] = nd;
-                    min_j[k] = i;
-                }
-            } else if k < j && min_j[k] == j {
-                // Row k (i < k < j) lost its minimum column.
-                let (d, jj) = recompute_row(&dist, &active, k);
-                min_d[k] = d;
-                min_j[k] = jj;
-            }
-        }
-    }
-
-    // Assign dense cluster ids in slot order, matching the naive reference.
-    let mut assignment = vec![0usize; n];
-    let mut next = 0usize;
-    for (ci, cluster) in members.iter().enumerate() {
-        if !active[ci] {
-            continue;
-        }
-        for &p in cluster {
-            assignment[p] = next;
-        }
-        next += 1;
-    }
-    assignment
-}
-
 /// Cluster-Margin selection using HAC for the diversity stage (the original
 /// algorithm's clustering choice). Margin filtering and the ascending-size
 /// round-robin stage are identical to [`crate::cluster_margin_selection`].
@@ -379,6 +245,140 @@ pub fn cluster_margin_selection_hac(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The previous full-square-`f64`-matrix implementation, kept as the
+    /// oracle the condensed representation is pinned against (8 bytes/pair
+    /// steady state).
+    fn hac_average_linkage_dense(points: &FeatureBlock, num_clusters: usize) -> Vec<usize> {
+        assert!(!points.is_empty(), "cannot cluster an empty set");
+        assert!(num_clusters > 0, "need at least one cluster");
+        let n = points.rows();
+        let target = num_clusters.min(n);
+
+        // Full symmetric distance matrix in f64 (the Lance–Williams updates stay
+        // in f64 so repeated weighted averaging does not drift).
+        let base = points.pairwise_sq_distances(points);
+        let mut dist = vec![0.0f64; n * n];
+        for (d, &b) in dist.iter_mut().zip(base.as_slice()) {
+            *d = b as f64;
+        }
+        // The f32 matrix is only the seed for the f64 working copy; free it now
+        // so peak memory on this O(n²) path is 8 bytes/pair, not 12.
+        drop(base);
+
+        let mut active: Vec<bool> = vec![true; n];
+        let mut sizes: Vec<usize> = vec![1; n];
+        let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let mut num_active = n;
+
+        // Cached row minima over the upper triangle: for every active slot i,
+        // the smallest distance to an active slot j > i (first j wins ties).
+        let mut min_d = vec![f64::INFINITY; n];
+        let mut min_j = vec![usize::MAX; n];
+        let recompute_row = |dist: &[f64], active: &[bool], i: usize| -> (f64, usize) {
+            let mut best = f64::INFINITY;
+            let mut best_j = usize::MAX;
+            for (j, &a) in active.iter().enumerate().skip(i + 1) {
+                if !a {
+                    continue;
+                }
+                let d = dist[i * n + j];
+                if d < best {
+                    best = d;
+                    best_j = j;
+                }
+            }
+            (best, best_j)
+        };
+        for i in 0..n {
+            let (d, j) = recompute_row(&dist, &active, i);
+            min_d[i] = d;
+            min_j[i] = j;
+        }
+
+        while num_active > target {
+            // Closest pair = first active row attaining the global minimum of the
+            // cached row minima (strict < ⇒ lexicographically first pair wins).
+            let mut bi = usize::MAX;
+            let mut bd = f64::INFINITY;
+            for (i, &a) in active.iter().enumerate() {
+                if a && min_j[i] != usize::MAX && min_d[i] < bd {
+                    bd = min_d[i];
+                    bi = i;
+                }
+            }
+            if bi == usize::MAX {
+                break;
+            }
+            let (i, j) = (bi, min_j[bi]);
+
+            // Lance–Williams update of row/column i to represent i ∪ j.
+            let (ni, nj) = (sizes[i] as f64, sizes[j] as f64);
+            let inv = 1.0 / (ni + nj);
+            for k in 0..n {
+                if !active[k] || k == i || k == j {
+                    continue;
+                }
+                let nd = (ni * dist[i * n + k] + nj * dist[j * n + k]) * inv;
+                dist[i * n + k] = nd;
+                dist[k * n + i] = nd;
+            }
+            sizes[i] += sizes[j];
+            active[j] = false;
+            num_active -= 1;
+            let moved = std::mem::take(&mut members[j]);
+            members[i].extend(moved);
+
+            // Repair the cached minima.
+            let (d, jj) = recompute_row(&dist, &active, i);
+            min_d[i] = d;
+            min_j[i] = jj;
+            for k in 0..n {
+                if !active[k] || k == i {
+                    continue;
+                }
+                if k < i {
+                    let nd = dist[k * n + i];
+                    if min_j[k] == j {
+                        // Its minimum pointed at the vanished slot.
+                        let (d, jj) = recompute_row(&dist, &active, k);
+                        min_d[k] = d;
+                        min_j[k] = jj;
+                    } else if min_j[k] == i {
+                        if nd <= min_d[k] {
+                            min_d[k] = nd;
+                        } else {
+                            let (d, jj) = recompute_row(&dist, &active, k);
+                            min_d[k] = d;
+                            min_j[k] = jj;
+                        }
+                    } else if nd < min_d[k] || (nd == min_d[k] && i < min_j[k]) {
+                        min_d[k] = nd;
+                        min_j[k] = i;
+                    }
+                } else if k < j && min_j[k] == j {
+                    // Row k (i < k < j) lost its minimum column.
+                    let (d, jj) = recompute_row(&dist, &active, k);
+                    min_d[k] = d;
+                    min_j[k] = jj;
+                }
+            }
+        }
+
+        // Assign dense cluster ids in slot order, matching the naive reference.
+        let mut assignment = vec![0usize; n];
+        let mut next = 0usize;
+        for (ci, cluster) in members.iter().enumerate() {
+            if !active[ci] {
+                continue;
+            }
+            for &p in cluster {
+                assignment[p] = next;
+            }
+            next += 1;
+        }
+        assignment
+    }
 
     fn block(rows: &[Vec<f32>]) -> FeatureBlock {
         FeatureBlock::from_nested(rows)

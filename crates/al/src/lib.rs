@@ -32,7 +32,7 @@ pub mod ve_sample;
 
 pub use cluster_margin::{cluster_margin_selection, kmeans_fit, ClusterMarginConfig};
 pub use coreset::{coreset_selection, greedy_k_center};
-pub use hac::{cluster_margin_selection_hac, hac_average_linkage, hac_average_linkage_dense};
+pub use hac::{cluster_margin_selection_hac, hac_average_linkage};
 pub use random::random_selection;
 pub use sketch::{ClusterSketch, ClusterSketchConfig};
 pub use uncertainty::{uncertainty_selection, uncertainty_selection_from_probs};

@@ -18,8 +18,9 @@ use std::time::Instant;
 use ve_al::{
     cluster_margin_selection, coreset_selection, hac_average_linkage, ClusterMarginConfig,
 };
-use ve_bench::emit::{Artifact, Value};
+use ve_bench::emit::Artifact;
 use ve_ml::FeatureBlock;
+use ve_obs::json::Json;
 
 const DIM: usize = 64;
 const BUDGET: usize = 5;
@@ -144,8 +145,8 @@ fn main() {
             coreset_ns / 1e6,
             cm_ns / 1e6
         );
-        coreset_fields.push((n.to_string(), Value::f64(coreset_ns, 0)));
-        cm_fields.push((n.to_string(), Value::f64(cm_ns, 0)));
+        coreset_fields.push((n.to_string(), Json::f64(coreset_ns, 0)));
+        cm_fields.push((n.to_string(), Json::f64(cm_ns, 0)));
     }
 
     let (hac_points, _) = make_pool(HAC_N, 11);
@@ -170,24 +171,24 @@ fn main() {
     }
 
     Artifact::new("vocalexplore/bench_acquisition/v1", quick)
-        .field("dim", Value::usize(DIM))
-        .field("budget", Value::usize(BUDGET))
+        .field("dim", Json::usize(DIM))
+        .field("budget", Json::usize(BUDGET))
         .field(
             "median_ns",
-            Value::obj([
-                ("coreset", Value::obj(coreset_fields)),
-                ("cluster_margin", Value::obj(cm_fields)),
+            Json::obj([
+                ("coreset", Json::obj(coreset_fields)),
+                ("cluster_margin", Json::obj(cm_fields)),
                 (
                     "hac_lance_williams",
-                    Value::obj([(HAC_N.to_string(), Value::f64(hac_ns, 0))]),
+                    Json::obj([(HAC_N.to_string(), Json::f64(hac_ns, 0))]),
                 ),
                 (
                     "hac_seed_baseline",
-                    Value::obj([(HAC_N.to_string(), Value::opt_f64(naive_ns, 0))]),
+                    Json::obj([(HAC_N.to_string(), Json::opt_f64(naive_ns, 0))]),
                 ),
             ]),
         )
-        .field("hac_target_clusters", Value::usize(HAC_TARGET))
-        .field("hac_speedup_vs_seed", Value::opt_f64(speedup, 1))
+        .field("hac_target_clusters", Json::usize(HAC_TARGET))
+        .field("hac_speedup_vs_seed", Json::opt_f64(speedup, 1))
         .write("BENCH_acquisition.json");
 }

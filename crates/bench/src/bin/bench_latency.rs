@@ -16,7 +16,8 @@
 //! The binary asserts the Figure 6 ordering (Serial > VE-partial > VE-full)
 //! on the measured medians before writing the artifact.
 
-use ve_bench::emit::{Artifact, Value};
+use ve_bench::emit::Artifact;
+use ve_obs::json::Json;
 use vocalexplore::prelude::*;
 
 struct StrategyRow {
@@ -134,35 +135,35 @@ fn main() {
         rows[2].measured_median_visible_secs,
     );
 
-    let strategies = Value::obj(rows.iter().map(|r| {
+    let strategies = Json::obj(rows.iter().map(|r| {
         (
             r.name,
-            Value::obj([
+            Json::obj([
                 (
                     "measured_median_visible_secs",
-                    Value::f64(r.measured_median_visible_secs, 3),
+                    Json::f64(r.measured_median_visible_secs, 3),
                 ),
                 (
                     "modeled_median_visible_secs",
-                    Value::f64(r.modeled_median_visible_secs, 3),
+                    Json::f64(r.modeled_median_visible_secs, 3),
                 ),
                 (
                     "total_measured_visible_secs",
-                    Value::f64(r.total_measured_visible_secs, 3),
+                    Json::f64(r.total_measured_visible_secs, 3),
                 ),
                 (
                     "total_spill_wall_secs",
-                    Value::f64(r.total_spill_wall_secs, 3),
+                    Json::f64(r.total_spill_wall_secs, 3),
                 ),
-                ("tasks_submitted", Value::u64(r.tasks_submitted)),
-                ("tasks_failed", Value::u64(r.tasks_failed)),
+                ("tasks_submitted", Json::u64(r.tasks_submitted)),
+                ("tasks_failed", Json::u64(r.tasks_failed)),
                 (
                     "phases",
-                    Value::obj([
-                        ("t_s_secs", Value::f64(r.phase_secs[0], 3)),
-                        ("t_f_secs", Value::f64(r.phase_secs[1], 3)),
-                        ("t_m_secs", Value::f64(r.phase_secs[2], 3)),
-                        ("t_i_secs", Value::f64(r.phase_secs[3], 3)),
+                    Json::obj([
+                        ("t_s_secs", Json::f64(r.phase_secs[0], 3)),
+                        ("t_f_secs", Json::f64(r.phase_secs[1], 3)),
+                        ("t_m_secs", Json::f64(r.phase_secs[2], 3)),
+                        ("t_i_secs", Json::f64(r.phase_secs[3], 3)),
                     ]),
                 ),
             ]),

@@ -31,7 +31,8 @@
 //! ```
 
 use std::collections::BTreeMap;
-use ve_bench::emit::{Artifact, Value};
+use ve_bench::emit::Artifact;
+use ve_obs::json::Json;
 use ve_obs::{
     annotate_trace, AnomalyConfig, ChromeTrace, EventKind, Histogram, PhaseTiming, TaskTiming,
 };
@@ -40,13 +41,13 @@ use vocalexplore::prelude::*;
 
 /// One per-phase row of the artifact: a histogram summarised to the fields
 /// worth diffing.
-fn histogram_value(h: &Histogram) -> Value {
-    Value::obj([
-        ("count", Value::u64(h.total())),
-        ("p50_us", Value::u64(h.p50())),
-        ("p99_us", Value::u64(h.p99())),
-        ("min_us", Value::u64(h.min())),
-        ("max_us", Value::u64(h.max())),
+fn histogram_value(h: &Histogram) -> Json {
+    Json::obj([
+        ("count", Json::u64(h.total())),
+        ("p50_us", Json::u64(h.p50())),
+        ("p99_us", Json::u64(h.p99())),
+        ("min_us", Json::u64(h.min())),
+        ("max_us", Json::u64(h.max())),
     ])
 }
 
@@ -172,52 +173,45 @@ fn main() {
     );
 
     Artifact::new("vocalexplore/bench_obs/v1", quick)
-        .field("strategy", Value::str("ve_full"))
-        .field("iterations", Value::usize(iterations))
+        .field("strategy", Json::str("ve_full"))
+        .field("iterations", Json::usize(iterations))
         .field(
             "events",
-            Value::obj([
-                ("total", Value::usize(outcome.events.len())),
+            Json::obj([
+                ("total", Json::usize(outcome.events.len())),
                 (
                     "by_kind",
-                    Value::obj(event_counts.iter().map(|(k, v)| (*k, Value::u64(*v)))),
+                    Json::obj(event_counts.iter().map(|(k, v)| (*k, Json::u64(*v)))),
                 ),
             ]),
         )
         .field(
             "phases",
-            Value::obj(hists.iter().map(|(k, h)| (k.clone(), histogram_value(h)))),
+            Json::obj(hists.iter().map(|(k, h)| (k.clone(), histogram_value(h)))),
         )
         .field(
             "executor",
-            Value::obj([
-                ("submitted", Value::u64(outcome.executor.submitted)),
-                ("retried", Value::u64(outcome.executor.retried)),
-                ("queue_wait_us", Value::u64(outcome.executor.queue_wait_us)),
+            Json::obj([
+                ("submitted", Json::u64(outcome.executor.submitted)),
+                ("retried", Json::u64(outcome.executor.retried)),
+                ("queue_wait_us", Json::u64(outcome.executor.queue_wait_us)),
                 (
                     "depth_hwm",
-                    Value::Arr(
-                        outcome
-                            .executor
-                            .depth_hwm
-                            .iter()
-                            .map(|&d| Value::u64(d))
-                            .collect(),
-                    ),
+                    Json::Arr(outcome.executor.depth_hwm.map(Json::u64).to_vec()),
                 ),
             ]),
         )
-        .field("degradations", Value::usize(outcome.degradations.len()))
+        .field("degradations", Json::usize(outcome.degradations.len()))
         .field(
             "anomalies",
-            Value::obj(anomaly_counts.iter().map(|(k, v)| (*k, Value::u64(*v)))),
+            Json::obj(anomaly_counts.iter().map(|(k, v)| (*k, Json::u64(*v)))),
         )
         .field(
             "trace",
-            Value::obj([
-                ("tracks", Value::usize(stats.tracks)),
-                ("spans", Value::usize(stats.spans)),
-                ("instants", Value::usize(stats.instants)),
+            Json::obj([
+                ("tracks", Json::usize(stats.tracks)),
+                ("spans", Json::usize(stats.spans)),
+                ("instants", Json::usize(stats.instants)),
             ]),
         )
         .write("BENCH_obs.json");

@@ -24,8 +24,9 @@
 
 use std::time::Instant;
 use ve_al::AcquisitionKind;
-use ve_bench::emit::{Artifact, Value};
+use ve_bench::emit::Artifact;
 use ve_features::{ExtractorId, FeatureSimulator};
+use ve_obs::json::Json;
 use ve_storage::{LabelRecord, LabelStore, StorageManager};
 use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind, TimeRange, VideoId};
 use vocalexplore::alm::ActiveLearningManager;
@@ -244,33 +245,33 @@ fn main() {
             .find(|(p, k, ..)| p == pool && k == kind)
             .cloned()
     };
-    let pools_value = Value::obj(["2000", "20000"].map(|pool| {
+    let pools_value = Json::obj(["2000", "20000"].map(|pool| {
         (
             pool,
-            Value::obj(["coreset", "cluster_margin"].map(|kind| {
+            Json::obj(["coreset", "cluster_margin"].map(|kind| {
                 let entry = lookup(pool, kind);
                 let e = entry.as_ref();
                 (
                     kind,
-                    Value::obj([
-                        ("windows", e.map_or(Value::Null, |e| Value::usize(e.2))),
+                    Json::obj([
+                        ("windows", e.map_or(Json::Null, |e| Json::usize(e.2))),
                         (
                             "from_scratch_mean_ns_per_iter",
-                            Value::opt_f64(e.map(|e| e.3), 0),
+                            Json::opt_f64(e.map(|e| e.3), 0),
                         ),
                         (
                             "incremental_mean_ns_per_iter",
-                            Value::opt_f64(e.map(|e| e.4), 0),
+                            Json::opt_f64(e.map(|e| e.4), 0),
                         ),
                         (
                             "from_scratch_median_ns_per_iter",
-                            Value::opt_f64(e.map(|e| e.5), 0),
+                            Json::opt_f64(e.map(|e| e.5), 0),
                         ),
                         (
                             "incremental_median_ns_per_iter",
-                            Value::opt_f64(e.map(|e| e.6), 0),
+                            Json::opt_f64(e.map(|e| e.6), 0),
                         ),
-                        ("speedup", Value::opt_f64(e.map(|e| e.3 / e.4), 1)),
+                        ("speedup", Json::opt_f64(e.map(|e| e.3 / e.4), 1)),
                     ]),
                 )
             })),
@@ -278,9 +279,9 @@ fn main() {
     }));
 
     Artifact::new("vocalexplore/bench_selection/v1", quick)
-        .field("budget", Value::usize(BUDGET))
-        .field("iterations", Value::usize(iterations))
-        .field("seed_labels", Value::usize(SEED_LABELS))
+        .field("budget", Json::usize(BUDGET))
+        .field("iterations", Json::usize(iterations))
+        .field("seed_labels", Json::usize(SEED_LABELS))
         .field("pools", pools_value)
         .write("BENCH_selection.json");
 }

@@ -34,8 +34,9 @@
 
 use std::time::Instant;
 use ve_al::AcquisitionKind;
-use ve_bench::emit::{Artifact, Value};
+use ve_bench::emit::Artifact;
 use ve_features::{ExtractorId, FeatureSimulator};
+use ve_obs::json::Json;
 use ve_storage::{LabelRecord, LabelStore, StorageManager};
 use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind, TimeRange, VideoId};
 use vocalexplore::alm::ActiveLearningManager;
@@ -278,55 +279,55 @@ fn main() {
     }
 
     let variant_value = |s: &SessionResult| {
-        Value::obj([
-            ("mean_ns_per_iter", Value::f64(mean(&s.iter_ns), 0)),
+        Json::obj([
+            ("mean_ns_per_iter", Json::f64(mean(&s.iter_ns), 0)),
             (
                 "early_window_median_ns",
-                Value::f64(window_median(&s.iter_ns, early_at), 0),
+                Json::f64(window_median(&s.iter_ns, early_at), 0),
             ),
             (
                 "late_window_median_ns",
-                Value::f64(window_median(&s.iter_ns, late_at), 0),
+                Json::f64(window_median(&s.iter_ns, late_at), 0),
             ),
             (
                 "growth",
-                Value::f64(
+                Json::f64(
                     window_median(&s.iter_ns, late_at) / window_median(&s.iter_ns, early_at),
                     2,
                 ),
             ),
-            ("cache_hit_rows", Value::u64(s.cache.hit_rows)),
-            ("cache_miss_rows", Value::u64(s.cache.miss_rows)),
-            ("cold_trains", Value::u64(s.training.cold_trains)),
-            ("warm_trains", Value::u64(s.training.warm_trains)),
-            ("holdout_accuracy", Value::f64(s.accuracy, 4)),
+            ("cache_hit_rows", Json::u64(s.cache.hit_rows)),
+            ("cache_miss_rows", Json::u64(s.cache.miss_rows)),
+            ("cold_trains", Json::u64(s.training.cold_trains)),
+            ("warm_trains", Json::u64(s.training.warm_trains)),
+            ("holdout_accuracy", Json::f64(s.accuracy, 4)),
         ])
     };
     Artifact::new("vocalexplore/bench_training/v1", quick)
-        .field("budget", Value::usize(BUDGET))
-        .field("iterations", Value::usize(iterations))
-        .field("seed_labels", Value::usize(SEED_LABELS))
-        .field("train_cadence", Value::usize(TRAIN_CADENCE))
-        .field("pool_windows", Value::usize(pool_windows))
+        .field("budget", Json::usize(BUDGET))
+        .field("iterations", Json::usize(iterations))
+        .field("seed_labels", Json::usize(SEED_LABELS))
+        .field("train_cadence", Json::usize(TRAIN_CADENCE))
+        .field("pool_windows", Json::usize(pool_windows))
         .field(
             "determinism",
-            Value::obj([
+            Json::obj([
                 (
                     "prob_cache",
-                    Value::str("bit-identical (cached picks asserted equal to baseline)"),
+                    Json::str("bit-identical (cached picks asserted equal to baseline)"),
                 ),
                 (
                     "warm_start",
-                    Value::str("warm-start/v1 tolerance (holdout accuracy within 0.15 of cold)"),
+                    Json::str("warm-start/v1 tolerance (holdout accuracy within 0.15 of cold)"),
                 ),
             ]),
         )
-        .field("cache_hit_rate", Value::f64(hit_rate, 4))
-        .field("baseline_growth", Value::f64(growth_base, 2))
-        .field("warm_cached_growth", Value::f64(growth_warm, 2))
+        .field("cache_hit_rate", Json::f64(hit_rate, 4))
+        .field("baseline_growth", Json::f64(growth_base, 2))
+        .field("warm_cached_growth", Json::f64(growth_warm, 2))
         .field(
             "variants",
-            Value::obj([
+            Json::obj([
                 ("baseline_cold_nocache", variant_value(&baseline)),
                 ("cached_cold", variant_value(&cached)),
                 ("warm_cached", variant_value(&warm)),

@@ -1,110 +1,20 @@
-//! Shared JSON emission for the `BENCH_*.json` artifacts.
+//! The `BENCH_*.json` artifact envelope.
 //!
-//! Every bench binary used to hand-roll its own `format!` JSON; the
-//! regression sentinel (`ve-report`) made the writer side a contract, so the
-//! five artifact emitters now share one builder with the properties the
-//! sentinel relies on:
-//!
-//! * every artifact carries a `vocalexplore/...` `schema` marker and a
-//!   `quick` flag (ratio rules only compare like-for-like runs);
-//! * object keys render sorted, so artifacts diff cleanly and re-running a
-//!   bench never reorders members;
-//! * numbers are emitted at an explicit precision chosen by the caller, and
-//!   non-finite values degrade to `null` instead of producing invalid JSON.
+//! Values are built and rendered with [`ve_obs::json::Json`], the
+//! workspace's one JSON layer (key-sorted objects, caller-chosen number
+//! precision, non-finite values as `null`), which is also what `ve-report`
+//! reads the artifacts back with. [`Artifact`] adds the two members the
+//! regression sentinel relies on: every artifact carries a `vocalexplore/...`
+//! `schema` marker and a `quick` flag (ratio rules only compare like-for-like
+//! runs).
 
 use std::collections::BTreeMap;
-
-/// A JSON value with writer-controlled number formatting.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    /// Pre-formatted number text (the constructor fixed the precision).
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
-    /// Members render key-sorted regardless of insertion order.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn u64(v: u64) -> Value {
-        Value::Num(v.to_string())
-    }
-
-    pub fn usize(v: usize) -> Value {
-        Value::Num(v.to_string())
-    }
-
-    /// `v` rendered with `decimals` fraction digits; non-finite → `null`.
-    pub fn f64(v: f64, decimals: usize) -> Value {
-        if v.is_finite() {
-            Value::Num(format!("{v:.decimals$}"))
-        } else {
-            Value::Null
-        }
-    }
-
-    pub fn opt_f64(v: Option<f64>, decimals: usize) -> Value {
-        v.map_or(Value::Null, |x| Value::f64(x, decimals))
-    }
-
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
-    }
-
-    pub fn obj(pairs: impl IntoIterator<Item = (impl Into<String>, Value)>) -> Value {
-        Value::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => out.push_str(n),
-            Value::Str(s) => {
-                out.push('"');
-                out.push_str(&s.replace('\\', "\\\\").replace('"', "\\\""));
-                out.push('"');
-            }
-            // Artifact arrays are small scalars (`depth_hwm: [4, 1, 50]`):
-            // render inline.
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.render_into(out, indent);
-                }
-                out.push(']');
-            }
-            Value::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Value::Obj(members) => {
-                out.push_str("{\n");
-                let pad = "  ".repeat(indent + 1);
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    out.push_str(&pad);
-                    out.push('"');
-                    out.push_str(k);
-                    out.push_str("\": ");
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
+use ve_obs::json::Json;
 
 /// One `BENCH_*.json` artifact under construction. `schema` and `quick` are
 /// mandatory at construction so no emitter can forget them.
 pub struct Artifact {
-    members: BTreeMap<String, Value>,
+    members: BTreeMap<String, Json>,
 }
 
 impl Artifact {
@@ -114,21 +24,18 @@ impl Artifact {
             "artifact schemas live under vocalexplore/"
         );
         let mut members = BTreeMap::new();
-        members.insert("schema".to_string(), Value::str(schema));
-        members.insert("quick".to_string(), Value::Bool(quick));
+        members.insert("schema".to_string(), Json::str(schema));
+        members.insert("quick".to_string(), Json::Bool(quick));
         Self { members }
     }
 
-    pub fn field(mut self, key: &str, value: Value) -> Self {
+    pub fn field(mut self, key: &str, value: Json) -> Self {
         self.members.insert(key.to_string(), value);
         self
     }
 
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        Value::Obj(self.members.clone()).render_into(&mut out, 0);
-        out.push('\n');
-        out
+        Json::Obj(self.members.clone()).render()
     }
 
     /// Writes the artifact to `path` and echoes it to stdout — the shared
@@ -143,21 +50,22 @@ impl Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ve_obs::json::parse;
 
     #[test]
     fn objects_render_key_sorted_regardless_of_insertion_order() {
         let a = Artifact::new("vocalexplore/bench_x/v1", true)
-            .field("zeta", Value::u64(1))
+            .field("zeta", Json::u64(1))
             .field(
                 "alpha",
-                Value::obj([("b", Value::u64(2)), ("a", Value::u64(3))]),
+                Json::obj([("b", Json::u64(2)), ("a", Json::u64(3))]),
             );
         let b = Artifact::new("vocalexplore/bench_x/v1", true)
             .field(
                 "alpha",
-                Value::obj([("a", Value::u64(3)), ("b", Value::u64(2))]),
+                Json::obj([("a", Json::u64(3)), ("b", Json::u64(2))]),
             )
-            .field("zeta", Value::u64(1));
+            .field("zeta", Json::u64(1));
         assert_eq!(a.render(), b.render());
         let text = a.render();
         let alpha = text.find("\"alpha\"").unwrap();
@@ -168,29 +76,27 @@ mod tests {
 
     #[test]
     fn numbers_carry_explicit_precision_and_nonfinite_degrades_to_null() {
-        assert_eq!(Value::f64(718.44, 1), Value::Num("718.4".to_string()));
-        assert_eq!(Value::f64(2.0, 3), Value::Num("2.000".to_string()));
-        assert_eq!(Value::f64(f64::NAN, 1), Value::Null);
-        assert_eq!(Value::f64(f64::INFINITY, 1), Value::Null);
-        assert_eq!(Value::opt_f64(None, 1), Value::Null);
+        assert_eq!(Json::f64(718.44, 1), Json::Num("718.4".to_string()));
+        assert_eq!(Json::f64(2.0, 3), Json::Num("2.000".to_string()));
+        assert_eq!(Json::f64(f64::NAN, 1), Json::Null);
+        assert_eq!(Json::f64(f64::INFINITY, 1), Json::Null);
+        assert_eq!(Json::opt_f64(None, 1), Json::Null);
     }
 
     #[test]
     fn rendered_artifacts_parse_back_and_escape_strings() {
-        let text = Artifact::new("vocalexplore/bench_x/v1", false)
-            .field("note", Value::str("a\"b\\c"))
+        let artifact = Artifact::new("vocalexplore/bench_x/v1", false)
+            .field("note", Json::str("a\"b\\c\nd"))
             .field(
                 "arr",
-                Value::Arr(vec![Value::u64(4), Value::u64(1), Value::u64(50)]),
+                Json::Arr(vec![Json::u64(4), Json::u64(1), Json::u64(50)]),
             )
-            .field(
-                "nested",
-                Value::obj([("empty", Value::Obj(BTreeMap::new()))]),
-            )
-            .render();
+            .field("nested", Json::obj([("empty", Json::Obj(BTreeMap::new()))]));
+        let text = artifact.render();
         assert!(text.contains("\"arr\": [4, 1, 50]"), "{text}");
-        assert!(text.contains("a\\\"b\\\\c"), "{text}");
+        assert!(text.contains("a\\\"b\\\\c\\nd"), "{text}");
         assert!(text.contains("\"empty\": {}"), "{text}");
         assert!(text.ends_with("}\n"));
+        assert_eq!(parse(&text), Ok(Json::Obj(artifact.members)));
     }
 }

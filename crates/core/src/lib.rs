@@ -69,7 +69,7 @@ pub use harness::{IterationRecord, SessionConfig, SessionOutcome, SessionRunner}
 pub use model_manager::{InferenceError, ModelManager, TrainError, TrainingStats};
 pub use observability::{Obs, ObsHandle, SessionEvent};
 pub use prob_cache::{ProbCacheStats, ProbabilityCache};
-pub use report::{detect_session_anomalies, retry_storms, DiagnosticBundle, SessionReport};
+pub use report::{detect_session_anomalies, retry_storms, DiagnosticBundle};
 pub use system::VocalExplore;
 
 /// Convenience re-exports for examples and downstream users.
@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use crate::harness::{IterationRecord, SessionConfig, SessionOutcome, SessionRunner};
     pub use crate::observability::{Obs, ObsHandle, SessionEvent};
-    pub use crate::report::{detect_session_anomalies, DiagnosticBundle, SessionReport};
+    pub use crate::report::{detect_session_anomalies, DiagnosticBundle};
     pub use crate::system::VocalExplore;
     pub use ve_al::AcquisitionKind;
     pub use ve_bandit::RisingBanditConfig;

@@ -1,25 +1,23 @@
-//! Session reports and post-mortem diagnostic bundles.
+//! Session anomalies and post-mortem diagnostic bundles.
 //!
-//! Two consumers of a finished (measured) [`SessionOutcome`]:
+//! * [`detect_session_anomalies`] — timing-plane findings (phase outliers,
+//!   queue-wait spikes — see `ve_obs::anomaly`) plus **retry storms**
+//!   detected here from the deterministic event plane (re-run `TrainAttempt`
+//!   counts, no wall clock involved) and joined back to the timing plane for
+//!   trace placement.
+//! * [`DiagnosticBundle`] — the flight-recorder dump of a finished
+//!   (measured) [`SessionOutcome`]: last-N events, joined timing spans,
+//!   `ExecutorStats`, the degradation ledger, and the anomaly section as one
+//!   JSON document. `ve-bench`'s `bench_obs` emits one automatically
+//!   whenever a session absorbed a `Degraded` event.
 //!
-//! * [`SessionReport`] — a compact summary with an **anomaly section**:
-//!   timing-plane findings (phase outliers, queue-wait spikes — see
-//!   `ve_obs::anomaly`) plus **retry storms** detected here from the
-//!   deterministic event plane (re-run `TrainAttempt` counts, no wall
-//!   clock involved) and joined back to the timing plane for trace
-//!   placement.
-//! * [`DiagnosticBundle`] — the flight-recorder dump: last-N events,
-//!   joined timing spans, `ExecutorStats`, the degradation ledger, and the
-//!   anomaly section as one JSON document. `ve-bench`'s `bench_obs` emits
-//!   one automatically whenever a session absorbed a `Degraded` event.
-//!
-//! All JSON is hand-rolled (no serde in this environment) with keys in
-//! sorted order, so documents are deterministic for a given outcome.
+//! The bundle is built as a [`ve_obs::json::Json`] value, so its keys render
+//! sorted and the document is deterministic for a given outcome.
 
 use crate::harness::SessionOutcome;
 use crate::observability::SessionEvent;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use ve_obs::json::Json;
 use ve_obs::{detect_timing_anomalies, Anomaly, AnomalyConfig, AnomalyKind, EventKind, TaskTiming};
 
 /// Detects retry storms from the event plane: an iteration that re-ran
@@ -79,49 +77,6 @@ pub fn detect_session_anomalies(out: &SessionOutcome, cfg: &AnomalyConfig) -> Ve
     anomalies
 }
 
-/// Compact end-of-session summary with the anomaly section.
-pub struct SessionReport {
-    pub iterations: usize,
-    pub events_total: usize,
-    pub degradations: usize,
-    pub dropped_events: Vec<(&'static str, u64)>,
-    pub executor: ve_sched::ExecutorStats,
-    pub anomalies: Vec<Anomaly>,
-}
-
-impl SessionReport {
-    pub fn from_outcome(out: &SessionOutcome, cfg: &AnomalyConfig) -> Self {
-        Self {
-            iterations: out.records.len(),
-            events_total: out.events.len(),
-            degradations: out.degradations.len(),
-            dropped_events: out.dropped_events.clone(),
-            executor: out.executor,
-            anomalies: detect_session_anomalies(out, cfg),
-        }
-    }
-
-    pub fn render_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(
-            o,
-            "  \"anomalies\": {},",
-            render_anomalies(&self.anomalies, 2)
-        );
-        let _ = writeln!(o, "  \"degradations\": {},", self.degradations);
-        let _ = writeln!(
-            o,
-            "  \"dropped_events\": {},",
-            render_dropped(&self.dropped_events)
-        );
-        let _ = writeln!(o, "  \"events_total\": {},", self.events_total);
-        let _ = writeln!(o, "  \"executor\": {},", self.executor.render_json());
-        let _ = writeln!(o, "  \"iterations\": {},", self.iterations);
-        o.push_str("  \"schema\": \"vocalexplore/session_report/v1\"\n}\n");
-        o
-    }
-}
-
 /// The flight-recorder dump: everything needed for a post-mortem, as one
 /// key-sorted JSON document.
 pub struct DiagnosticBundle {
@@ -150,122 +105,66 @@ impl DiagnosticBundle {
     }
 
     pub fn render_json(&self) -> String {
-        let mut o = String::from("{\n");
-        let _ = writeln!(
-            o,
-            "  \"anomalies\": {},",
-            render_anomalies(&self.anomalies, 2)
-        );
-        o.push_str("  \"degradations\": [");
-        for (i, d) in self.degradations.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(o, "{sep}\n    \"{}\"", esc(d));
-        }
-        o.push_str(if self.degradations.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let u64s = |pairs: &[(&str, u64)]| Json::obj(pairs.iter().map(|&(k, v)| (k, Json::u64(v))));
+        let last_events = self.last_events.iter().map(|(iteration, event)| {
+            Json::obj([
+                ("detail", Json::str(format!("{event:?}"))),
+                ("iteration", Json::u64(u64::from(*iteration))),
+                ("kind", Json::str(event.kind())),
+            ])
         });
-        let _ = writeln!(
-            o,
-            "  \"dropped_events\": {},",
-            render_dropped(&self.dropped_events)
-        );
-        let _ = writeln!(o, "  \"executor\": {},", self.executor.render_json());
-        o.push_str("  \"last_events\": [");
-        for (i, (iteration, event)) in self.last_events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                o,
-                "{sep}\n    {{\"detail\": \"{}\", \"iteration\": {iteration}, \"kind\": \"{}\"}}",
-                esc(&format!("{event:?}")),
-                event.kind()
-            );
-        }
-        o.push_str(if self.last_events.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let phases = self.phases.iter().map(|p| {
+            Json::obj([
+                ("dur_us", Json::u64(p.dur_us)),
+                ("iteration", Json::u64(u64::from(p.iteration))),
+                ("phase", Json::str(p.phase)),
+                ("start_us", Json::u64(p.start_us)),
+            ])
         });
-        o.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                o,
-                "{sep}\n    {{\"dur_us\": {}, \"iteration\": {}, \"phase\": \"{}\", \"start_us\": {}}}",
-                p.dur_us, p.iteration, p.phase, p.start_us
-            );
-        }
-        o.push_str(if self.phases.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        o.push_str("  \"schema\": \"vocalexplore/diagnostic_bundle/v1\",\n");
-        o.push_str("  \"timings\": [");
-        for (i, t) in self.timings.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                o,
-                "{sep}\n    {{\"class\": \"{}\", \"end_us\": {}, \"iteration\": {}, \
-                 \"kind\": \"{}\", \"queue_wait_us\": {}, \"span\": {}, \"start_us\": {}, \
-                 \"worker\": {}}}",
-                t.class.label(),
-                t.end_us,
-                t.label.iteration,
-                t.label.kind,
-                t.queue_wait_us(),
-                t.span,
-                t.start_us,
-                t.worker
-            );
-        }
-        o.push_str(if self.timings.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        o.push_str("}\n");
-        o
+        Json::obj([
+            (
+                "anomalies",
+                self.anomalies.iter().map(anomaly_json).collect(),
+            ),
+            (
+                "degradations",
+                self.degradations.iter().map(Json::str).collect(),
+            ),
+            ("dropped_events", u64s(&self.dropped_events)),
+            ("executor", u64s(&self.executor.export_kv())),
+            ("last_events", last_events.collect()),
+            ("phases", phases.collect()),
+            ("schema", Json::str("vocalexplore/diagnostic_bundle/v1")),
+            ("timings", self.timings.iter().map(timing_json).collect()),
+        ])
+        .render()
     }
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn anomaly_json(a: &Anomaly) -> Json {
+    Json::obj([
+        ("baseline", Json::u64(a.baseline)),
+        ("factor_x100", Json::u64(a.factor_x100())),
+        ("iteration", Json::u64(u64::from(a.iteration))),
+        ("kind", Json::str(a.kind.label())),
+        ("label", Json::str(&a.label)),
+        ("observed", Json::u64(a.observed)),
+        ("tid", Json::u64(a.tid)),
+        ("ts_us", Json::u64(a.ts_us)),
+    ])
 }
 
-fn render_dropped(dropped: &[(&'static str, u64)]) -> String {
-    let body: Vec<String> = dropped
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-fn render_anomalies(anomalies: &[Anomaly], indent: usize) -> String {
-    if anomalies.is_empty() {
-        return "[]".to_string();
-    }
-    let pad = " ".repeat(indent);
-    let mut o = String::from("[");
-    for (i, a) in anomalies.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            o,
-            "{sep}\n{pad}  {{\"baseline\": {}, \"factor_x100\": {}, \"iteration\": {}, \
-             \"kind\": \"{}\", \"label\": \"{}\", \"observed\": {}, \"tid\": {}, \"ts_us\": {}}}",
-            a.baseline,
-            a.factor_x100(),
-            a.iteration,
-            a.kind.label(),
-            esc(&a.label),
-            a.observed,
-            a.tid,
-            a.ts_us
-        );
-    }
-    let _ = write!(o, "\n{pad}]");
-    o
+fn timing_json(t: &TaskTiming) -> Json {
+    Json::obj([
+        ("class", Json::str(t.class.label())),
+        ("end_us", Json::u64(t.end_us)),
+        ("iteration", Json::u64(u64::from(t.label.iteration))),
+        ("kind", Json::str(t.label.kind)),
+        ("queue_wait_us", Json::u64(t.queue_wait_us())),
+        ("span", Json::u64(t.span)),
+        ("start_us", Json::u64(t.start_us)),
+        ("worker", Json::usize(t.worker)),
+    ])
 }
 
 #[cfg(test)]
@@ -329,20 +228,22 @@ mod tests {
 
     #[test]
     fn anomaly_json_is_stable_and_escaped() {
-        let anomalies = vec![Anomaly {
+        let anomaly = Anomaly {
             kind: AnomalyKind::RetryStorm,
-            label: "R3d".to_string(),
+            label: "R3d \"quoted\"\n\u{1}".to_string(),
             iteration: 3,
             observed: 2,
             baseline: 2,
             pid: 0,
             tid: 2,
             ts_us: 777,
-        }];
-        let a = render_anomalies(&anomalies, 0);
-        let b = render_anomalies(&anomalies, 0);
-        assert_eq!(a, b);
+        };
+        let a = anomaly_json(&anomaly).render();
+        assert_eq!(a, anomaly_json(&anomaly).render());
         assert!(a.contains("\"kind\": \"retry_storm\""), "{a}");
         assert!(a.contains("\"factor_x100\": 100"), "{a}");
+        assert!(a.contains("\\\"quoted\\\"\\n\\u0001"), "{a}");
+        let back = ve_obs::json::parse(&a).unwrap();
+        assert_eq!(back.get("label"), Some(&Json::str(&anomaly.label)));
     }
 }

@@ -26,6 +26,7 @@
 use crate::workspace::{SourceFile, WorkspaceModel};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use ve_obs::json::Json;
 
 /// Rule identifiers, in the order they are documented in ROADMAP.md.
 pub const RULE_NONDETERMINISTIC_ITERATION: &str = "nondeterministic-iteration";
@@ -290,62 +291,34 @@ impl Report {
         out
     }
 
-    /// JSON rendering (hand-rolled; no serde in this environment).
+    /// JSON rendering (see `ve_obs::json`).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.active.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"crate\": \"{}\", \"path\": \"{}\", \"line\": {}, \
-                 \"col\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
-                esc(f.rule),
-                esc(&f.crate_name),
-                esc(&f.path),
-                f.line,
-                f.col,
-                esc(&f.message),
-                esc(&f.snippet)
-            );
-        }
-        out.push_str("\n  ],\n  \"stale_baseline\": [");
-        for (i, e) in self.stale_baseline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"snippet\": \"{}\"}}",
-                esc(&e.rule),
-                esc(&e.path),
-                esc(&e.snippet)
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"grandfathered\": {}\n}}",
-            self.files_scanned, self.suppressed, self.grandfathered
-        );
-        out
+        let findings = self.active.iter().map(|f| {
+            Json::obj([
+                ("rule", Json::str(f.rule)),
+                ("crate", Json::str(&f.crate_name)),
+                ("path", Json::str(&f.path)),
+                ("line", Json::u64(u64::from(f.line))),
+                ("col", Json::u64(u64::from(f.col))),
+                ("message", Json::str(&f.message)),
+                ("snippet", Json::str(&f.snippet)),
+            ])
+        });
+        let stale = self.stale_baseline.iter().map(|e| {
+            Json::obj([
+                ("rule", Json::str(&e.rule)),
+                ("path", Json::str(&e.path)),
+                ("snippet", Json::str(&e.snippet)),
+            ])
+        });
+        Json::obj([
+            ("findings", findings.collect()),
+            ("stale_baseline", stale.collect()),
+            ("files_scanned", Json::usize(self.files_scanned)),
+            ("suppressed", Json::usize(self.suppressed)),
+            ("grandfathered", Json::usize(self.grandfathered)),
+        ])
+        .render()
     }
 }
 

@@ -117,7 +117,7 @@ fn main() -> ExitCode {
 
     let report = analyze(&ws, &baseline);
     if json {
-        println!("{}", report.render_json());
+        print!("{}", report.render_json());
     } else {
         print!("{}", report.render_human());
     }

@@ -12,6 +12,7 @@ use ve_lint::workspace::load_workspace;
 use ve_lint::{
     analyze, parse_baseline, render_baseline, BaselineEntry, Report, SourceFile, WorkspaceModel,
 };
+use ve_obs::json::Json;
 
 /// Builds a workspace model from `(crate_name, rel_path, source)` fixtures.
 fn ws(files: &[(&str, &str, &str)]) -> WorkspaceModel {
@@ -722,6 +723,9 @@ fn json_output_escapes_and_carries_counts() {
     assert!(json.contains("\"rule\": \"float-reduction-order\""));
     assert!(json.contains("\\\""), "quotes in snippets are escaped");
     assert!(json.contains("\"files_scanned\": 1"));
+    let doc = ve_obs::json::parse(&json).expect("`--json` output is valid JSON");
+    let snippet = doc.path("findings.0.snippet").and_then(Json::as_str);
+    assert_eq!(snippet, Some(report.active[0].snippet.as_str()));
 }
 
 // ---------------------------------------------------------- the real gate

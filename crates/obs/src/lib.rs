@@ -22,10 +22,12 @@
 //! Chrome `trace_event` exporter ([`trace`]) loadable in Perfetto, and an
 //! anomaly annotator ([`anomaly`]) that flags phase outliers and queue-wait
 //! spikes against session medians (integer math only) as trace `instant`
-//! events.
+//! events. [`json`] is the workspace's one JSON writer and reader: every
+//! artifact, report and contract goes through its [`json::Json`] value.
 
 pub mod anomaly;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod timing;
 pub mod trace;

@@ -8,7 +8,6 @@
 //! environment-dependent rounding.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Fixed-bucket histogram over `u64` values. Bucket `i` counts observations
@@ -20,7 +19,6 @@ pub struct Histogram {
     counts: Vec<u64>,
     overflow: u64,
     total: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -54,7 +52,6 @@ impl Histogram {
             counts: vec![0; n],
             overflow: 0,
             total: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -70,17 +67,12 @@ impl Histogram {
             None => self.overflow += 1,
         }
         self.total += 1;
-        self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     pub fn min(&self) -> u64 {
@@ -138,44 +130,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsSnapshot {
-    /// Hand-rolled JSON rendering (no serde in this environment). Keys come
-    /// out in `BTreeMap` order, so the document is deterministic.
-    pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {v}", esc(k));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {v}", esc(k));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p99\": {}}}",
-                esc(k),
-                h.total(),
-                h.sum(), // ve-lint: allow(float-reduction-order) -- Histogram::sum is a u64 accessor, not an iterator reduction
-                h.min(),
-                h.max(),
-                h.p50(),
-                h.p99()
-            );
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
 }
 
 /// Thread-safe registry. Disabled sinks cost one relaxed atomic load per
@@ -276,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_round_trips_and_renders() {
+    fn registry_snapshot_round_trips() {
         let reg = MetricsRegistry::new();
         reg.inc("fm.cache_hits", 3);
         reg.inc("fm.cache_hits", 2);
@@ -286,9 +240,6 @@ mod tests {
         assert_eq!(snap.counters["fm.cache_hits"], 5);
         assert_eq!(snap.gauges["queue.depth_hwm.critical"], 7);
         assert_eq!(snap.histograms["train.run_us"].total(), 1);
-        let json = snap.render_json();
-        assert!(json.contains("\"fm.cache_hits\": 5"));
-        assert!(json.contains("\"p50\""));
     }
 
     #[test]
@@ -377,25 +328,5 @@ mod tests {
                 prop_assert!(p99 <= h.max(), "p99 {} > max {}", p99, h.max());
             }
         }
-    }
-
-    #[test]
-    fn render_json_is_key_sorted_and_insertion_order_independent() {
-        let build = |names: &[&str]| {
-            let reg = MetricsRegistry::new();
-            for n in names {
-                reg.inc(n, 1);
-                reg.set_gauge(n, 2);
-                reg.observe(n, 3);
-            }
-            reg.snapshot().render_json()
-        };
-        let a = build(&["zeta", "alpha", "mid"]);
-        let b = build(&["mid", "zeta", "alpha"]);
-        assert_eq!(a, b, "rendering must not depend on insertion order");
-        let alpha = a.find("\"alpha\"").unwrap();
-        let mid = a.find("\"mid\"").unwrap();
-        let zeta = a.find("\"zeta\"").unwrap();
-        assert!(alpha < mid && mid < zeta, "keys must render sorted");
     }
 }

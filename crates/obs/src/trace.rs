@@ -10,9 +10,9 @@
 //! timestamps, balanced begin/end nesting, and at least one complete span
 //! for every category the caller requires.
 
+use crate::json::Json;
 use crate::timing::{PhaseTiming, TaskTiming};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One raw trace event. `ph` is the Chrome phase: `'B'`egin, `'E'`nd,
 /// `'i'`nstant, or `'M'`etadata.
@@ -159,37 +159,33 @@ impl ChromeTrace {
         evs
     }
 
-    /// Hand-rolled JSON rendering (no serde in this environment).
+    /// The trace as a `trace_event` JSON document (see [`crate::json`]).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\"traceEvents\": [\n");
-        let evs = self.sorted();
-        for (i, e) in evs.iter().enumerate() {
-            let mut args = String::new();
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(args, "{sep}\"{}\": \"{}\"", esc(k), esc(v));
-            }
-            let sep = if i + 1 == evs.len() { "" } else { "," };
+        let events = self.sorted().into_iter().map(|e| {
+            let mut fields = vec![
+                ("name", Json::Str(e.name)),
+                ("cat", Json::Str(e.cat)),
+                ("ph", Json::str(e.ph)),
+                ("ts", Json::u64(e.ts_us)),
+                ("pid", Json::u64(e.pid)),
+                ("tid", Json::u64(e.tid)),
+                (
+                    "args",
+                    Json::obj(e.args.into_iter().map(|(k, v)| (k, Json::Str(v)))),
+                ),
+            ];
             // Instant events carry an explicit thread scope so Perfetto
             // anchors the tick to its track.
-            let scope = if e.ph == 'i' { "\"s\": \"t\", " } else { "" };
-            let _ = writeln!(
-                out,
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", {scope}\"ts\": {}, \
-                 \"pid\": {}, \"tid\": {}, \"args\": {{{args}}}}}{sep}",
-                esc(&e.name),
-                esc(&e.cat),
-                e.ph,
-                e.ts_us,
-                e.pid,
-                e.tid
-            );
-        }
-        out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
-        out
+            if e.ph == 'i' {
+                fields.push(("s", Json::str("t")));
+            }
+            Json::obj(fields)
+        });
+        Json::obj([
+            ("traceEvents", events.collect()),
+            ("displayTimeUnit", Json::str("ms")),
+        ])
+        .render()
     }
 
     /// Structural validation of the trace as it will be rendered:
@@ -408,7 +404,11 @@ mod tests {
         assert_eq!(stats.spans, 1);
         assert_eq!(stats.instants, 1);
         let json = trace.render_json();
-        assert!(json.contains("\"ph\": \"i\", \"s\": \"t\""), "{json}");
+        let doc = crate::json::parse(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let is_instant = |e: &&Json| e.get("ph").and_then(Json::as_str) == Some("i");
+        let instant = events.iter().find(is_instant).expect("one instant event");
+        assert_eq!(instant.get("s").and_then(Json::as_str), Some("t"), "{json}");
         assert!(json.contains("anomaly:phase_outlier"));
     }
 }

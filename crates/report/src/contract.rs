@@ -18,7 +18,7 @@
 //! `allow_missing: true` skips a rule whose metric is absent or null —
 //! quick-mode artifacts legitimately omit some sections.
 
-use crate::json::{parse, Json};
+use ve_obs::json::{parse, Json};
 
 pub const CONTRACT_SCHEMA: &str = "vocalexplore/bench_contract/v1";
 

@@ -16,15 +16,14 @@
 //! registry) so the sentinel stays `Sync` for embedders.
 
 pub mod contract;
-pub mod json;
 
 pub use contract::{parse_contract, Contract, Rule, RuleKind, Source, CONTRACT_SCHEMA};
-pub use json::{parse as parse_json, Json};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
+use ve_obs::json::{parse, Json};
 
 /// Parsed artifacts by file name. Absent entries (file not on disk) become
 /// violations for the rules that need them — a bench that stopped emitting
@@ -80,41 +79,21 @@ impl CheckReport {
     }
 
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"checked\": {},", self.checked);
-        let _ = writeln!(out, "  \"clean\": {},", self.is_clean());
-        out.push_str("  \"schema\": \"vocalexplore/report_check/v1\",\n");
-        out.push_str("  \"skipped\": [");
-        for (i, s) in self.skipped.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\"", esc(s));
-        }
-        out.push_str(if self.skipped.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        let violations = self.violations.iter().map(|v| {
+            Json::obj([
+                ("artifact", Json::str(&v.artifact)),
+                ("message", Json::str(&v.message)),
+                ("subject", Json::str(&v.subject)),
+            ])
         });
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"artifact\": \"{}\", \"message\": \"{}\", \"subject\": \"{}\"}}",
-                esc(&v.artifact),
-                esc(&v.message),
-                esc(&v.subject)
-            );
-        }
-        out.push_str(if self.violations.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push_str("}\n");
-        out
+        Json::obj([
+            ("checked", Json::usize(self.checked)),
+            ("clean", Json::Bool(self.is_clean())),
+            ("schema", Json::str("vocalexplore/report_check/v1")),
+            ("skipped", self.skipped.iter().map(Json::str).collect()),
+            ("violations", violations.collect()),
+        ])
+        .render()
     }
 }
 
@@ -378,7 +357,7 @@ pub fn load_artifacts(dir: &Path, contract: &Contract) -> Result<Artifacts, Stri
         }
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         artifacts.insert(name, doc);
     }
     Ok(artifacts)
@@ -397,7 +376,7 @@ mod tests {
 
     fn artifacts(name: &str, body: &str) -> Artifacts {
         let mut a = Artifacts::new();
-        a.insert(name.to_string(), parse_json(body).unwrap());
+        a.insert(name.to_string(), parse(body).unwrap());
         a
     }
 
@@ -544,5 +523,25 @@ mod tests {
         assert_eq!(r1.render_json(), r2.render_json());
         assert!(r1.render_json().contains("\"clean\": false"));
         assert!(r1.render_human().contains("FAIL"));
+    }
+
+    #[test]
+    fn violation_reasons_with_control_characters_stay_valid_json() {
+        let c = contract(
+            r#"{"artifact": "BENCH_x.json", "kind": "max", "metric": "m", "value": 1,
+                "reason": "line one\nline two \u0001 end"}"#,
+        );
+        let perturbed = artifacts(
+            "BENCH_x.json",
+            r#"{"schema": "vocalexplore/bench_x/v1", "m": 5}"#,
+        );
+        let text = Sentinel::new()
+            .check(&c, &perturbed, &perturbed)
+            .render_json();
+        assert!(text.contains("line one\\nline two \\u0001 end"), "{text}");
+        let doc = parse(&text).expect("`--json` output is valid JSON");
+        let message = doc.path("violations.0.message").and_then(Json::as_str);
+        let verbatim = message.is_some_and(|m| m.ends_with("(line one\nline two \u{1} end)"));
+        assert!(verbatim, "{message:?}");
     }
 }

@@ -4,6 +4,7 @@
 //! violated metric** — the property CI relies on.
 
 use std::path::{Path, PathBuf};
+use ve_obs::json::{parse, Json};
 use ve_report::{load_artifacts, parse_contract, Artifacts, Sentinel};
 
 fn repo_root() -> PathBuf {
@@ -37,6 +38,29 @@ fn repository_passes_its_own_gate() {
     assert!(report.checked > 0, "the gate must actually check something");
 }
 
+/// `render(parse(file)) == file` for every emitted artifact; the contract is
+/// hand-edited input, not an emitted artifact.
+#[test]
+fn committed_artifacts_are_fixed_points_of_the_json_layer() {
+    let root = repo_root();
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&root).expect("repo root lists") {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if !name.starts_with("BENCH_") || !name.ends_with(".json") || name == "BENCH_contract.json"
+        {
+            continue;
+        }
+        let text = std::fs::read_to_string(root.join(&name)).unwrap();
+        let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            doc.render() == text,
+            "{name} is not in `ve_obs::json`'s layout"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 7, "only {checked} artifacts found");
+}
+
 #[test]
 fn contract_references_every_committed_artifact_family() {
     let (contract, artifacts) = load_repo();
@@ -68,7 +92,7 @@ fn perturbed_artifact_fails_naming_the_metric() {
     let perturbed = doc.replace(rate, "  \"cache_hit_rate\": 0.01,");
     fresh.insert(
         "BENCH_training.json".to_string(),
-        ve_report::parse_json(&perturbed).unwrap(),
+        parse(&perturbed).unwrap(),
     );
 
     let report = Sentinel::new().check(&contract, &fresh, &artifacts);
@@ -89,10 +113,10 @@ fn latency_regression_against_baseline_fails_the_ratio_rule() {
     let doc = std::fs::read_to_string(repo_root().join("BENCH_latency.json")).unwrap();
     // Multiply ve_full's measured median by 10 in the fresh set (string
     // surgery on the one line inside the ve_full section).
-    let fresh_doc = ve_report::parse_json(&doc).unwrap();
+    let fresh_doc = parse(&doc).unwrap();
     let committed = fresh_doc
         .path("strategies.ve_full.measured_median_visible_secs")
-        .and_then(ve_report::Json::as_f64)
+        .and_then(Json::as_f64)
         .expect("committed ve_full median");
     let needle = format!("\"measured_median_visible_secs\": {committed:.3}");
     assert!(doc.contains(&needle), "artifact format drifted: {needle}");
@@ -101,10 +125,7 @@ fn latency_regression_against_baseline_fails_the_ratio_rule() {
         &format!("\"measured_median_visible_secs\": {:.3}", committed * 10.0),
     );
     let mut fresh = artifacts.clone();
-    fresh.insert(
-        "BENCH_latency.json".to_string(),
-        ve_report::parse_json(&perturbed).unwrap(),
-    );
+    fresh.insert("BENCH_latency.json".to_string(), parse(&perturbed).unwrap());
 
     let report = Sentinel::new().check(&contract, &fresh, &artifacts);
     assert!(

@@ -181,17 +181,6 @@ impl ExecutorStats {
             ("submitted", self.submitted),
         ]
     }
-
-    /// One-line JSON object over [`ExecutorStats::export_kv`] (hand-rolled;
-    /// no serde in this environment).
-    pub fn render_json(&self) -> String {
-        let body: Vec<String> = self
-            .export_kv()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
 }
 
 /// Error returned by [`TaskHandle::join`] when the job panicked.
@@ -1176,9 +1165,9 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "export order must be stable name order");
-        let json = stats.render_json();
+        use ve_obs::json::Json;
+        let json = Json::obj(kv.into_iter().map(|(k, v)| (k, Json::u64(v)))).render();
         assert!(json.contains("\"submitted\": 9"), "{json}");
         assert!(json.contains("\"depth_hwm_critical\": 3"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 }
