@@ -19,6 +19,7 @@
 use ve_bench::emit::Artifact;
 use ve_obs::json::Json;
 use vocalexplore::prelude::*;
+use vocalexplore::TrainingStats;
 
 struct StrategyRow {
     name: &'static str,
@@ -34,6 +35,8 @@ struct StrategyRow {
     /// inside selection, so their `T_f` lands in `T_s` and their eager group
     /// is empty (zero).
     phase_secs: [f64; 4],
+    /// Cold fits versus warm fine-tunes (`warm-start/v1`) over the session.
+    training: TrainingStats,
 }
 
 /// Sums the timing plane into `[T_s, T_f, T_m, T_i]` seconds: the `select`
@@ -114,6 +117,7 @@ fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
         tasks_submitted: outcome.executor.submitted,
         tasks_failed: outcome.executor.failed,
         phase_secs: phase_breakdown(&outcome),
+        training: outcome.training,
     }
 }
 
@@ -164,6 +168,13 @@ fn main() {
                         ("t_f_secs", Json::f64(r.phase_secs[1], 3)),
                         ("t_m_secs", Json::f64(r.phase_secs[2], 3)),
                         ("t_i_secs", Json::f64(r.phase_secs[3], 3)),
+                    ]),
+                ),
+                (
+                    "training",
+                    Json::obj([
+                        ("cold_trains", Json::u64(r.training.cold_trains)),
+                        ("warm_trains", Json::u64(r.training.warm_trains)),
                     ]),
                 ),
             ]),

@@ -3,21 +3,22 @@
 //!
 //! Measures the amortized per-iteration cost of model training (`T_m`) plus
 //! candidate-set inference over a long exploration session — the two
-//! per-iteration costs that, before warm-started training and the
-//! model-version-aware `ProbabilityCache`, scaled with *total* session labels
-//! rather than with the per-iteration Δ. Three variants run the same
-//! label-and-train schedule (train every [`TRAIN_CADENCE`]nd iteration, so
-//! iterations between trains see an unchanged model version):
+//! per-iteration costs that scale with *total* session labels under
+//! from-scratch training and uncached inference, rather than with the
+//! per-iteration Δ. Three variants run the same label-and-train schedule
+//! (train every [`TRAIN_CADENCE`]nd iteration, so iterations between trains
+//! see an unchanged model version):
 //!
-//! * **baseline** — from-scratch training, probability cache disabled: what
-//!   every iteration used to pay.
+//! * **baseline** — from-scratch training on every call (warm-start
+//!   disabled), probability cache disabled.
 //! * **cached** — from-scratch training with the cache enabled. Selections
 //!   must be **bit-identical** to the baseline (asserted before any timing
 //!   is reported); only inference on cache hits gets cheaper.
-//! * **warm** — warm-started training (`warm-start/v1` tolerance contract:
-//!   fine-tune on Δ + bounded replay) plus the cache. Selections may differ
-//!   from cold-start — the contract pins model *quality* instead, asserted
-//!   against the baseline's held-out accuracy.
+//! * **warm** — the system's default training path, warm-started training
+//!   (`warm-start/v1` tolerance contract: fine-tune on Δ + bounded replay),
+//!   plus the cache. Selections may differ from cold-start — the contract
+//!   pins model *quality* instead, asserted against the baseline's held-out
+//!   accuracy.
 //!
 //! The headline acceptance number: with warm + cache, the per-iteration
 //! training+selection cost around iteration 50 stays within 1.5× of the cost
@@ -318,7 +319,9 @@ fn main() {
                 ),
                 (
                     "warm_start",
-                    Json::str("warm-start/v1 tolerance (holdout accuracy within 0.15 of cold)"),
+                    Json::str(
+                        "warm-start/v1, the default training path: tolerance (holdout accuracy within 0.15 of cold)",
+                    ),
                 ),
             ]),
         )

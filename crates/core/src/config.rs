@@ -55,20 +55,24 @@ pub enum PreprocessPolicy {
     AllVideos,
 }
 
-/// Warm-started training (tentpole of the per-iteration compute cache).
+/// Warm-started training: the default training path (`warm-start/v1`).
 ///
-/// When enabled, the Model Manager keeps the previous iteration's weights per
-/// extractor and fine-tunes on the Δ new labels plus a bounded, deterministic
-/// replay sample of older examples, so per-train cost is O(Δ + replay_cap)
-/// instead of O(total labels). Warm-started models follow the versioned
-/// tolerance contract `warm-start/v1`: the trained weights are a deterministic
-/// function of the training-call history (bit-identical across runs and thread
-/// counts) but are *not* bit-identical to the cold-start weights; model
-/// quality must stay within the pinned tolerance asserted in tests.
+/// The Model Manager keeps the previous iteration's weights per extractor
+/// and fine-tunes on the Δ new labels plus a bounded, deterministic replay
+/// sample of older examples, so per-train cost is O(Δ + replay_cap) instead
+/// of O(total labels). A cold fit runs only as the fallback: the first
+/// trainable call, a rewound label list, a changed feature dimension, or a
+/// task/model-kind change. Warm-started models follow the versioned
+/// tolerance contract `warm-start/v1`: the trained weights are a
+/// deterministic function of the training-call history (bit-identical across
+/// runs and thread counts) but are *not* bit-identical to the cold-start
+/// weights; model quality must stay within the pinned tolerance asserted in
+/// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmStartConfig {
-    /// Whether the Model Manager fine-tunes from the previous weights.
-    /// Off by default: cold-start remains the reference reproduction path.
+    /// Whether the Model Manager fine-tunes from the previous weights. On by
+    /// default; `false` refits every label from scratch on every train, which
+    /// only the training benchmark's cold baseline uses.
     pub enabled: bool,
     /// Maximum number of older examples replayed per warm update (sampled at
     /// deterministic even strides over the accumulated training set).
@@ -78,7 +82,7 @@ pub struct WarmStartConfig {
 impl Default for WarmStartConfig {
     fn default() -> Self {
         Self {
-            enabled: false,
+            enabled: true,
             replay_cap: 64,
         }
     }
@@ -167,7 +171,7 @@ pub struct VocalExploreConfig {
     /// `predict_proba` is independent of batch composition), so it defaults
     /// to on; the knob exists for equivalence audits and benchmarks.
     pub prob_cache: bool,
-    /// Warm-started training configuration (off by default; see
+    /// Warm-started training configuration (on by default; see
     /// [`WarmStartConfig`] for the `warm-start/v1` tolerance contract).
     pub warm_start: WarmStartConfig,
     /// Latency cost model.
@@ -448,16 +452,16 @@ mod tests {
         let cfg = VocalExploreConfig::new(DatasetName::Deer, 9, TaskKind::SingleLabel, 0);
         assert!(cfg.prob_cache, "cache is bit-identical, so it defaults on");
         assert!(
-            !cfg.warm_start.enabled,
-            "warm-start/v1 is tolerance-contract, so it defaults off"
+            cfg.warm_start.enabled,
+            "warm-start/v1 is the default training path"
         );
         assert_eq!(cfg.warm_start.replay_cap, 64);
         let cfg = cfg.with_prob_cache(false).with_warm_start(WarmStartConfig {
-            enabled: true,
+            enabled: false,
             replay_cap: 16,
         });
         assert!(!cfg.prob_cache);
-        assert!(cfg.warm_start.enabled);
+        assert!(!cfg.warm_start.enabled);
         assert_eq!(cfg.warm_start.replay_cap, 16);
     }
 

@@ -53,7 +53,7 @@
 use crate::alm::SelectionStats;
 use crate::config::{PreprocessPolicy, VocalExploreConfig};
 use crate::degradation::Degradation;
-use crate::model_manager::FittedModel;
+use crate::model_manager::{FittedModel, TrainingStats};
 use crate::observability::SessionEvent;
 use crate::prob_cache::ProbCacheStats;
 use crate::system::{sleep_scaled, VocalExplore};
@@ -235,6 +235,11 @@ pub struct SessionOutcome {
     /// Hit/miss counters of the ALM's probability cache over the session
     /// (all zero when `prob_cache` is disabled or no active selection ran).
     pub prob_cache: ProbCacheStats,
+    /// How the session's training requests were satisfied: cold fits
+    /// (first trainable call or a `warm-start/v1` fallback) versus warm
+    /// fine-tunes. Deterministic, so equal between [`SessionRunner::run`]
+    /// and [`SessionRunner::run_measured`].
+    pub training: TrainingStats,
     /// Timing plane: one span per executor task (queue wait, run time,
     /// worker), joined to the event plane by label/iteration. Wall-clock
     /// facts only — never part of determinism assertions. Empty for
@@ -548,6 +553,7 @@ impl SessionRunner {
             dropped_events: system.obs().dropped_events(),
             executor: executor.stats(),
             prob_cache: system.alm().prob_cache_stats(),
+            training: system.model_manager().training_stats(),
             timings: executor.timing().tasks(),
             phases: executor.timing().phases(),
         }

@@ -271,11 +271,12 @@ impl ModelManager {
     /// (fewer than two distinct classes for single-label tasks, or fewer than
     /// two records overall).
     ///
-    /// With [`crate::WarmStartConfig::enabled`] the call fine-tunes the
+    /// By default ([`crate::WarmStartConfig`]) the call fine-tunes the
     /// previous weights on the Δ new labels plus a bounded deterministic
-    /// replay sample (`warm-start/v1` tolerance contract); otherwise — and
-    /// for the first trainable call, or after a feature-geometry change —
-    /// it trains from scratch.
+    /// replay sample (`warm-start/v1` tolerance contract). It falls back to
+    /// a cold fit from scratch on the first trainable call, a rewound label
+    /// list, a feature-dimension change, or a task change, and always when
+    /// warm-start is disabled.
     ///
     /// Errors when the fault injector fails the `(iteration, extractor)`
     /// training request at every attempt of the retry budget. On error
@@ -959,20 +960,35 @@ mod tests {
         assert!(mm.latest(ExtractorId::R3d).is_some());
     }
 
-    /// Same corpus/labels as `setup`, but with a warm-start-enabled manager.
-    fn warm_setup(n_labels: usize) -> (Dataset, FeatureManager, ModelManager, Vec<LabelRecord>) {
-        let (ds, fm, _, labels) = setup(n_labels);
+    #[test]
+    fn disabled_warm_start_refits_every_call_from_scratch() {
+        let (ds, fm, _, labels) = setup(70);
         let cfg =
             VocalExploreConfig::for_dataset(&ds, 21).with_warm_start(crate::WarmStartConfig {
-                enabled: true,
+                enabled: false,
                 replay_cap: 64,
             });
-        (ds, fm, ModelManager::new(cfg), labels)
+        let mm = ModelManager::new(cfg);
+        for (iteration, upto) in [(0, 50), (1, 70)] {
+            assert!(mm
+                .train(
+                    ExtractorId::R3d,
+                    &ds.train,
+                    &fm,
+                    &labels[..upto],
+                    iteration,
+                    None
+                )
+                .unwrap());
+        }
+        let stats = mm.training_stats();
+        assert_eq!((stats.cold_trains, stats.warm_trains), (2, 0));
+        assert_eq!(stats.last_examples, 70);
     }
 
     #[test]
     fn warm_training_fine_tunes_with_bounded_examples() {
-        let (ds, fm, mm, labels) = warm_setup(90);
+        let (ds, fm, mm, labels) = setup(90);
         assert!(mm
             .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 0, None)
             .unwrap());
@@ -1003,7 +1019,7 @@ mod tests {
         // training-call history.
         let probes: Vec<Vec<Prediction>> = (0..2)
             .map(|_| {
-                let (ds, fm, mm, labels) = warm_setup(90);
+                let (ds, fm, mm, labels) = setup(90);
                 assert!(mm
                     .train(ExtractorId::R3d, &ds.train, &fm, &labels[..60], 0, None)
                     .unwrap());
@@ -1028,6 +1044,49 @@ mod tests {
     }
 
     #[test]
+    fn failed_train_leaves_the_warm_state_untouched() {
+        use ve_sched::fault::{FaultPlan, FaultRule};
+        // One manager's middle request fails at every attempt; the other
+        // never sees it. The failure must consume no labels from the warm
+        // state, so the next warm update fine-tunes on the same Δ and the two
+        // managers end bit-identical.
+        let (ds, fm, mut faulted, labels) = setup(90);
+        let (_, _, clean, _) = setup(90);
+        let probe = |mm: &ModelManager| {
+            let clip = &ds.train.videos()[95];
+            mm.predict(
+                ExtractorId::R3d,
+                &ds.train,
+                &fm,
+                clip.id,
+                &TimeRange::new(0.0, 1.0),
+            )
+            .unwrap()
+        };
+        for mm in [&faulted, &clean] {
+            assert!(mm
+                .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0, None)
+                .unwrap());
+        }
+        faulted.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultPlan::uniform(
+            1,
+            FaultRule::permanent(1.0),
+        )))));
+        assert!(faulted
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 1, None)
+            .is_err());
+        faulted.set_fault_injector(None);
+        for mm in [&faulted, &clean] {
+            assert!(mm
+                .train(ExtractorId::R3d, &ds.train, &fm, &labels, 2, None)
+                .unwrap());
+        }
+        assert_eq!(faulted.training_stats(), clean.training_stats());
+        assert_eq!(faulted.training_stats().warm_trains, 1);
+        assert_eq!(probe(&faulted), probe(&clean));
+    }
+
+    #[test]
     fn warm_quality_stays_within_tolerance_of_cold() {
         // warm-start/v1 pins quality, not bits: after the same label stream,
         // the fine-tuned model's held-out accuracy must stay within 0.15 of
@@ -1036,7 +1095,7 @@ mod tests {
         assert!(cold_mm
             .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, None)
             .unwrap());
-        let (_, _, warm_mm, _) = warm_setup(90);
+        let (_, _, warm_mm, _) = setup(90);
         assert!(warm_mm
             .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0, None)
             .unwrap());
@@ -1078,7 +1137,7 @@ mod tests {
 
     #[test]
     fn warm_state_survives_empty_delta_and_rewinds_to_cold() {
-        let (ds, fm, mm, labels) = warm_setup(70);
+        let (ds, fm, mm, labels) = setup(70);
         assert!(mm
             .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, None)
             .unwrap());

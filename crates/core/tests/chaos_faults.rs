@@ -16,7 +16,8 @@
 //!
 //! Under permanent faults, the inline run (`SessionRunner::run`) and the
 //! threaded run (`SessionRunner::run_measured`) must also absorb the same
-//! faults in the same order.
+//! faults in the same order and end with the same cold/warm training
+//! counts: a failed train publishes nothing and leaves the warm state alone.
 
 mod common;
 
@@ -207,4 +208,56 @@ fn training_faults_exercise_executor_retry_counters() {
         out.records.len() == 6,
         "the session must run to completion without a trained model"
     );
+}
+
+#[test]
+fn failed_trains_leave_the_warm_path_deterministic() {
+    // Permanent training faults in the middle of the session: each failed
+    // request publishes nothing and leaves the warm state alone, so the
+    // next train fine-tunes on the labels the failure skipped. The inline
+    // and threaded runs must still agree on everything, cold/warm counts
+    // included, at every parallelism.
+    let plan = FaultPlan::new(7).with_rule(FaultSite::Training, FaultRule::permanent(0.4));
+    for strategy in SchedulerStrategy::all() {
+        let mut cfg = base_config(19, 8);
+        cfg.system = cfg
+            .system
+            .with_strategy(strategy)
+            .with_fault_plan(plan.clone());
+        let inline = SessionRunner::new(cfg.clone()).run();
+        let trains: Vec<bool> = inline
+            .events
+            .iter()
+            .filter_map(|(_, e)| match e {
+                SessionEvent::TrainCompleted { .. } => Some(true),
+                SessionEvent::Degraded(Degradation::TrainingFailed { .. }) => Some(false),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            trains.windows(2).any(|w| w == [false, true]),
+            "the plan must fail a train that a later train follows under {strategy}: {trains:?}"
+        );
+        assert_eq!(
+            inline.training.cold_trains + inline.training.warm_trains,
+            trains.iter().filter(|&&ok| ok).count() as u64,
+            "only published models count as trains under {strategy}"
+        );
+        assert_eq!(
+            inline.training.cold_trains, 1,
+            "a failed train must not force a cold refit under {strategy}"
+        );
+        for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+            let mut threaded = cfg.clone();
+            threaded.system = threaded
+                .system
+                .with_executor_workers(workers)
+                .with_compute_threads(threads);
+            common::assert_same_session(
+                &inline,
+                &SessionRunner::new(threaded).run_measured(),
+                &format!("{strategy} at workers={workers} threads={threads}"),
+            );
+        }
+    }
 }

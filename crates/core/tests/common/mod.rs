@@ -5,7 +5,9 @@ use vocalexplore::{IterationRecord, SessionOutcome};
 /// Asserts that two runs of one session config agree on everything that
 /// does not depend on the executor: the label sequence, every record field
 /// except the wall-clock measurements, the final extractor, the canonical
-/// event ledger, and the degradation ledger as a sequence.
+/// event ledger, the degradation ledger as a sequence, and the cold/warm
+/// training counts (`warm-start/v1` is a pure function of the training-call
+/// history, so the warm path must replay identically too).
 pub fn assert_same_session(reference: &SessionOutcome, other: &SessionOutcome, context: &str) {
     let deterministic = |o: &SessionOutcome| -> Vec<IterationRecord> {
         o.records
@@ -37,5 +39,9 @@ pub fn assert_same_session(reference: &SessionOutcome, other: &SessionOutcome, c
     assert_eq!(
         other.degradations, reference.degradations,
         "degradation ledgers diverged ({context})"
+    );
+    assert_eq!(
+        other.training, reference.training,
+        "cold/warm training counts diverged ({context})"
     );
 }

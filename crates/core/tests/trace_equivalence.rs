@@ -6,9 +6,10 @@
 //! 1. **Inline/threaded equivalence** — `SessionRunner::run` (every task on
 //!    the session thread) and `SessionRunner::run_measured` (a worker pool,
 //!    modeled costs slept) with the same config produce the same labels,
-//!    records, canonical event ledger, and degradation sequence, for every
-//!    scheduling strategy (and a preprocessing baseline) at every tested
-//!    `executor_workers × compute_threads`.
+//!    records, canonical event ledger, degradation sequence, and cold/warm
+//!    training counts, for every scheduling strategy (and a preprocessing
+//!    baseline) at every tested `executor_workers × compute_threads`; the
+//!    threaded run's timing plane holds one span per submitted task.
 //! 2. **Parallelism invariance** — under faults, the threaded ledger is
 //!    bit-identical across worker/thread counts.
 //! 3. **Chaos reconciliation** — under injected training faults, the event
@@ -60,16 +61,26 @@ fn sync_and_async_ledgers_are_identical_for_every_strategy() {
             !inline.events.is_empty(),
             "instrumentation must actually record events under {name}"
         );
+        assert!(
+            inline.training.cold_trains >= 1 && inline.training.warm_trains >= 1,
+            "the session must exercise both the cold seed and the warm path under {name}: {:?}",
+            inline.training
+        );
         for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
             let mut threaded = cfg.clone();
             threaded.system = threaded
                 .system
                 .with_executor_workers(workers)
                 .with_compute_threads(threads);
-            common::assert_same_session(
-                &inline,
-                &SessionRunner::new(threaded).run_measured(),
-                &format!("{name} at workers={workers} threads={threads}"),
+            let measured = SessionRunner::new(threaded).run_measured();
+            let context = format!("{name} at workers={workers} threads={threads}");
+            common::assert_same_session(&inline, &measured, &context);
+            // `wait_idle` returns only after every span is recorded, so the
+            // timing plane holds exactly one span per submitted task.
+            assert_eq!(
+                measured.timings.len() as u64,
+                measured.executor.submitted,
+                "timing spans must equal submitted tasks ({context})"
             );
         }
     }

@@ -650,20 +650,9 @@ fn run_job(inner: &Inner, queued: QueuedJob, worker: usize) {
     let start_us = inner.plane.now_us();
     let outcome = catch_unwind(AssertUnwindSafe(queued.job));
     let end_us = inner.plane.now_us();
-    {
-        let mut state = inner.state.lock();
-        state.in_flight -= 1;
-        state.completed += 1;
-        state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
-        if outcome.is_err() {
-            state.failed += 1;
-        }
-        if state.is_drained() {
-            inner.drained.notify_all();
-        }
-    }
-    // Recorded after the queue lock is released: the timing plane has its
-    // own lock and the two must never nest.
+    // Recorded before `completed` is bumped, so `wait_idle()` returning
+    // implies every span is in the plane. The timing plane has its own lock,
+    // taken and released here: the two locks must never nest.
     inner.plane.record_task(TaskTiming {
         span: queued.span,
         label: queued.label,
@@ -673,6 +662,16 @@ fn run_job(inner: &Inner, queued: QueuedJob, worker: usize) {
         start_us,
         end_us,
     });
+    let mut state = inner.state.lock();
+    state.in_flight -= 1;
+    state.completed += 1;
+    state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
+    if outcome.is_err() {
+        state.failed += 1;
+    }
+    if state.is_drained() {
+        inner.drained.notify_all();
+    }
 }
 
 #[cfg(test)]
