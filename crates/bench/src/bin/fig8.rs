@@ -5,8 +5,9 @@
 //!   with all candidate features extracted from all videos up front,
 //! * `VE-lazy (X)` for `X ∈ {10, 50, 100}` — incremental extraction of `X`
 //!   candidate videos whenever active learning needs them,
-//! * `VE-full` — all Task Scheduler optimizations (just-in-time training +
-//!   eager background extraction).
+//! * `VE-full` — the Task Scheduler's optimizations as the session engine
+//!   runs them: training and feature evaluation deferred until after the
+//!   user labels the batch, plus eager background extraction.
 //!
 //! Expected shape: VE-full matches or exceeds the F1 of the lazy variants at a
 //! fraction of the cumulative visible latency (about one second per step);

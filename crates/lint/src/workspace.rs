@@ -183,9 +183,18 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Extracts the `members = [ … ]` entries from the root manifest.
-fn parse_members(manifest: &str) -> Vec<String> {
-    let Some(start) = manifest.find("members") else {
+/// Extracts the entries of the `key = [ … ]` string array (`members`,
+/// `default-members`) from the root manifest. The key must match a line's
+/// whole key, so `members` never picks up `default-members`.
+fn parse_members(manifest: &str, key: &str) -> Vec<String> {
+    let mut offset = 0;
+    let start = manifest.split_inclusive('\n').find_map(|line| {
+        let at = offset;
+        offset += line.len();
+        let rest = line.trim_start().strip_prefix(key)?;
+        rest.trim_start().starts_with('=').then_some(at)
+    });
+    let Some(start) = start else {
         return Vec::new();
     };
     let Some(open) = manifest[start..].find('[').map(|i| start + i) else {
@@ -249,7 +258,7 @@ pub fn load_workspace(root: &Path) -> Result<WorkspaceModel, String> {
     if let Some(name) = parse_package_name(&manifest) {
         crate_dirs.push((name, root.to_path_buf()));
     }
-    for member in parse_members(&manifest) {
+    for member in parse_members(&manifest, "members") {
         // Offline stand-ins for external crates carry external idioms, not
         // this repository's contracts.
         if member.starts_with("crates/compat/") {
@@ -300,10 +309,43 @@ members = [
 name = "root-pkg"
 "#;
         assert_eq!(
-            parse_members(manifest),
+            parse_members(manifest, "members"),
             vec!["crates/stats".to_string(), "crates/compat/rand".to_string()]
         );
         assert_eq!(parse_package_name(manifest).as_deref(), Some("root-pkg"));
+
+        // `default-members` listed first must not be read as `members`.
+        let reordered = r#"
+[workspace]
+default-members = [".", "crates/stats"]
+members = ["crates/stats", "crates/ml"]
+"#;
+        assert_eq!(
+            parse_members(reordered, "members"),
+            vec!["crates/stats".to_string(), "crates/ml".to_string()]
+        );
+        assert_eq!(
+            parse_members(reordered, "default-members"),
+            vec![".".to_string(), "crates/stats".to_string()]
+        );
+    }
+
+    /// The tier-1 command (`cargo test` at the root) runs `default-members`,
+    /// so that list must name every workspace member plus the root package.
+    #[test]
+    fn default_members_cover_every_member() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let mut expected = parse_members(&manifest, "members");
+        assert!(!expected.is_empty(), "root manifest lists no members");
+        expected.push(".".to_string());
+        expected.sort();
+        let mut defaults = parse_members(&manifest, "default-members");
+        defaults.sort();
+        assert_eq!(
+            defaults, expected,
+            "default-members must equal members plus \".\""
+        );
     }
 
     #[test]

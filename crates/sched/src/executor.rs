@@ -28,7 +28,6 @@
 //! * Workers mark themselves in-flight while holding the lock as they pop,
 //!   so "queues empty" and "nothing running" are checked atomically.
 
-use crate::task::Priority;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,6 +47,17 @@ struct QueuedJob {
     label: TaskLabel,
     class: QueueClass,
     submit_us: u64,
+}
+
+/// Scheduling priority. Lower ordinal = runs first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Priority {
+    /// Blocks an API response (Ts, Tf, Ti for the current call).
+    Critical,
+    /// Asynchronous but time-sensitive (Tm, Te).
+    Normal,
+    /// Opportunistic background work (Tf⁻); always yields to other tasks.
+    Background,
 }
 
 /// The executor's `Priority` rendered into `ve-obs`'s scheduler-agnostic
@@ -679,6 +689,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
+
+    #[test]
+    fn priority_ordering() {
+        assert!(Priority::Critical < Priority::Normal);
+        assert!(Priority::Normal < Priority::Background);
+    }
 
     #[test]
     fn runs_all_submitted_jobs() {

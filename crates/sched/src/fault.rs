@@ -19,9 +19,9 @@
 //!   are bit-identical to a fault-free run.
 //!
 //! The injector itself is shared (behind an `Arc`) between the feature
-//! manager, model manager, WAL, and session runner; the only mutable state is
-//! a per-site injection counter kept for observability, which never feeds
-//! back into decisions.
+//! manager, model manager, and session runner; the only mutable state is a
+//! per-site injection counter kept for observability, which never feeds back
+//! into decisions.
 
 use crate::executor::RetryPolicy;
 use parking_lot::Mutex;
@@ -37,24 +37,15 @@ pub enum FaultSite {
     BatchInference,
     /// Row inference for a single segment prediction.
     RowInference,
-    /// WAL record append I/O error (torn write).
-    WalAppend,
-    /// WAL fsync failure under `WalSync::Always`.
-    WalFsync,
-    /// Label-store snapshot decode failure.
-    SnapshotDecode,
 }
 
 impl FaultSite {
     /// Every injection site, in declaration order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::FeatureExtraction,
         FaultSite::Training,
         FaultSite::BatchInference,
         FaultSite::RowInference,
-        FaultSite::WalAppend,
-        FaultSite::WalFsync,
-        FaultSite::SnapshotDecode,
     ];
 
     fn index(self) -> usize {
@@ -63,9 +54,6 @@ impl FaultSite {
             FaultSite::Training => 1,
             FaultSite::BatchInference => 2,
             FaultSite::RowInference => 3,
-            FaultSite::WalAppend => 4,
-            FaultSite::WalFsync => 5,
-            FaultSite::SnapshotDecode => 6,
         }
     }
 }
@@ -322,20 +310,51 @@ mod tests {
     #[test]
     fn probability_extremes_and_counters() {
         let always = FaultInjector::new(
-            FaultPlan::new(5).with_rule(FaultSite::WalAppend, FaultRule::permanent(1.0)),
+            FaultPlan::new(5).with_rule(FaultSite::RowInference, FaultRule::permanent(1.0)),
         );
         let never = FaultInjector::new(
-            FaultPlan::new(5).with_rule(FaultSite::WalAppend, FaultRule::permanent(0.0)),
+            FaultPlan::new(5).with_rule(FaultSite::RowInference, FaultRule::permanent(0.0)),
         );
         for key in 0..16 {
-            assert!(always.should_fail(FaultSite::WalAppend, key, 0));
-            assert!(!never.should_fail(FaultSite::WalAppend, key, 0));
+            assert!(always.should_fail(FaultSite::RowInference, key, 0));
+            assert!(!never.should_fail(FaultSite::RowInference, key, 0));
             // Uncovered sites never fail even at probability 1.
             assert!(!always.should_fail(FaultSite::Training, key, 0));
         }
-        assert_eq!(always.injected_at(FaultSite::WalAppend), 16);
+        assert_eq!(always.injected_at(FaultSite::RowInference), 16);
         assert_eq!(always.total_injected(), 16);
         assert_eq!(never.total_injected(), 0);
+    }
+
+    /// Recorded `should_fail` verdicts for every site: bit `key * 3 +
+    /// attempt` of each mask is set when that attempt fails under
+    /// `FaultRule::permanent(0.5)`. The site index feeds the decision hash,
+    /// so renumbering a site (or touching the hash) changes its row, and
+    /// every recorded fault plan would stop replaying.
+    #[test]
+    fn surviving_sites_keep_their_verdicts() {
+        const GOLDEN: [(FaultSite, u64, u64); 8] = [
+            (FaultSite::FeatureExtraction, 1, 0x9E3D_5417_21EC),
+            (FaultSite::FeatureExtraction, 42, 0x4181_D732_0AAA),
+            (FaultSite::Training, 1, 0x9191_ABD2_6BE3),
+            (FaultSite::Training, 42, 0xAE5D_2BC6_499B),
+            (FaultSite::BatchInference, 1, 0xB057_5C7E_355D),
+            (FaultSite::BatchInference, 42, 0xB0B4_543F_0254),
+            (FaultSite::RowInference, 1, 0x8DFE_85A3_068F),
+            (FaultSite::RowInference, 42, 0x5B32_F9B3_5790),
+        ];
+        for (site, seed, expected) in GOLDEN {
+            let inj = FaultInjector::new(FaultPlan::uniform(seed, FaultRule::permanent(0.5)));
+            let mut mask = 0u64;
+            for key in 0..16u64 {
+                for attempt in 0..3u32 {
+                    if inj.should_fail(site, key, attempt) {
+                        mask |= 1 << (key * 3 + u64::from(attempt));
+                    }
+                }
+            }
+            assert_eq!(mask, expected, "{site:?} verdicts moved at seed {seed}");
+        }
     }
 
     #[test]

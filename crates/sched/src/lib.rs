@@ -10,39 +10,26 @@
 //!
 //! The crate provides:
 //!
-//! * [`task`] — task descriptors with priorities and simulated costs,
-//! * [`queue`] — a priority queue (critical → normal → background, FIFO
-//!   within a priority),
-//! * [`executor`] — a panic-safe worker pool that runs closures in priority
-//!   order, or inline on the caller (the execution path behind `ve-core`'s
-//!   session engine), with condvar-based idle waits, typed task handles,
-//!   and the one retry loop (`RetryPolicy::run`),
-//! * [`simclock`] — a resource-limited simulated clock used by the latency
-//!   experiments (the GPU costs themselves are simulated, Table 3),
+//! * [`executor`] — a panic-safe worker pool that runs closures in
+//!   [`Priority`] order (critical → normal → background, FIFO within a
+//!   priority), or inline on the caller (the execution path behind
+//!   `ve-core`'s session engine), with condvar-based idle waits, typed task
+//!   handles, and the one retry loop (`RetryPolicy::run`),
+//! * [`fault`] — the seeded, replayable fault injector the session engine's
+//!   extraction, training and inference sites consult,
+//! * [`parallel`] — deterministic data-parallel helpers for the hot loops,
+//!   bit-identical at any thread count, and
 //! * [`strategy`] — the Serial, `VE-partial`, and `VE-full` scheduling
-//!   strategies and their per-iteration visible-latency accounting,
-//! * [`jit`] — just-in-time model-training scheduling
-//!   (`max(0, B − ⌈T_m / T_user⌉)` labels before training starts), and
-//! * [`eager`] — the eager feature-extraction planner that fills idle
-//!   labeling time with background `T_f⁻` tasks.
+//!   strategies and their per-iteration visible-latency accounting.
 
-pub mod eager;
 pub mod executor;
 pub mod fault;
-pub mod jit;
 pub mod parallel;
-pub mod queue;
-pub mod simclock;
 pub mod strategy;
-pub mod task;
 
-pub use eager::{EagerExtractionPlan, EagerPlanner};
 pub use executor::{
-    queue_class, Executor, ExecutorStats, JobPanicked, RetryPolicy, TaskFailure, TaskHandle,
+    queue_class, Executor, ExecutorStats, JobPanicked, Priority, RetryPolicy, TaskFailure,
+    TaskHandle,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultRule, FaultSite, InjectedFault};
-pub use jit::{JitTrainingPolicy, TrainingSchedule};
-pub use queue::PriorityTaskQueue;
-pub use simclock::{SimClock, SimTaskOutcome};
 pub use strategy::{iteration_latency, IterationCosts, IterationLatency, SchedulerStrategy};
-pub use task::{Priority, Task, TaskId, TaskKind};

@@ -1,11 +1,21 @@
-//! A tiny self-describing binary codec used by the snapshot format.
+//! A tiny self-describing binary codec.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers and
 //! floats, length-prefixed strings and vectors. Writing it by hand keeps the
 //! storage substrate dependency-free; the [`Reader`] performs bounds checks
-//! and reports truncation as [`StorageError::Corrupt`] rather than panicking.
+//! and reports truncation as a [`CodecError`] rather than panicking.
 
-use crate::error::StorageError;
+/// A malformed or truncated buffer: what the [`Reader`] expected and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodecError(pub String);
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "corrupt buffer: {}", self.0)
+    }
+}
+
+impl std::error::Error for CodecError {}
 
 /// Append-only binary writer.
 #[derive(Debug, Default)]
@@ -107,9 +117,9 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
-            return Err(StorageError::Corrupt(format!(
+            return Err(CodecError(format!(
                 "expected {n} more bytes at offset {}, only {} remain",
                 self.pos,
                 self.remaining()
@@ -121,40 +131,39 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8, StorageError> {
+    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, StorageError> {
+    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, StorageError> {
+    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads an `f32`.
-    pub fn get_f32(&mut self) -> Result<f32, StorageError> {
+    pub fn get_f32(&mut self) -> Result<f32, CodecError> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads an `f64`.
-    pub fn get_f64(&mut self) -> Result<f64, StorageError> {
+    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, StorageError> {
+    pub fn get_str(&mut self) -> Result<String, CodecError> {
         let len = self.get_u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| StorageError::Corrupt(format!("invalid utf-8: {e}")))
+        String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(format!("invalid utf-8: {e}")))
     }
 
     /// Reads a length-prefixed `f32` vector.
-    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, StorageError> {
+    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, CodecError> {
         let len = self.get_u32()? as usize;
         let mut out = Vec::with_capacity(len.min(self.remaining() / 4 + 1));
         for _ in 0..len {
@@ -164,7 +173,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed `u64` vector.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, StorageError> {
+    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, CodecError> {
         let len = self.get_u32()? as usize;
         let mut out = Vec::with_capacity(len.min(self.remaining() / 8 + 1));
         for _ in 0..len {
@@ -215,7 +224,7 @@ mod tests {
         w.put_u64(42);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..4]);
-        assert!(matches!(r.get_u64(), Err(StorageError::Corrupt(_))));
+        assert!(matches!(r.get_u64(), Err(CodecError(_))));
     }
 
     #[test]
@@ -226,7 +235,7 @@ mod tests {
         w.put_u8(0xFE);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_str(), Err(StorageError::Corrupt(_))));
+        assert!(matches!(r.get_str(), Err(CodecError(_))));
     }
 
     #[test]

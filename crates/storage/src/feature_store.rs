@@ -244,17 +244,6 @@ impl FeatureStore {
             .sum::<usize>()
     }
 
-    /// Iterates over all `(extractor, vid)` entries in ascending key order.
-    ///
-    /// Key-sorted on purpose: the persistence layer serializes snapshots in
-    /// this order, so exposing raw `HashMap` order here made snapshot bytes
-    /// differ from run to run on identical state.
-    pub fn iter(&self) -> impl Iterator<Item = (&(ExtractorId, VideoId), &VideoFeatures)> {
-        let mut entries: Vec<_> = self.by_key.iter().collect();
-        entries.sort_by_key(|(key, _)| **key);
-        entries.into_iter()
-    }
-
     /// Drops every vector belonging to an extractor (used when the rising
     /// bandit eliminates a candidate feature and its storage can be
     /// reclaimed).

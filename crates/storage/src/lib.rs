@@ -12,32 +12,25 @@
 //! * [`FeatureStore`] — per-extractor feature vectors keyed by
 //!   `(extractor, video)`, the equivalent of the paper's Parquet files,
 //! * [`ModelRegistry`] — trained-model metadata plus in-memory handles to the
-//!   most recent model per extractor, and
-//! * a hand-written binary snapshot format ([`persist`]) so the whole state
-//!   can be written to and reloaded from a single file without pulling in a
-//!   serialization framework, and
-//! * an append-only, checksummed label log ([`wal::LabelWal`]) so that the
-//!   one piece of state that cannot be recomputed — the user's labels —
-//!   survives a crash between snapshots.
+//!   most recent model per extractor,
+//! * [`codec`] — a bounds-checked little-endian byte codec; no store uses it
+//!   yet.
 //!
-//! All stores are cheap to clone behind the [`StorageManager`] facade and are
-//! safe to share across the Task Scheduler's worker threads.
+//! Everything lives in memory. The catalog, label and feature stores sit
+//! behind the [`StorageManager`] facade, which is cheap to clone and safe to
+//! share across the Task Scheduler's worker threads: every clone reads and
+//! writes the same state.
 
 pub mod codec;
-pub mod error;
 pub mod feature_store;
 pub mod labels;
 pub mod metadata;
 pub mod model_registry;
-pub mod persist;
-pub mod wal;
 
-pub use error::StorageError;
 pub use feature_store::{FeatureStore, FeatureStoreChange, VideoFeatures};
 pub use labels::{LabelRecord, LabelStore};
 pub use metadata::{VideoMetadataStore, VideoRecord};
 pub use model_registry::{ModelRecord, ModelRegistry};
-pub use wal::{LabelWal, WalRecovery, WalSync};
 
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -90,35 +83,6 @@ impl StorageManager {
     pub fn with_features_mut<R>(&self, f: impl FnOnce(&mut FeatureStore) -> R) -> R {
         f(&mut self.inner.write().features)
     }
-
-    /// Serializes metadata, labels, and features into a snapshot buffer.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let inner = self.inner.read();
-        persist::encode_snapshot(&inner.metadata, &inner.labels, &inner.features)
-    }
-
-    /// Restores a storage manager from a snapshot buffer.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, StorageError> {
-        let (metadata, labels, features) = persist::decode_snapshot(bytes)?;
-        Ok(Self {
-            inner: Arc::new(RwLock::new(StorageInner {
-                metadata,
-                labels,
-                features,
-            })),
-        })
-    }
-
-    /// Writes a snapshot to a file.
-    pub fn save_to_file(&self, path: &std::path::Path) -> Result<(), StorageError> {
-        std::fs::write(path, self.snapshot()).map_err(StorageError::Io)
-    }
-
-    /// Loads a snapshot from a file.
-    pub fn load_from_file(path: &std::path::Path) -> Result<Self, StorageError> {
-        let bytes = std::fs::read(path).map_err(StorageError::Io)?;
-        Self::from_snapshot(&bytes)
-    }
 }
 
 #[cfg(test)]
@@ -128,9 +92,10 @@ mod tests {
     use ve_vidsim::{TimeRange, VideoId};
 
     #[test]
-    fn facade_round_trip_through_snapshot() {
+    fn clones_share_one_store() {
         let sm = StorageManager::new();
-        sm.with_metadata_mut(|m| {
+        let worker = sm.clone();
+        worker.with_metadata_mut(|m| {
             m.insert(VideoRecord {
                 vid: VideoId(1),
                 path: "a.mp4".into(),
@@ -138,7 +103,7 @@ mod tests {
                 start_timestamp: 0.0,
             })
         });
-        sm.with_labels_mut(|l| {
+        worker.with_labels_mut(|l| {
             l.add(LabelRecord {
                 vid: VideoId(1),
                 range: TimeRange::new(0.0, 1.0),
@@ -146,7 +111,7 @@ mod tests {
                 iteration: 0,
             })
         });
-        sm.with_features_mut(|f| {
+        worker.with_features_mut(|f| {
             f.put(
                 ExtractorId::R3d,
                 VideoId(1),
@@ -159,45 +124,20 @@ mod tests {
             )
         });
 
-        let snapshot = sm.snapshot();
-        let restored = StorageManager::from_snapshot(&snapshot).unwrap();
-        assert_eq!(restored.with_metadata(|m| m.len()), 1);
-        assert_eq!(restored.with_labels(|l| l.len()), 1);
-        assert_eq!(
-            restored.with_features(|f| f.get(ExtractorId::R3d, VideoId(1)).unwrap().len()),
-            1
-        );
-        let v = restored
-            .with_features(|f| f.get(ExtractorId::R3d, VideoId(1)).unwrap().row(0).to_vec());
-        assert_eq!(v, vec![0.5, -0.25, 1.0]);
-    }
-
-    #[test]
-    fn save_and_load_file() {
-        let dir = std::env::temp_dir().join("ve_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.bin");
-        let sm = StorageManager::new();
-        sm.with_metadata_mut(|m| {
-            m.insert(VideoRecord {
-                vid: VideoId(7),
-                path: "x.mp4".into(),
-                duration: 5.0,
-                start_timestamp: 100.0,
-            })
+        // Writes through the worker's clone are visible through the original.
+        let path = sm.with_metadata(|m| m.get(VideoId(1)).map(|r| r.path.clone()));
+        let labels = sm.with_labels(|l| l.records().to_vec());
+        let row = sm.with_features(|f| {
+            f.get(ExtractorId::R3d, VideoId(1))
+                .map(|v| v.row(0).to_vec())
         });
-        sm.save_to_file(&path).unwrap();
-        let loaded = StorageManager::load_from_file(&path).unwrap();
-        assert_eq!(
-            loaded.with_metadata(|m| m.get(VideoId(7)).unwrap().path.clone()),
-            "x.mp4"
-        );
-        std::fs::remove_file(&path).ok();
-    }
+        assert_eq!(path.as_deref(), Some("a.mp4"));
+        assert_eq!(labels.len(), 1);
+        assert_eq!(labels[0].classes, vec![2]);
+        assert_eq!(row, Some(vec![0.5, -0.25, 1.0]));
 
-    #[test]
-    fn corrupt_snapshot_is_rejected() {
-        let err = StorageManager::from_snapshot(&[1, 2, 3]).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)));
+        // And the facade can be shared with worker threads.
+        fn shareable<T: Send + Sync>(_: &T) {}
+        shareable(&sm);
     }
 }

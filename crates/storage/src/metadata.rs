@@ -1,6 +1,5 @@
 //! The video catalog: one row per registered video (`AddVideo` in the API).
 
-use crate::error::StorageError;
 use std::collections::BTreeMap;
 use ve_vidsim::VideoId;
 
@@ -37,12 +36,6 @@ impl VideoMetadataStore {
     /// Looks up a record.
     pub fn get(&self, vid: VideoId) -> Option<&VideoRecord> {
         self.rows.get(&vid)
-    }
-
-    /// Fails with [`StorageError::NotFound`] when the video is unknown.
-    pub fn require(&self, vid: VideoId) -> Result<&VideoRecord, StorageError> {
-        self.get(vid)
-            .ok_or_else(|| StorageError::NotFound(format!("video {vid}")))
     }
 
     /// Number of registered videos.
@@ -97,15 +90,6 @@ mod tests {
         assert!(!s.insert(rec(1, 12.0)), "re-insert replaces");
         assert_eq!(s.get(VideoId(1)).unwrap().duration, 12.0);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn require_missing_is_not_found() {
-        let s = VideoMetadataStore::new();
-        assert!(matches!(
-            s.require(VideoId(9)),
-            Err(StorageError::NotFound(_))
-        ));
     }
 
     #[test]

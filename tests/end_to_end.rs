@@ -158,41 +158,3 @@ fn ve_sample_switches_only_on_skewed_datasets() {
         "uniform K20 labels must not trigger the switch"
     );
 }
-
-#[test]
-fn storage_snapshot_round_trips_session_state() {
-    use ve_storage::{LabelRecord, StorageManager};
-    use ve_vidsim::TimeRange;
-
-    // Simulate a small session's worth of storage state and round-trip it.
-    let dataset = Dataset::scaled(DatasetName::Bears, 0.05, 23);
-    let sm = StorageManager::new();
-    sm.with_metadata_mut(|m| {
-        for clip in dataset.train.videos() {
-            m.insert(ve_storage::VideoRecord {
-                vid: clip.id,
-                path: clip.path.clone(),
-                duration: clip.duration,
-                start_timestamp: clip.start_timestamp,
-            });
-        }
-    });
-    sm.with_labels_mut(|l| {
-        for (i, clip) in dataset.train.videos().iter().take(20).enumerate() {
-            l.add(LabelRecord {
-                vid: clip.id,
-                range: TimeRange::new(0.0, 1.0),
-                classes: clip.classes_in(&TimeRange::new(0.0, 1.0)),
-                iteration: i as u32 / 5,
-            });
-        }
-    });
-    let bytes = sm.snapshot();
-    let restored = StorageManager::from_snapshot(&bytes).expect("valid snapshot");
-    assert_eq!(restored.with_metadata(|m| m.len()), dataset.train.len());
-    assert_eq!(restored.with_labels(|l| l.len()), 20);
-    assert_eq!(
-        restored.with_labels(|l| l.class_counts(2)),
-        sm.with_labels(|l| l.class_counts(2))
-    );
-}
