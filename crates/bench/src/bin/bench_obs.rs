@@ -93,7 +93,7 @@ fn main() {
         .with_strategy(SchedulerStrategy::VeFull)
         .with_feature_selection(FeatureSelectionPolicy::Fixed(ExtractorId::R3d))
         // Pin an index-backed acquisition so the artifact exercises the
-        // acquisition-index ingest and probability-cache instrumentation.
+        // acquisition-index ingest instrumentation.
         .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::Coreset))
         .with_extra_candidates(5)
         .with_time_scale(time_scale)

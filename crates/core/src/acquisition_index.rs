@@ -119,11 +119,11 @@ pub struct AcquisitionIndex {
     /// anchor exists).
     coverage: Vec<f32>,
     sketch: Option<ClusterSketch>,
-    /// Row-identity epoch for positional caches layered on top of the index
-    /// (the ALM's `ProbabilityCache` keys on it). Bumped whenever existing
-    /// rows may have moved or changed — [`Self::rebuild`] and the
-    /// [`Self::merge`] splice — but *not* on tail appends, whose cached
-    /// prefix rows stay positionally valid.
+    /// Row-identity epoch: counts the times existing rows moved or changed
+    /// — [`Self::rebuild`] and the [`Self::merge`] splice — but *not* tail
+    /// appends, which leave every earlier row in place. Reported by the
+    /// `IndexIngest` event, so a session's ledger shows how often selection
+    /// lost its row positions.
     epoch: u64,
 }
 
@@ -474,8 +474,7 @@ impl AcquisitionIndex {
         self.video_rows = video_rows;
         self.video_order = video_order;
         // Row positions shifted: the sketch's positional assignments are
-        // void (the next over-cap call refits from the merged rows), and so
-        // are any positional caches keyed on the epoch.
+        // void (the next over-cap call refits from the merged rows).
         self.sketch = None;
         self.epoch += 1;
     }

@@ -16,7 +16,6 @@ use crate::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use crate::feature_manager::FeatureManager;
 use crate::model_manager::ModelManager;
 use crate::observability::{ObsHandle, SessionEvent};
-use crate::prob_cache::{ProbCacheStats, ProbabilityCache};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -49,6 +48,22 @@ pub struct SelectionStats {
     pub coverage_fallback: bool,
 }
 
+/// Probability-row counters under cache names, kept because the
+/// `perfbench` package reads them through
+/// [`ActiveLearningManager::prob_cache_stats`]. Nothing is cached: the
+/// model retrains after every labeled batch, so no two selections score
+/// with the same model version.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbCacheStats {
+    /// Always 0 (nothing is cached).
+    pub hit_rows: u64,
+    /// Probability rows inferred by Cluster-Margin and Uncertainty
+    /// selections so far.
+    pub miss_rows: u64,
+    /// Always 0 (nothing is cached).
+    pub invalidations: u64,
+}
+
 /// The Active Learning Manager.
 pub struct ActiveLearningManager {
     config: VocalExploreConfig,
@@ -59,10 +74,8 @@ pub struct ActiveLearningManager {
     /// store's change log (`None` until the first active selection; replaced
     /// when the extractor or clip length changes).
     index: Option<AcquisitionIndex>,
-    /// Model-version-aware probability rows layered over the index (see
-    /// [`crate::prob_cache`] for the keying/invalidation contract). Always
-    /// kept; `config.prob_cache` decides whether selections consult it.
-    prob_cache: ProbabilityCache,
+    /// Probability rows inferred by selections so far.
+    inferred_rows: u64,
     /// Reused allocation for the per-call coreset-coverage copy consumed by
     /// `greedy_k_center` (the call's greedy picks must not leak into the
     /// persistent coverage, but the buffer itself can live across calls).
@@ -107,25 +120,27 @@ impl ActiveLearningManager {
             sampling,
             features,
             index: None,
-            prob_cache: ProbabilityCache::new(),
+            inferred_rows: 0,
             coverage_scratch: Vec::new(),
             rng,
             obs: None,
         }
     }
 
-    /// Installs the observability recorder. Index ingests and
-    /// probability-cache traffic are recorded as deterministic events: both
-    /// happen on the session thread during `select_segments`, so their deltas
-    /// are pure functions of the session's inputs on either engine.
+    /// Installs the observability recorder. Index ingests are recorded as
+    /// deterministic events: they happen on the session thread during
+    /// `select_segments`, so their deltas are pure functions of the
+    /// session's inputs on either engine.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = Some(obs);
     }
 
-    /// Hit/miss counters of the probability cache (for tests, CI and the
-    /// training benchmark).
+    /// Probability rows inferred so far (see [`ProbCacheStats`]).
     pub fn prob_cache_stats(&self) -> ProbCacheStats {
-        self.prob_cache.stats()
+        ProbCacheStats {
+            miss_rows: self.inferred_rows,
+            ..ProbCacheStats::default()
+        }
     }
 
     /// Diagnostic counters of the persistent acquisition index, once an
@@ -280,8 +295,7 @@ impl ActiveLearningManager {
             Some(_) => AcquisitionKind::Uncertainty,
             None => self.current_acquisition(),
         };
-        let cache_before = self.prob_cache.stats();
-        let out = match acquisition {
+        match acquisition {
             AcquisitionKind::Random => {
                 let picks = self.random_segments(corpus, labels, budget, clip_len);
                 (
@@ -305,16 +319,7 @@ impl ActiveLearningManager {
                 acquisition,
                 target_label,
             ),
-        };
-        if let Some(obs) = &self.obs {
-            let after = self.prob_cache.stats();
-            obs.record(SessionEvent::CacheProbe {
-                hit_rows: after.hit_rows - cache_before.hit_rows,
-                miss_rows: after.miss_rows - cache_before.miss_rows,
-                invalidations: after.invalidations - cache_before.invalidations,
-            });
         }
-        out
     }
 
     /// Random sampling over unlabeled windows (metadata only, no features).
@@ -365,9 +370,6 @@ impl ActiveLearningManager {
                 clip_len,
                 self.config.candidate_cap,
             ));
-            // A fresh index restarts its epoch counter, so the cached key
-            // could collide with it — drop the rows explicitly.
-            self.prob_cache.invalidate();
         }
         let rows_before = self
             .index
@@ -444,9 +446,7 @@ impl ActiveLearningManager {
         // Graceful degradation: when the batch-probability backend for the
         // current model exhausts its retry budget, probability-based
         // acquisitions fall back to coverage-only (coreset) selection for
-        // this call. The gate is consulted *before* choosing between the
-        // probability cache and the uncached path, so cache-on/off runs stay
-        // bit-identical under faults.
+        // this call.
         let mut coverage_fallback = false;
         let acquisition = match acquisition {
             kind @ (AcquisitionKind::ClusterMargin | AcquisitionKind::Uncertainty) => {
@@ -487,17 +487,8 @@ impl ActiveLearningManager {
             }
             AcquisitionKind::ClusterMargin => {
                 let sub = index.block().gather(&eligible);
-                let probs = if self.config.prob_cache {
-                    self.prob_cache.probs_for(
-                        index.block(),
-                        index.epoch(),
-                        &eligible,
-                        mm,
-                        extractor,
-                    )
-                } else {
-                    mm.predict_proba_batch(extractor, &sub)
-                };
+                let probs = mm.predict_proba_batch(extractor, &sub);
+                self.inferred_rows += probs.rows() as u64;
                 cluster_margin_selection(&sub, &probs, budget, &ClusterMarginConfig::default())
                     .into_iter()
                     .map(|i| eligible[i])
@@ -505,17 +496,8 @@ impl ActiveLearningManager {
             }
             AcquisitionKind::Uncertainty => {
                 let class = target_label.expect("uncertainty sampling needs a target label");
-                let probs = if self.config.prob_cache {
-                    self.prob_cache.probs_for(
-                        index.block(),
-                        index.epoch(),
-                        &eligible,
-                        mm,
-                        extractor,
-                    )
-                } else {
-                    mm.predict_proba_batch(extractor, &index.block().gather(&eligible))
-                };
+                let probs = mm.predict_proba_batch(extractor, &index.block().gather(&eligible));
+                self.inferred_rows += probs.rows() as u64;
                 let (n_pos, n_neg) = labels.positive_negative_counts(class);
                 uncertainty_selection_from_probs(
                     &probs,

@@ -55,39 +55,6 @@ pub enum PreprocessPolicy {
     AllVideos,
 }
 
-/// Warm-started training: the default training path (`warm-start/v1`).
-///
-/// The Model Manager keeps the previous iteration's weights per extractor
-/// and fine-tunes on the Δ new labels plus a bounded, deterministic replay
-/// sample of older examples, so per-train cost is O(Δ + replay_cap) instead
-/// of O(total labels). A cold fit runs only as the fallback: the first
-/// trainable call, a rewound label list, a changed feature dimension, or a
-/// task/model-kind change. Warm-started models follow the versioned
-/// tolerance contract `warm-start/v1`: the trained weights are a
-/// deterministic function of the training-call history (bit-identical across
-/// runs and thread counts) but are *not* bit-identical to the cold-start
-/// weights; model quality must stay within the pinned tolerance asserted in
-/// tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmStartConfig {
-    /// Whether the Model Manager fine-tunes from the previous weights. On by
-    /// default; `false` refits every label from scratch on every train, which
-    /// only the training benchmark's cold baseline uses.
-    pub enabled: bool,
-    /// Maximum number of older examples replayed per warm update (sampled at
-    /// deterministic even strides over the accumulated training set).
-    pub replay_cap: usize,
-}
-
-impl Default for WarmStartConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            replay_cap: 64,
-        }
-    }
-}
-
 /// Latency cost model for the in-process tasks.
 ///
 /// Feature-extraction costs come from Table 3 throughputs; the remaining
@@ -166,14 +133,6 @@ pub struct VocalExploreConfig {
     pub feature_dim: usize,
     /// Training hyperparameters for the linear models.
     pub train: TrainConfig,
-    /// Whether the ALM's model-version-aware probability cache is enabled.
-    /// The cache is bit-identical to uncached inference (per-row
-    /// `predict_proba` is independent of batch composition), so it defaults
-    /// to on; the knob exists for equivalence audits and benchmarks.
-    pub prob_cache: bool,
-    /// Warm-started training configuration (on by default; see
-    /// [`WarmStartConfig`] for the `warm-start/v1` tolerance contract).
-    pub warm_start: WarmStartConfig,
     /// Latency cost model.
     pub costs: CostModel,
     /// Simulated seconds the user takes to label one segment (`T_user`).
@@ -243,8 +202,6 @@ impl VocalExploreConfig {
             min_labels_for_predictions: 5,
             feature_dim: ve_features::simulator::DEFAULT_SIM_DIM,
             train: TrainConfig::default(),
-            prob_cache: true,
-            warm_start: WarmStartConfig::default(),
             costs: CostModel::default(),
             t_user: 10.0,
             seed,
@@ -323,19 +280,6 @@ impl VocalExploreConfig {
     pub fn with_executor_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "need at least one executor worker");
         self.executor_workers = workers;
-        self
-    }
-
-    /// Enables or disables the ALM's probability cache (bit-identical either
-    /// way; disabling is useful for equivalence audits and benchmarks).
-    pub fn with_prob_cache(mut self, enabled: bool) -> Self {
-        self.prob_cache = enabled;
-        self
-    }
-
-    /// Overrides the warm-start configuration.
-    pub fn with_warm_start(mut self, warm_start: WarmStartConfig) -> Self {
-        self.warm_start = warm_start;
         self
     }
 
@@ -445,24 +389,6 @@ mod tests {
     fn rejects_zero_executor_workers() {
         let _ = VocalExploreConfig::new(DatasetName::Deer, 9, TaskKind::SingleLabel, 0)
             .with_executor_workers(0);
-    }
-
-    #[test]
-    fn cache_knobs_default_and_override() {
-        let cfg = VocalExploreConfig::new(DatasetName::Deer, 9, TaskKind::SingleLabel, 0);
-        assert!(cfg.prob_cache, "cache is bit-identical, so it defaults on");
-        assert!(
-            cfg.warm_start.enabled,
-            "warm-start/v1 is the default training path"
-        );
-        assert_eq!(cfg.warm_start.replay_cap, 64);
-        let cfg = cfg.with_prob_cache(false).with_warm_start(WarmStartConfig {
-            enabled: false,
-            replay_cap: 16,
-        });
-        assert!(!cfg.prob_cache);
-        assert!(!cfg.warm_start.enabled);
-        assert_eq!(cfg.warm_start.replay_cap, 16);
     }
 
     #[test]

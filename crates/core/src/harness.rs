@@ -55,7 +55,6 @@ use crate::config::{PreprocessPolicy, VocalExploreConfig};
 use crate::degradation::Degradation;
 use crate::model_manager::{FittedModel, TrainingStats};
 use crate::observability::SessionEvent;
-use crate::prob_cache::ProbCacheStats;
 use crate::system::{sleep_scaled, VocalExplore};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -232,9 +231,6 @@ pub struct SessionOutcome {
     pub dropped_events: Vec<(&'static str, u64)>,
     /// Executor counters at the end of the session.
     pub executor: ExecutorStats,
-    /// Hit/miss counters of the ALM's probability cache over the session
-    /// (all zero when `prob_cache` is disabled or no active selection ran).
-    pub prob_cache: ProbCacheStats,
     /// How the session's training requests were satisfied: cold fits
     /// (first trainable call or a `warm-start/v1` fallback) versus warm
     /// fine-tunes. Deterministic, so equal between [`SessionRunner::run`]
@@ -552,7 +548,6 @@ impl SessionRunner {
             events: system.obs().canonical_events(),
             dropped_events: system.obs().dropped_events(),
             executor: executor.stats(),
-            prob_cache: system.alm().prob_cache_stats(),
             training: system.model_manager().training_stats(),
             timings: executor.timing().tasks(),
             phases: executor.timing().phases(),

@@ -52,23 +52,20 @@ pub mod feature_manager;
 pub mod harness;
 pub mod model_manager;
 pub mod observability;
-pub mod prob_cache;
 pub mod report;
 pub mod system;
 
 pub use acquisition_index::{AcquisitionIndex, AcquisitionIndexStats};
-pub use alm::ActiveLearningManager;
+pub use alm::{ActiveLearningManager, ProbCacheStats};
 pub use api::{ExploreBatch, Prediction, SegmentRef};
 pub use config::{
     CostModel, FeatureSelectionPolicy, PreprocessPolicy, SamplingPolicy, VocalExploreConfig,
-    WarmStartConfig,
 };
 pub use degradation::Degradation;
 pub use feature_manager::{ExtractionError, FeatureManager};
 pub use harness::{IterationRecord, SessionConfig, SessionOutcome, SessionRunner};
 pub use model_manager::{InferenceError, ModelManager, TrainError, TrainingStats};
 pub use observability::{Obs, ObsHandle, SessionEvent};
-pub use prob_cache::{ProbCacheStats, ProbabilityCache};
 pub use report::{detect_session_anomalies, retry_storms, DiagnosticBundle};
 pub use system::VocalExplore;
 
@@ -77,7 +74,6 @@ pub mod prelude {
     pub use crate::api::{ExploreBatch, Prediction, SegmentRef};
     pub use crate::config::{
         CostModel, FeatureSelectionPolicy, PreprocessPolicy, SamplingPolicy, VocalExploreConfig,
-        WarmStartConfig,
     };
     pub use crate::harness::{IterationRecord, SessionConfig, SessionOutcome, SessionRunner};
     pub use crate::observability::{Obs, ObsHandle, SessionEvent};

@@ -122,6 +122,11 @@ pub struct TrainingStats {
     pub last_examples: usize,
 }
 
+/// Maximum number of older examples a warm update replays, sampled at
+/// deterministic even strides over the accumulated training set. It bounds
+/// per-train cost at O(Δ + `REPLAY_CAP`) instead of O(total labels).
+const REPLAY_CAP: usize = 64;
+
 /// Per-extractor carry-over state of the warm-started trainer: the
 /// accumulated usable training set, its running scaler moments, and the last
 /// trained weights to fine-tune from.
@@ -271,12 +276,14 @@ impl ModelManager {
     /// (fewer than two distinct classes for single-label tasks, or fewer than
     /// two records overall).
     ///
-    /// By default ([`crate::WarmStartConfig`]) the call fine-tunes the
-    /// previous weights on the Δ new labels plus a bounded deterministic
-    /// replay sample (`warm-start/v1` tolerance contract). It falls back to
-    /// a cold fit from scratch on the first trainable call, a rewound label
-    /// list, a feature-dimension change, or a task change, and always when
-    /// warm-start is disabled.
+    /// The call fine-tunes the previous weights on the Δ new labels plus at
+    /// most `REPLAY_CAP` older examples. It falls back to a cold fit from
+    /// scratch on the first trainable call, a rewound label list, a
+    /// feature-dimension change, or a task change. Warm-started weights
+    /// follow the `warm-start/v1` tolerance contract: they are a
+    /// deterministic function of the training-call history (bit-identical
+    /// across runs and thread counts) but not bit-identical to a cold fit;
+    /// model quality must stay within the tolerance the tests pin.
     ///
     /// Errors when the fault injector fails the `(iteration, extractor)`
     /// training request at every attempt of the retry budget. On error
@@ -333,12 +340,10 @@ impl ModelManager {
                 attempts: attempt + 1,
             });
         }
-        if self.config.warm_start.enabled {
-            if let WarmOutcome::Published =
-                self.warm_update(extractor, corpus, fm, labels, iteration, cv_f1)
-            {
-                return Ok(true);
-            }
+        if let WarmOutcome::Published =
+            self.warm_update(extractor, corpus, fm, labels, iteration, cv_f1)
+        {
+            return Ok(true);
         }
         let (features, single, multi) = self.training_set(extractor, corpus, fm, labels);
         if features.len() < 2 {
@@ -370,23 +375,21 @@ impl ModelManager {
             stats.cold_trains += 1;
             stats.last_examples = features.len();
         }
-        if self.config.warm_start.enabled {
-            let dim = features[0].len();
-            let mut moments = ScalerMoments::new(dim);
-            moments.update(&features);
-            self.warm.lock().insert(
-                extractor,
-                WarmState {
-                    dim,
-                    examples: features.clone(),
-                    single,
-                    multi,
-                    moments,
-                    consumed: labels.len(),
-                    model: model.clone(),
-                },
-            );
-        }
+        let dim = features[0].len();
+        let mut moments = ScalerMoments::new(dim);
+        moments.update(&features);
+        self.warm.lock().insert(
+            extractor,
+            WarmState {
+                dim,
+                examples: features.clone(),
+                single,
+                multi,
+                moments,
+                consumed: labels.len(),
+                model: model.clone(),
+            },
+        );
         let version = self.registry.write().publish(
             extractor,
             features.len(),
@@ -439,14 +442,13 @@ impl ModelManager {
         state.multi.extend(d_multi);
         state.consumed = labels.len();
         // Fine-tune set: a deterministic evenly-strided replay sample over
-        // the older examples (bounded by `replay_cap`) plus every Δ example,
-        // ascending — per-train cost is O(replay_cap + Δ) regardless of how
+        // the older examples (bounded by `REPLAY_CAP`) plus every Δ example,
+        // ascending — per-train cost is O(REPLAY_CAP + Δ) regardless of how
         // many labels the session has accumulated.
-        let cap = self.config.warm_start.replay_cap.max(1);
-        let mut idx: Vec<usize> = if old_len <= cap {
+        let mut idx: Vec<usize> = if old_len <= REPLAY_CAP {
             (0..old_len).collect()
         } else {
-            (0..cap).map(|i| i * old_len / cap).collect()
+            (0..REPLAY_CAP).map(|i| i * old_len / REPLAY_CAP).collect()
         };
         idx.extend(old_len..state.examples.len());
         let scaler = state.moments.scaler();
@@ -584,16 +586,10 @@ impl ModelManager {
     /// Consults the injector for the batch-probability backend of this
     /// extractor, keyed on the latest published model version (so a retrain
     /// heals a previously failing batch path and vice versa). The ALM calls
-    /// this **before** choosing between the probability cache and the
-    /// uncached scoring path, keeping cache-on/off runs bit-identical under
-    /// faults. `Ok` when no model exists — there is nothing to infer with.
+    /// this before [`ModelManager::predict_proba_batch`]. `Ok` when no model
+    /// exists — there is nothing to infer with.
     pub fn batch_inference_gate(&self, extractor: ExtractorId) -> Result<(), InferenceError> {
-        let version = self
-            .registry
-            .read()
-            .latest(extractor)
-            .map(|(rec, _)| rec.version);
-        let Some(model_version) = version else {
+        let Some(model_version) = self.registry.read().latest_version(extractor) else {
             return Ok(());
         };
         self.fault_gate(
@@ -753,15 +749,6 @@ impl ModelManager {
     /// to evaluate on the held-out set).
     pub fn latest(&self, extractor: ExtractorId) -> Option<Arc<FittedModel>> {
         self.registry.read().latest(extractor).map(|(_, m)| m)
-    }
-
-    /// The latest fitted model together with its registry version (the
-    /// probability cache keys on the version).
-    pub fn latest_versioned(&self, extractor: ExtractorId) -> Option<(u64, Arc<FittedModel>)> {
-        self.registry
-            .read()
-            .latest(extractor)
-            .map(|(rec, m)| (rec.version, m))
     }
 }
 
@@ -961,32 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_warm_start_refits_every_call_from_scratch() {
-        let (ds, fm, _, labels) = setup(70);
-        let cfg =
-            VocalExploreConfig::for_dataset(&ds, 21).with_warm_start(crate::WarmStartConfig {
-                enabled: false,
-                replay_cap: 64,
-            });
-        let mm = ModelManager::new(cfg);
-        for (iteration, upto) in [(0, 50), (1, 70)] {
-            assert!(mm
-                .train(
-                    ExtractorId::R3d,
-                    &ds.train,
-                    &fm,
-                    &labels[..upto],
-                    iteration,
-                    None
-                )
-                .unwrap());
-        }
-        let stats = mm.training_stats();
-        assert_eq!((stats.cold_trains, stats.warm_trains), (2, 0));
-        assert_eq!(stats.last_examples, 70);
-    }
-
-    #[test]
     fn warm_training_fine_tunes_with_bounded_examples() {
         let (ds, fm, mm, labels) = setup(90);
         assert!(mm
@@ -1001,16 +962,11 @@ mod tests {
         assert_eq!((stats.cold_trains, stats.warm_trains), (1, 1));
         // Warm update consumed replay (≤ 64) + Δ (20 records), not all 90.
         assert!(
-            stats.last_examples <= 64 + 20,
-            "warm update must be O(replay_cap + Δ), consumed {}",
+            stats.last_examples <= REPLAY_CAP + 20,
+            "warm update must be O(REPLAY_CAP + Δ), consumed {}",
             stats.last_examples
         );
         assert_eq!(mm.models_trained(), 2);
-        // Version advanced: the probability cache keys on this.
-        assert_eq!(
-            mm.latest_versioned(ExtractorId::R3d).map(|(v, _)| v),
-            Some(1)
-        );
     }
 
     #[test]

@@ -45,14 +45,6 @@ use ve_vidsim::VideoId;
 pub enum SessionEvent {
     /// The acquisition index absorbed newly covered rows during selection.
     IndexIngest { rows_added: u64, epoch: u64 },
-    /// Probability-cache traffic of one selection call (deltas of
-    /// `ProbCacheStats` across the call; the cache is only consulted on the
-    /// session thread, so the deltas are deterministic).
-    CacheProbe {
-        hit_rows: u64,
-        miss_rows: u64,
-        invalidations: u64,
-    },
     /// One `sample_segments` call completed.
     SelectionCompleted {
         batch: u32,
@@ -102,7 +94,6 @@ impl EventKind for SessionEvent {
     fn kind(&self) -> &'static str {
         match self {
             SessionEvent::IndexIngest { .. } => "index_ingest",
-            SessionEvent::CacheProbe { .. } => "cache_probe",
             SessionEvent::SelectionCompleted { .. } => "selection_completed",
             SessionEvent::PredictionsServed { .. } => "predictions_served",
             SessionEvent::LabelAdded { .. } => "label_added",
@@ -234,15 +225,14 @@ mod tests {
         });
         obs.set_iteration(1);
         obs.record(SessionEvent::LabelAdded { vid: VideoId(4) });
-        obs.record(SessionEvent::CacheProbe {
-            hit_rows: 1,
-            miss_rows: 0,
-            invalidations: 0,
+        obs.record(SessionEvent::IndexIngest {
+            rows_added: 1,
+            epoch: 0,
         });
         let canon = obs.canonical_events();
         assert_eq!(canon.len(), 3);
         assert_eq!(canon[0].0, 1);
-        assert!(matches!(canon[0].1, SessionEvent::CacheProbe { .. }));
+        assert!(matches!(canon[0].1, SessionEvent::IndexIngest { .. }));
         assert!(matches!(canon[1].1, SessionEvent::LabelAdded { .. }));
         assert_eq!(canon[2].0, 2);
     }

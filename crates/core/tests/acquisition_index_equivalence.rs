@@ -16,12 +16,6 @@
 //! Both must return the same picks and the same selection stats, for
 //! Coreset, Cluster-Margin, and rare-class Uncertainty, with the candidate
 //! cap set low enough that the cluster-sketch reduction is exercised too.
-//!
-//! The incremental ALM keeps the model-version-aware `ProbabilityCache` at
-//! its default (enabled) while the from-scratch oracle runs with the cache
-//! disabled, so every property here simultaneously proves the cache's
-//! bit-identical contract: cached probability rows must never change a
-//! selection relative to plain `predict_proba_batch`.
 
 use proptest::prelude::*;
 use ve_al::AcquisitionKind;
@@ -32,6 +26,7 @@ use vocalexplore::alm::ActiveLearningManager;
 use vocalexplore::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use vocalexplore::feature_manager::FeatureManager;
 use vocalexplore::model_manager::ModelManager;
+use vocalexplore::ProbCacheStats;
 
 const EXTRACTOR: ExtractorId = ExtractorId::Mvit;
 const BUDGET: usize = 3;
@@ -195,10 +190,8 @@ fn run_interleaving(
                     target,
                 );
                 // From-scratch oracle: a new ALM whose index rebuilds from
-                // the current store snapshot and full label list, with the
-                // probability cache disabled (cached vs uncached must agree
-                // bit for bit).
-                let mut fresh = ActiveLearningManager::new(cfg.clone().with_prob_cache(false));
+                // the current store snapshot and full label list.
+                let mut fresh = ActiveLearningManager::new(cfg.clone());
                 let (fresh_picks, fresh_stats) = fresh.select_segments(
                     &dataset.train,
                     &fm,
@@ -287,7 +280,7 @@ fn replaced_entries_and_extractor_drops_rebuild_to_from_scratch_state() {
     let compare = |incremental: &mut ActiveLearningManager, labels: &LabelStore| {
         let (picks, stats) =
             incremental.select_segments(&dataset.train, &fm, &mm, labels, BUDGET, CLIP_LEN, None);
-        let mut fresh = ActiveLearningManager::new(cfg.clone().with_prob_cache(false));
+        let mut fresh = ActiveLearningManager::new(cfg.clone());
         let (fresh_picks, fresh_stats) =
             fresh.select_segments(&dataset.train, &fm, &mm, labels, BUDGET, CLIP_LEN, None);
         assert_eq!(picks, fresh_picks, "picks diverged after invalidation");
@@ -345,11 +338,12 @@ fn replaced_entries_and_extractor_drops_rebuild_to_from_scratch_state() {
     );
 }
 
-/// Deterministic hit/miss accounting of the probability cache across a small
-/// session: consecutive explores on an unchanged model serve rows from the
-/// cache, a retrain invalidates wholesale.
+/// The probability-row counter behind `prob_cache_stats`: with a model,
+/// every Cluster-Margin or Uncertainty call adds exactly its eligible-row
+/// count to `miss_rows`; Coreset, Random and calls before the first model add
+/// nothing, and `hit_rows` and `invalidations` stay 0.
 #[test]
-fn prob_cache_hits_between_trains_and_invalidates_on_retrain() {
+fn miss_rows_count_the_eligible_rows_of_each_probability_selection() {
     let dataset = dataset();
     let cfg = config(AcquisitionKind::ClusterMargin);
     let fm = FeatureManager::new(
@@ -366,7 +360,7 @@ fn prob_cache_hits_between_trains_and_invalidates_on_retrain() {
         fm.ensure_clip(EXTRACTOR, clip).unwrap();
         extracted.push(clip.id);
     }
-    for &vid in extracted.iter().take(8) {
+    let label = |labels: &mut LabelStore, vid: VideoId| {
         let range = TimeRange::new(0.0, CLIP_LEN);
         labels.add(LabelRecord {
             vid,
@@ -374,31 +368,53 @@ fn prob_cache_hits_between_trains_and_invalidates_on_retrain() {
             classes: oracle.label(&dataset.train, vid, &range),
             iteration: 0,
         });
-    }
-    assert!(mm
-        .train(EXTRACTOR, &dataset.train, &fm, labels.records(), 0, None)
-        .unwrap());
-
-    let explore = |alm: &mut ActiveLearningManager, labels: &LabelStore| {
-        alm.select_segments(&dataset.train, &fm, &mm, labels, BUDGET, CLIP_LEN, None)
     };
-    explore(&mut alm, &labels);
-    let cold = alm.prob_cache_stats();
-    assert!(cold.miss_rows > 0, "first explore fills the cache");
-    assert_eq!(cold.hit_rows, 0);
+    for &vid in extracted.iter().take(8) {
+        label(&mut labels, vid);
+    }
 
-    // Same model, same index: the second explore is all hits.
-    explore(&mut alm, &labels);
-    let warm = alm.prob_cache_stats();
-    assert_eq!(warm.miss_rows, cold.miss_rows, "no new rows computed");
-    assert!(warm.hit_rows > 0, "unchanged model version must serve hits");
+    // Before the first model there is nothing to infer with.
+    for target in [None, Some(2)] {
+        alm.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, target);
+        assert_eq!(alm.prob_cache_stats(), ProbCacheStats::default());
+    }
 
-    // A retrain bumps the model version: the next explore recomputes.
-    assert!(mm
-        .train(EXTRACTOR, &dataset.train, &fm, labels.records(), 1, None)
-        .unwrap());
-    explore(&mut alm, &labels);
-    let after = alm.prob_cache_stats();
-    assert!(after.invalidations > warm.invalidations, "version bump");
-    assert!(after.miss_rows > warm.miss_rows, "rows recomputed");
+    // With a model, each call adds its own eligible rows, retrain or not.
+    let mut expected = 0;
+    for (iteration, target) in [None, Some(2), None, None].into_iter().enumerate() {
+        if iteration % 2 == 0 {
+            assert!(mm
+                .train(
+                    EXTRACTOR,
+                    &dataset.train,
+                    &fm,
+                    labels.records(),
+                    iteration as u32,
+                    None
+                )
+                .unwrap());
+        }
+        let (_, stats) =
+            alm.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, target);
+        assert_ne!(stats.acquisition, AcquisitionKind::Coreset, "no fallback");
+        let unmasked = alm.index_stats().expect("index built").unmasked_rows;
+        expected += unmasked.min(CAP) as u64;
+        assert_eq!(
+            alm.prob_cache_stats(),
+            ProbCacheStats {
+                miss_rows: expected,
+                ..ProbCacheStats::default()
+            }
+        );
+        label(&mut labels, extracted[8 + iteration]);
+    }
+
+    // Coreset and Random infer nothing, even with a model.
+    for kind in [AcquisitionKind::Coreset, AcquisitionKind::Random] {
+        let mut other = ActiveLearningManager::new(config(kind));
+        let (_, stats) =
+            other.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, None);
+        assert_eq!(stats.acquisition, kind);
+        assert_eq!(other.prob_cache_stats(), ProbCacheStats::default());
+    }
 }

@@ -205,8 +205,8 @@ mod tests {
     fn parses_every_rule_kind() {
         let text = wrap(
             r#"
-            {"artifact": "BENCH_training.json", "kind": "min", "metric": "cache_hit_rate",
-             "value": 0.4, "reason": "warm cache must stay useful"},
+            {"artifact": "BENCH_training.json", "kind": "min", "metric": "warm_accuracy",
+             "value": 0.4, "reason": "warm training must stay accurate"},
             {"artifact": "BENCH_latency.json", "kind": "ratio_max",
              "metric": "strategies.ve_full.measured_median_visible_secs",
              "value": 1.3, "reason": "ve_full p50 visible latency, lower-is-better"},

@@ -1,7 +1,7 @@
 //! `ve-report` — the perf-regression sentinel.
 //!
 //! The five committed `BENCH_*.json` artifacts carry the paper's headline
-//! claims (718× HAC, Serial > VE-partial > VE-full, flat warm+cache cost).
+//! claims (718× HAC, Serial > VE-partial > VE-full, flat warm-start cost).
 //! This crate turns each claim into a machine-checked expectation: a
 //! checked-in `BENCH_contract.json` declares per-metric direction and
 //! tolerance ([`contract`]), and [`Sentinel::check`] evaluates a fresh
@@ -383,12 +383,12 @@ mod tests {
     #[test]
     fn min_rule_passes_and_fails_naming_the_metric() {
         let c = contract(
-            r#"{"artifact": "BENCH_training.json", "kind": "min", "metric": "cache_hit_rate",
-                "value": 0.4, "reason": "cache must stay useful"}"#,
+            r#"{"artifact": "BENCH_training.json", "kind": "min", "metric": "warm_accuracy",
+                "value": 0.7, "reason": "warm training must stay accurate"}"#,
         );
         let good = artifacts(
             "BENCH_training.json",
-            r#"{"schema": "vocalexplore/bench_training/v1", "cache_hit_rate": 0.4794}"#,
+            r#"{"schema": "vocalexplore/bench_training/v2", "warm_accuracy": 0.9}"#,
         );
         let report = Sentinel::new().check(&c, &good, &good);
         assert!(report.is_clean(), "{:?}", report.violations);
@@ -396,14 +396,14 @@ mod tests {
 
         let bad = artifacts(
             "BENCH_training.json",
-            r#"{"schema": "vocalexplore/bench_training/v1", "cache_hit_rate": 0.1}"#,
+            r#"{"schema": "vocalexplore/bench_training/v2", "warm_accuracy": 0.1}"#,
         );
         let report = Sentinel::new().check(&c, &bad, &bad);
         assert_eq!(report.violations.len(), 1);
         let v = &report.violations[0];
-        assert!(v.subject.contains("cache_hit_rate"), "{}", v.subject);
+        assert!(v.subject.contains("warm_accuracy"), "{}", v.subject);
         assert!(v.message.contains("0.1"), "{}", v.message);
-        assert!(v.message.contains("cache must stay useful"));
+        assert!(v.message.contains("warm training must stay accurate"));
     }
 
     #[test]

@@ -82,26 +82,41 @@ fn contract_references_every_committed_artifact_family() {
 #[test]
 fn perturbed_artifact_fails_naming_the_metric() {
     let (contract, artifacts) = load_repo();
-    // Degrade the training cache to a 1% hit rate in the fresh set only.
+    // Drop warm-started training's held-out accuracy to 0.5 in the fresh set
+    // only (string surgery on the one line inside the `warm` variant).
     let mut fresh = artifacts.clone();
     let doc = std::fs::read_to_string(repo_root().join("BENCH_training.json")).unwrap();
-    let rate = doc
-        .lines()
-        .find(|l| l.contains("\"cache_hit_rate\""))
-        .expect("committed artifact carries cache_hit_rate");
-    let perturbed = doc.replace(rate, "  \"cache_hit_rate\": 0.01,");
+    let committed = parse(&doc)
+        .unwrap()
+        .path("variants.warm.holdout_accuracy")
+        .and_then(Json::as_f64)
+        .expect("committed artifact carries variants.warm.holdout_accuracy");
+    let warm = doc.find("\"warm\": {").expect("warm variant section");
+    let needle = format!("\"holdout_accuracy\": {committed:.4}");
+    assert!(
+        doc[warm..].contains(&needle),
+        "artifact format drifted: {needle}"
+    );
+    let perturbed = format!(
+        "{}{}",
+        &doc[..warm],
+        doc[warm..].replacen(&needle, "\"holdout_accuracy\": 0.5000", 1)
+    );
     fresh.insert(
         "BENCH_training.json".to_string(),
         parse(&perturbed).unwrap(),
     );
 
     let report = Sentinel::new().check(&contract, &fresh, &artifacts);
-    assert!(!report.is_clean(), "a collapsed cache must trip the gate");
+    assert!(
+        !report.is_clean(),
+        "a collapsed warm accuracy must trip the gate"
+    );
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.subject.contains("cache_hit_rate")),
+            .any(|v| v.subject.contains("variants.warm.holdout_accuracy")),
         "the violation must name the metric:\n{}",
         report.render_human()
     );

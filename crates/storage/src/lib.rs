@@ -12,16 +12,13 @@
 //! * [`FeatureStore`] — per-extractor feature vectors keyed by
 //!   `(extractor, video)`, the equivalent of the paper's Parquet files,
 //! * [`ModelRegistry`] — trained-model metadata plus in-memory handles to the
-//!   most recent model per extractor,
-//! * [`codec`] — a bounds-checked little-endian byte codec; no store uses it
-//!   yet.
+//!   most recent model per extractor.
 //!
 //! Everything lives in memory. The catalog, label and feature stores sit
 //! behind the [`StorageManager`] facade, which is cheap to clone and safe to
 //! share across the Task Scheduler's worker threads: every clone reads and
 //! writes the same state.
 
-pub mod codec;
 pub mod feature_store;
 pub mod labels;
 pub mod metadata;

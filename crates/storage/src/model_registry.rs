@@ -89,7 +89,7 @@ impl<M> ModelRegistry<M> {
     }
 
     /// The version of the most recently published model for an extractor
-    /// (O(1) — the probability cache keys on this).
+    /// (O(1)).
     pub fn latest_version(&self, extractor: ExtractorId) -> Option<u64> {
         self.latest.get(&extractor).map(|(rec, _)| rec.version)
     }
