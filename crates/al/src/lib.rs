@@ -24,7 +24,6 @@
 
 pub mod cluster_margin;
 pub mod coreset;
-pub mod hac;
 pub mod random;
 pub mod sketch;
 pub mod uncertainty;
@@ -32,7 +31,6 @@ pub mod ve_sample;
 
 pub use cluster_margin::{cluster_margin_selection, kmeans_fit, ClusterMarginConfig};
 pub use coreset::{coreset_selection, greedy_k_center};
-pub use hac::{cluster_margin_selection_hac, hac_average_linkage};
 pub use random::random_selection;
 pub use sketch::{ClusterSketch, ClusterSketchConfig};
 pub use uncertainty::{uncertainty_selection, uncertainty_selection_from_probs};

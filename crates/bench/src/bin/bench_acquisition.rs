@@ -1,31 +1,26 @@
 //! Machine-readable acquisition benchmarks: writes `BENCH_acquisition.json`.
 //!
-//! Times the hot acquisition kernels at growing candidate-pool sizes and, for
-//! HAC, against the seed repository's recompute-everything implementation, so
-//! future PRs can track the perf trajectory from a stable JSON artifact:
+//! Times the hot acquisition kernels (coreset and k-means Cluster-Margin) at
+//! growing candidate-pool sizes, so future PRs can track the perf trajectory
+//! from a stable JSON artifact:
 //!
 //! ```text
 //! cargo run --release -p ve-bench --bin bench_acquisition [-- --quick]
 //! ```
 //!
-//! `--quick` skips the (slow, ~tens of seconds) naive-HAC baseline and the
-//! 20k pools; the emitted JSON marks skipped entries with `null`.
+//! `--quick` skips the 20k pools.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-use ve_al::{
-    cluster_margin_selection, coreset_selection, hac_average_linkage, ClusterMarginConfig,
-};
+use ve_al::{cluster_margin_selection, coreset_selection, ClusterMarginConfig};
 use ve_bench::emit::Artifact;
 use ve_ml::FeatureBlock;
 use ve_obs::json::Json;
 
 const DIM: usize = 64;
 const BUDGET: usize = 5;
-const HAC_N: usize = 1_000;
-const HAC_TARGET: usize = 50;
 
 fn make_pool(n: usize, seed: u64) -> (FeatureBlock, FeatureBlock) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -58,69 +53,6 @@ fn median_ns<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
     times[times.len() / 2]
 }
 
-/// The seed implementation of average-linkage HAC, kept verbatim as the
-/// benchmark baseline: recomputes every cluster-pair distance from member
-/// pairs on every merge scan (O(n³)–O(n⁴) distance evaluations per run).
-fn naive_hac(points: &FeatureBlock, num_clusters: usize) -> Vec<usize> {
-    let n = points.rows();
-    let target = num_clusters.min(n);
-    let sq = |a: &[f32], b: &[f32]| -> f32 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| {
-                let d = x - y;
-                d * d
-            })
-            .sum()
-    };
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut active: Vec<bool> = vec![true; n];
-    let mut num_active = n;
-    while num_active > target {
-        let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !active[j] {
-                    continue;
-                }
-                let mut total = 0.0f64;
-                for &a in &members[i] {
-                    for &b in &members[j] {
-                        total += sq(points.row(a), points.row(b)) as f64;
-                    }
-                }
-                let d = total / (members[i].len() * members[j].len()) as f64;
-                if d < best.2 {
-                    best = (i, j, d);
-                }
-            }
-        }
-        let (i, j, _) = best;
-        if i == usize::MAX {
-            break;
-        }
-        let moved = std::mem::take(&mut members[j]);
-        members[i].extend(moved);
-        active[j] = false;
-        num_active -= 1;
-    }
-    let mut assignment = vec![0usize; n];
-    let mut next = 0usize;
-    for (ci, cluster) in members.iter().enumerate() {
-        if !active[ci] {
-            continue;
-        }
-        for &p in cluster {
-            assignment[p] = next;
-        }
-        next += 1;
-    }
-    assignment
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let pools: &[usize] = if quick {
@@ -149,28 +81,7 @@ fn main() {
         cm_fields.push((n.to_string(), Json::f64(cm_ns, 0)));
     }
 
-    let (hac_points, _) = make_pool(HAC_N, 11);
-    let hac_ns = median_ns(3, || hac_average_linkage(&hac_points, HAC_TARGET));
-    eprintln!("hac (Lance-Williams) n={HAC_N}: {:.2} ms", hac_ns / 1e6);
-    let naive_ns = if quick {
-        None
-    } else {
-        // Sanity-check equivalence on the benchmark input, then time the
-        // seed implementation once (it is far too slow to repeat).
-        let fast = hac_average_linkage(&hac_points, HAC_TARGET);
-        let start = Instant::now();
-        let slow = naive_hac(&hac_points, HAC_TARGET);
-        let ns = start.elapsed().as_nanos() as f64;
-        assert_eq!(fast, slow, "optimized HAC must match the seed selection");
-        eprintln!("hac (seed baseline)  n={HAC_N}: {:.2} ms", ns / 1e6);
-        Some(ns)
-    };
-    let speedup = naive_ns.map(|n| n / hac_ns);
-    if let Some(s) = speedup {
-        eprintln!("hac speedup: {s:.1}x");
-    }
-
-    Artifact::new("vocalexplore/bench_acquisition/v1", quick)
+    Artifact::new("vocalexplore/bench_acquisition/v2", quick)
         .field("dim", Json::usize(DIM))
         .field("budget", Json::usize(BUDGET))
         .field(
@@ -178,17 +89,7 @@ fn main() {
             Json::obj([
                 ("coreset", Json::obj(coreset_fields)),
                 ("cluster_margin", Json::obj(cm_fields)),
-                (
-                    "hac_lance_williams",
-                    Json::obj([(HAC_N.to_string(), Json::f64(hac_ns, 0))]),
-                ),
-                (
-                    "hac_seed_baseline",
-                    Json::obj([(HAC_N.to_string(), Json::opt_f64(naive_ns, 0))]),
-                ),
             ]),
         )
-        .field("hac_target_clusters", Json::usize(HAC_TARGET))
-        .field("hac_speedup_vs_seed", Json::opt_f64(speedup, 1))
         .write("BENCH_acquisition.json");
 }

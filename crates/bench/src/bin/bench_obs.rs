@@ -24,7 +24,7 @@
 //! complete span for every required phase, and at least one anomaly instant
 //! — so CI fails loudly instead of committing a trace Perfetto cannot load.
 //! Whenever the session recorded any degradation (the fault plan guarantees
-//! it), the flight-recorder diagnostic bundle is emitted alongside.
+//! it), the diagnostic bundle is emitted alongside.
 //!
 //! ```text
 //! cargo run --release -p ve-bench --bin bench_obs [-- --quick]
@@ -218,7 +218,7 @@ fn main() {
     std::fs::write("BENCH_obs_trace.json", trace.render_json())
         .expect("write BENCH_obs_trace.json");
 
-    // Post-mortem path: any degradation triggers the flight-recorder dump.
+    // Post-mortem path: any degradation triggers the diagnostic bundle.
     if !outcome.degradations.is_empty() {
         let bundle = DiagnosticBundle::from_outcome(&outcome, 64, &anomaly_cfg);
         std::fs::write("BENCH_obs_bundle.json", bundle.render_json())

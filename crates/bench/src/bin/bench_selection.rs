@@ -107,14 +107,7 @@ fn seed_labels(fx: &Fixture, labels: &mut LabelStore) {
         });
     }
     fx.mm
-        .train(
-            EXTRACTOR,
-            &fx.dataset.train,
-            &fx.fm,
-            labels.records(),
-            0,
-            None,
-        )
+        .train(EXTRACTOR, &fx.dataset.train, &fx.fm, labels.records(), 0)
         .unwrap();
 }
 

@@ -122,7 +122,6 @@ fn run_session(fx: &Fixture, iterations: usize, cold: bool) -> SessionResult {
             &fx.fm,
             labels.records(),
             i as u32,
-            None,
         )
         .unwrap();
         let (picks, _) = alm.select_segments(

@@ -81,7 +81,7 @@ pub struct ActiveLearningManager {
     /// persistent coverage, but the buffer itself can live across calls).
     coverage_scratch: Vec<f32>,
     rng: StdRng,
-    /// Event/metrics recorder; `None` until the owning system installs one.
+    /// Event recorder; `None` until the owning system installs one.
     obs: Option<ObsHandle>,
 }
 
@@ -747,7 +747,6 @@ mod tests {
                 &fx.fm,
                 fx.labels.records(),
                 0,
-                None,
             )
             .unwrap();
         let mut alm = ActiveLearningManager::new(fx.config.clone());

@@ -173,16 +173,11 @@ pub struct VocalExploreConfig {
     /// its attempts from zero, so its outcome under a fault plan does not
     /// depend on which executor runs it.
     pub retry: RetryPolicy,
-    /// Whether the `ve-obs` sinks (deterministic event ledger, metrics
-    /// registry, executor timing plane) record. Defaults on; turning it off
+    /// Whether the `ve-obs` sinks (deterministic event ledger, executor
+    /// timing plane) record. Defaults on; turning it off
     /// reduces per-event cost to one relaxed atomic load. Degradations are
     /// recorded regardless — they are program state, not telemetry.
     pub observability: bool,
-    /// Flight-recorder bound on the event ledger: retain at most this many
-    /// droppable events (most recent wins; exact per-kind drop accounting).
-    /// `None` (the default) keeps the ledger unbounded. Degradations are
-    /// pinned and never evicted at any capacity.
-    pub recorder_capacity: Option<usize>,
 }
 
 impl VocalExploreConfig {
@@ -211,7 +206,6 @@ impl VocalExploreConfig {
             fault_plan: None,
             retry: RetryPolicy::new(3, 0.05, 2.0),
             observability: true,
-            recorder_capacity: None,
         }
     }
 
@@ -299,20 +293,11 @@ impl VocalExploreConfig {
         self
     }
 
-    /// Enables or disables the observability sinks (event ledger, metrics,
-    /// executor timing plane). Selection, training, and degradation behavior
+    /// Enables or disables the observability sinks (event ledger, executor
+    /// timing plane). Selection, training, and degradation behavior
     /// are bit-identical either way.
     pub fn with_observability(mut self, enabled: bool) -> Self {
         self.observability = enabled;
-        self
-    }
-
-    /// Bounds the event ledger to a flight-recorder ring of `capacity`
-    /// droppable events (`None` = unbounded, the default). Selection,
-    /// training, and degradation behavior are bit-identical either way —
-    /// only how much telemetry is retained changes.
-    pub fn with_recorder_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.recorder_capacity = capacity;
         self
     }
 
@@ -420,14 +405,6 @@ mod tests {
         assert!(cfg.observability, "sinks default on");
         let cfg = cfg.with_observability(false);
         assert!(!cfg.observability);
-    }
-
-    #[test]
-    fn recorder_capacity_defaults_unbounded_and_overrides() {
-        let cfg = VocalExploreConfig::new(DatasetName::Deer, 9, TaskKind::SingleLabel, 0);
-        assert_eq!(cfg.recorder_capacity, None, "unbounded by default");
-        let cfg = cfg.with_recorder_capacity(Some(256));
-        assert_eq!(cfg.recorder_capacity, Some(256));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct FeatureManager {
     /// a fault is injected. Backoff sleeps only when latency simulation is
     /// on, and never affects fault decisions.
     retry: RetryPolicy,
-    /// Event/metrics recorder; `None` until the owning system installs one.
+    /// Event recorder; `None` until the owning system installs one.
     obs: Option<ObsHandle>,
 }
 
@@ -190,11 +190,6 @@ impl FeatureManager {
         clip: &VideoClip,
     ) -> Result<f64, ExtractionError> {
         if self.has_features(extractor, clip.id) {
-            // Metrics only: hit multiplicity is path- and timing-dependent,
-            // so hits never enter the deterministic event plane.
-            if let Some(obs) = &self.obs {
-                obs.inc("fm.clip_cache_hits", 1);
-            }
             return Ok(0.0);
         }
         self.extraction_gate(extractor, clip.id)?;
@@ -215,9 +210,6 @@ impl FeatureManager {
             }
         });
         if !inserted {
-            if let Some(obs) = &self.obs {
-                obs.inc("fm.clip_cache_hits", 1);
-            }
             return Ok(0.0);
         }
         *self.gpu_seconds.lock() += cost;
@@ -226,7 +218,6 @@ impl FeatureManager {
                 extractor,
                 vid: clip.id,
             });
-            obs.inc("fm.clips_extracted", 1);
         }
         Ok(cost)
     }

@@ -224,11 +224,6 @@ pub struct SessionOutcome {
     /// The deterministic event ledger in canonical order (see
     /// `crate::observability`).
     pub events: Vec<(u32, SessionEvent)>,
-    /// Exact per-kind counts of events the flight recorder evicted (empty
-    /// unless `VocalExploreConfig::recorder_capacity` bounded the ledger
-    /// and the session outgrew it). For any run, `events` per-kind counts
-    /// plus these equal the unbounded ledger's counts.
-    pub dropped_events: Vec<(&'static str, u64)>,
     /// Executor counters at the end of the session.
     pub executor: ExecutorStats,
     /// How the session's training requests were satisfied: cold fits
@@ -546,7 +541,6 @@ impl SessionRunner {
             labels: system.label_records(),
             degradations,
             events: system.obs().canonical_events(),
-            dropped_events: system.obs().dropped_events(),
             executor: executor.stats(),
             training: system.model_manager().training_stats(),
             timings: executor.timing().tasks(),

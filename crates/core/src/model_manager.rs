@@ -168,7 +168,7 @@ pub struct ModelManager {
     /// Deterministic fault injector shared with the rest of the system
     /// ([`crate::VocalExploreConfig::fault_plan`]); `None` in production runs.
     fault: Option<Arc<FaultInjector>>,
-    /// Event/metrics recorder; `None` until the owning system installs one.
+    /// Event recorder; `None` until the owning system installs one.
     obs: Option<ObsHandle>,
 }
 
@@ -295,13 +295,10 @@ impl ModelManager {
         fm: &FeatureManager,
         labels: &[LabelRecord],
         iteration: u32,
-        cv_f1: Option<f64>,
     ) -> Result<bool, TrainError> {
         self.config
             .retry
-            .run(|attempt| {
-                self.train_attempt(extractor, corpus, fm, labels, iteration, cv_f1, attempt)
-            })
+            .run(|attempt| self.train_attempt(extractor, corpus, fm, labels, iteration, attempt))
             .1
     }
 
@@ -309,7 +306,6 @@ impl ModelManager {
     /// own retry loop (the session engine's retryable training task):
     /// consults the injector exactly once at `attempt`, records the attempt,
     /// and trains only when that attempt is allowed through.
-    #[allow(clippy::too_many_arguments)] // `train`'s arguments plus the attempt index
     pub fn train_attempt(
         &self,
         extractor: ExtractorId,
@@ -317,7 +313,6 @@ impl ModelManager {
         fm: &FeatureManager,
         labels: &[LabelRecord],
         iteration: u32,
-        cv_f1: Option<f64>,
         attempt: u32,
     ) -> Result<bool, TrainError> {
         let failed = self.fault.as_ref().is_some_and(|inj| {
@@ -340,9 +335,7 @@ impl ModelManager {
                 attempts: attempt + 1,
             });
         }
-        if let WarmOutcome::Published =
-            self.warm_update(extractor, corpus, fm, labels, iteration, cv_f1)
-        {
+        if let WarmOutcome::Published = self.warm_update(extractor, corpus, fm, labels, iteration) {
             return Ok(true);
         }
         let (features, single, multi) = self.training_set(extractor, corpus, fm, labels);
@@ -390,13 +383,10 @@ impl ModelManager {
                 model: model.clone(),
             },
         );
-        let version = self.registry.write().publish(
-            extractor,
-            features.len(),
-            iteration,
-            cv_f1,
-            Arc::new(FittedModel { scaler, model }),
-        );
+        let version = self
+            .registry
+            .write()
+            .publish(extractor, Arc::new(FittedModel { scaler, model }));
         self.record(SessionEvent::TrainCompleted {
             extractor,
             iteration,
@@ -417,7 +407,6 @@ impl ModelManager {
         fm: &FeatureManager,
         labels: &[LabelRecord],
         iteration: u32,
-        cv_f1: Option<f64>,
     ) -> WarmOutcome {
         let mut states = self.warm.lock();
         let Some(state) = states.get_mut(&extractor) else {
@@ -484,20 +473,16 @@ impl ModelManager {
             }
         };
         state.model = model.clone();
-        let trained_on = state.examples.len();
         drop(states);
         {
             let mut stats = self.stats.lock();
             stats.warm_trains += 1;
             stats.last_examples = idx.len();
         }
-        let version = self.registry.write().publish(
-            extractor,
-            trained_on,
-            iteration,
-            cv_f1,
-            Arc::new(FittedModel { scaler, model }),
-        );
+        let version = self
+            .registry
+            .write()
+            .publish(extractor, Arc::new(FittedModel { scaler, model }));
         self.record(SessionEvent::TrainCompleted {
             extractor,
             iteration,
@@ -526,7 +511,7 @@ impl ModelManager {
         vid: VideoId,
         range: &TimeRange,
     ) -> Result<Vec<Prediction>, InferenceError> {
-        let Some((_, fitted)) = self.registry.read().latest(extractor) else {
+        let Some(fitted) = self.registry.read().latest(extractor) else {
             return Ok(Vec::new());
         };
         self.fault_gate(
@@ -614,7 +599,7 @@ impl ModelManager {
         extractor: ExtractorId,
         features: &ve_ml::FeatureBlock,
     ) -> ve_ml::FeatureBlock {
-        let Some((_, fitted)) = self.registry.read().latest(extractor) else {
+        let Some(fitted) = self.registry.read().latest(extractor) else {
             return ve_ml::FeatureBlock::empty(0);
         };
         let rows = ve_sched::parallel::par_map(features.rows(), |i| {
@@ -748,7 +733,7 @@ impl ModelManager {
     /// The latest fitted model for an extractor, if any (used by the harness
     /// to evaluate on the held-out set).
     pub fn latest(&self, extractor: ExtractorId) -> Option<Arc<FittedModel>> {
-        self.registry.read().latest(extractor).map(|(_, m)| m)
+        self.registry.read().latest(extractor)
     }
 }
 
@@ -784,7 +769,7 @@ mod tests {
     fn refuses_to_train_with_too_few_labels() {
         let (ds, fm, mm, labels) = setup(1);
         assert!(!mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0)
             .unwrap());
         assert!(!mm.has_model(ExtractorId::R3d));
     }
@@ -793,7 +778,7 @@ mod tests {
     fn trains_and_predicts() {
         let (ds, fm, mm, labels) = setup(60);
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
             .unwrap());
         assert!(mm.has_model(ExtractorId::R3d));
         assert_eq!(mm.models_trained(), 1);
@@ -842,7 +827,7 @@ mod tests {
     fn predict_batch_matches_single_segment_predictions() {
         let (ds, fm, mm, labels) = setup(60);
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
             .unwrap());
         let segments: Vec<(VideoId, TimeRange)> = ds
             .train
@@ -914,7 +899,7 @@ mod tests {
             })
             .collect();
         assert!(mm
-            .train(ExtractorId::Clip, &ds.train, &fm, &labels, 0, None)
+            .train(ExtractorId::Clip, &ds.train, &fm, &labels, 0)
             .unwrap());
         let clip = &ds.train.videos()[90];
         let preds = mm
@@ -938,10 +923,10 @@ mod tests {
     fn retraining_publishes_new_version() {
         let (ds, fm, mm, labels) = setup(60);
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, Some(0.4))
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0)
             .unwrap());
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1, Some(0.5))
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
             .unwrap());
         assert_eq!(mm.models_trained(), 2);
         assert!(mm.latest(ExtractorId::R3d).is_some());
@@ -951,12 +936,12 @@ mod tests {
     fn warm_training_fine_tunes_with_bounded_examples() {
         let (ds, fm, mm, labels) = setup(90);
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 0, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 0)
             .unwrap());
         let after_cold = mm.training_stats();
         assert_eq!((after_cold.cold_trains, after_cold.warm_trains), (1, 0));
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
             .unwrap());
         let stats = mm.training_stats();
         assert_eq!((stats.cold_trains, stats.warm_trains), (1, 1));
@@ -977,13 +962,13 @@ mod tests {
             .map(|_| {
                 let (ds, fm, mm, labels) = setup(90);
                 assert!(mm
-                    .train(ExtractorId::R3d, &ds.train, &fm, &labels[..60], 0, None)
+                    .train(ExtractorId::R3d, &ds.train, &fm, &labels[..60], 0)
                     .unwrap());
                 assert!(mm
-                    .train(ExtractorId::R3d, &ds.train, &fm, &labels[..75], 1, None)
+                    .train(ExtractorId::R3d, &ds.train, &fm, &labels[..75], 1)
                     .unwrap());
                 assert!(mm
-                    .train(ExtractorId::R3d, &ds.train, &fm, &labels, 2, None)
+                    .train(ExtractorId::R3d, &ds.train, &fm, &labels, 2)
                     .unwrap());
                 let clip = &ds.train.videos()[95];
                 mm.predict(
@@ -1021,7 +1006,7 @@ mod tests {
         };
         for mm in [&faulted, &clean] {
             assert!(mm
-                .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0, None)
+                .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0)
                 .unwrap());
         }
         faulted.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultPlan::uniform(
@@ -1029,12 +1014,12 @@ mod tests {
             FaultRule::permanent(1.0),
         )))));
         assert!(faulted
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 1, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..70], 1)
             .is_err());
         faulted.set_fault_injector(None);
         for mm in [&faulted, &clean] {
             assert!(mm
-                .train(ExtractorId::R3d, &ds.train, &fm, &labels, 2, None)
+                .train(ExtractorId::R3d, &ds.train, &fm, &labels, 2)
                 .unwrap());
         }
         assert_eq!(faulted.training_stats(), clean.training_stats());
@@ -1049,11 +1034,11 @@ mod tests {
         // the from-scratch model's.
         let (ds, fm, cold_mm, labels) = setup(90);
         assert!(cold_mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0)
             .unwrap());
         let (_, _, warm_mm, _) = setup(90);
         assert!(warm_mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..50], 0)
             .unwrap());
         for (i, upto) in [60, 70, 80, 90].into_iter().enumerate() {
             assert!(warm_mm
@@ -1062,8 +1047,7 @@ mod tests {
                     &ds.train,
                     &fm,
                     &labels[..upto],
-                    i as u32 + 1,
-                    None
+                    i as u32 + 1
                 )
                 .unwrap());
         }
@@ -1095,16 +1079,16 @@ mod tests {
     fn warm_state_survives_empty_delta_and_rewinds_to_cold() {
         let (ds, fm, mm, labels) = setup(70);
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 0)
             .unwrap());
         // No new labels: replay-only fine-tune still publishes a version.
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
             .unwrap());
         assert_eq!(mm.training_stats().warm_trains, 1);
         // A rewound (shorter) label list discards the state and cold-starts.
         assert!(mm
-            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..40], 2, None)
+            .train(ExtractorId::R3d, &ds.train, &fm, &labels[..40], 2)
             .unwrap());
         let stats = mm.training_stats();
         assert_eq!((stats.cold_trains, stats.warm_trains), (2, 1));

@@ -34,7 +34,7 @@ use crate::degradation::Degradation;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use ve_features::ExtractorId;
-use ve_obs::{EventKind, EventLedger, MetricsRegistry};
+use ve_obs::{EventKind, EventLedger};
 use ve_vidsim::VideoId;
 
 /// One deterministic event. Variant order defines the canonical
@@ -89,8 +89,8 @@ pub enum SessionEvent {
 }
 
 impl EventKind for SessionEvent {
-    /// Stable kind names for drop accounting and the bench artifacts'
-    /// `events.by_kind` section — a pure function of the variant.
+    /// Stable kind names for the bench artifacts' `events.by_kind` section
+    /// and the diagnostic bundle — a pure function of the variant.
     fn kind(&self) -> &'static str {
         match self {
             SessionEvent::IndexIngest { .. } => "index_ingest",
@@ -106,44 +106,27 @@ impl EventKind for SessionEvent {
     }
 }
 
-/// The observability recorder: deterministic event ledger + metrics
-/// registry + the current-iteration tag. One per [`crate::VocalExplore`],
-/// shared with the feature/model/AL managers via `Arc`.
+/// The observability recorder: deterministic event ledger + the
+/// current-iteration tag. One per [`crate::VocalExplore`], shared with the
+/// feature/model/AL managers via `Arc`.
 pub struct Obs {
     current_iteration: AtomicU32,
     ledger: EventLedger<SessionEvent>,
-    metrics: MetricsRegistry,
 }
 
 /// Shared handle to the recorder.
 pub type ObsHandle = Arc<Obs>;
 
 impl Obs {
-    /// A recorder with event/metrics sinks enabled (`enabled = false` keeps
-    /// only the events that double as program state — degradations).
+    /// A recorder with the event sink enabled (`enabled = false` keeps only
+    /// the events that double as program state — degradations).
     pub fn new(enabled: bool) -> ObsHandle {
-        Self::with_recorder_capacity(enabled, None)
-    }
-
-    /// A recorder whose event ledger is bounded to the most recent
-    /// `capacity` droppable events (flight-recorder mode; `None` =
-    /// unbounded). Degradations are pinned and never evicted, so the
-    /// degradation view stays lossless at any capacity.
-    pub fn with_recorder_capacity(enabled: bool, capacity: Option<usize>) -> ObsHandle {
         let obs = Obs {
             current_iteration: AtomicU32::new(0),
-            ledger: match capacity {
-                Some(c) => EventLedger::with_capacity(c),
-                None => EventLedger::new(),
-            },
-            metrics: MetricsRegistry::new(),
+            ledger: EventLedger::new(),
         };
         obs.ledger.set_enabled(enabled);
         Arc::new(obs)
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.ledger.is_enabled()
     }
 
     /// Sets the iteration tag subsequent events attribute to.
@@ -161,25 +144,10 @@ impl Obs {
     }
 
     /// Records a degradation. Always recorded — the degradation ledger is
-    /// program state, not optional telemetry — and counted in the metrics
-    /// registry when sinks are on.
+    /// program state, not optional telemetry.
     pub fn record_degradation(&self, degradation: Degradation) {
-        if self.is_enabled() {
-            self.metrics.inc("degradations", 1);
-        }
         self.ledger
             .record_always(self.iteration(), SessionEvent::Degraded(degradation));
-    }
-
-    /// Bumps a metrics counter (no-op when sinks are disabled).
-    pub fn inc(&self, name: &str, by: u64) {
-        if self.is_enabled() {
-            self.metrics.inc(name, by);
-        }
-    }
-
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// The ledger in raw recording order.
@@ -191,12 +159,6 @@ impl Obs {
     /// form inline/threaded and cross-parallelism equality is asserted on.
     pub fn canonical_events(&self) -> Vec<(u32, SessionEvent)> {
         self.ledger.canonical()
-    }
-
-    /// Exact per-kind counts of events evicted by the flight recorder
-    /// (empty in unbounded mode or while within capacity).
-    pub fn dropped_events(&self) -> Vec<(&'static str, u64)> {
-        self.ledger.dropped_by_kind()
     }
 
     /// Degradations recorded since the last drain, in recording order —
@@ -254,23 +216,5 @@ mod tests {
         assert!(matches!(drained[0], Degradation::CandidatesLost { .. }));
         assert!(matches!(drained[1], Degradation::TrainingFailed { .. }));
         assert!(obs.drain_degradations().is_empty());
-        // Metrics counter untouched while disabled.
-        assert_eq!(obs.metrics().counter("degradations"), 0);
-    }
-
-    #[test]
-    fn bounded_recorder_evicts_telemetry_but_pins_degradations() {
-        let obs = Obs::with_recorder_capacity(true, Some(2));
-        obs.set_iteration(1);
-        obs.record(SessionEvent::LabelAdded { vid: VideoId(1) });
-        obs.record(SessionEvent::LabelAdded { vid: VideoId(2) });
-        obs.record_degradation(Degradation::CandidatesLost {
-            iteration: 1,
-            videos: 2,
-        });
-        obs.record(SessionEvent::LabelAdded { vid: VideoId(3) }); // evicts vid 1
-        assert_eq!(obs.events().len(), 3);
-        assert_eq!(obs.dropped_events(), vec![("label_added", 1)]);
-        assert_eq!(obs.drain_degradations().len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 //!   detected here from the deterministic event plane (re-run `TrainAttempt`
 //!   counts, no wall clock involved) and joined back to the timing plane for
 //!   trace placement.
-//! * [`DiagnosticBundle`] — the flight-recorder dump of a finished
+//! * [`DiagnosticBundle`] — the post-mortem dump of a finished
 //!   (measured) [`SessionOutcome`]: last-N events, joined timing spans,
 //!   `ExecutorStats`, the degradation ledger, and the anomaly section as one
 //!   JSON document. `ve-bench`'s `bench_obs` emits one automatically
@@ -77,16 +77,15 @@ pub fn detect_session_anomalies(out: &SessionOutcome, cfg: &AnomalyConfig) -> Ve
     anomalies
 }
 
-/// The flight-recorder dump: everything needed for a post-mortem, as one
+/// The post-mortem dump: everything needed to explain a session, as one
 /// key-sorted JSON document.
 pub struct DiagnosticBundle {
-    /// The most recent `last_n` retained events (canonical order tail).
+    /// The most recent `last_n` events (canonical order tail).
     pub last_events: Vec<(u32, SessionEvent)>,
     pub timings: Vec<TaskTiming>,
     pub phases: Vec<ve_obs::PhaseTiming>,
     pub executor: ve_sched::ExecutorStats,
     pub degradations: Vec<String>,
-    pub dropped_events: Vec<(&'static str, u64)>,
     pub anomalies: Vec<Anomaly>,
 }
 
@@ -99,7 +98,6 @@ impl DiagnosticBundle {
             phases: out.phases.clone(),
             executor: out.executor,
             degradations: out.degradations.iter().map(|d| format!("{d:?}")).collect(),
-            dropped_events: out.dropped_events.clone(),
             anomalies: detect_session_anomalies(out, cfg),
         }
     }
@@ -130,11 +128,10 @@ impl DiagnosticBundle {
                 "degradations",
                 self.degradations.iter().map(Json::str).collect(),
             ),
-            ("dropped_events", u64s(&self.dropped_events)),
             ("executor", u64s(&self.executor.export_kv())),
             ("last_events", last_events.collect()),
             ("phases", phases.collect()),
-            ("schema", Json::str("vocalexplore/diagnostic_bundle/v1")),
+            ("schema", Json::str("vocalexplore/diagnostic_bundle/v2")),
             ("timings", self.timings.iter().map(timing_json).collect()),
         ])
         .render()

@@ -21,7 +21,7 @@ use ve_features::{ExtractorId, FeatureSimulator};
 use ve_obs::TaskLabel;
 use ve_sched::fault::FaultInjector;
 use ve_sched::{Executor, Priority};
-use ve_storage::{LabelRecord, StorageManager, VideoRecord};
+use ve_storage::{LabelRecord, StorageManager};
 use ve_vidsim::{ClassId, TimeRange, VideoClip, VideoCorpus, VideoId};
 
 /// The VOCALExplore system.
@@ -43,9 +43,9 @@ pub struct VocalExplore {
     /// Shared deterministic fault injector (built from
     /// [`VocalExploreConfig::fault_plan`]); `None` in production runs.
     fault: Option<Arc<FaultInjector>>,
-    /// Observability recorder: the deterministic event plane plus the
-    /// metrics registry, shared with the feature/model/AL managers. The
-    /// degradation ledger is a drain view over this plane.
+    /// Observability recorder: the deterministic event plane, shared with
+    /// the feature/model/AL managers. The degradation ledger is a drain view
+    /// over this plane.
     obs: ObsHandle,
 }
 
@@ -64,7 +64,7 @@ impl VocalExplore {
             .fault_plan
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let obs = Obs::with_recorder_capacity(config.observability, config.recorder_capacity);
+        let obs = Obs::new(config.observability);
         let mut fm = FeatureManager::new(simulator, storage.clone());
         fm.set_fault_injector(fault.clone(), config.retry);
         fm.set_obs(Arc::clone(&obs));
@@ -104,7 +104,7 @@ impl VocalExplore {
         self.obs.drain_degradations()
     }
 
-    /// The observability recorder (event ledger + metrics registry).
+    /// The observability recorder (the deterministic event ledger).
     pub fn obs(&self) -> &ObsHandle {
         &self.obs
     }
@@ -162,19 +162,10 @@ impl VocalExplore {
         self.storage.with_labels(|l| l.records().to_vec())
     }
 
-    /// `AddVideo(path)`: registers a video and returns its id.
+    /// `AddVideo(path)`: registers a video and returns its id. The corpus
+    /// holds its metadata (path, duration, start time).
     pub fn add_video(&mut self, clip: VideoClip) -> VideoId {
-        let record = VideoRecord {
-            vid: clip.id,
-            path: clip.path.clone(),
-            duration: clip.duration,
-            start_timestamp: clip.start_timestamp,
-        };
-        let vid = Arc::make_mut(&mut self.corpus).add_with_id(clip);
-        self.storage.with_metadata_mut(|m| {
-            m.insert(VideoRecord { vid, ..record });
-        });
-        vid
+        Arc::make_mut(&mut self.corpus).add_with_id(clip)
     }
 
     /// `Watch(vid, start, end)`: returns the stream of segments in the window
@@ -341,10 +332,6 @@ impl VocalExplore {
 
         if labels.len() > self.labels_at_last_training {
             let extractor = self.alm.current_extractor();
-            let cv = scores
-                .iter()
-                .find(|(e, _)| *e == extractor)
-                .map(|(_, s)| *s);
             let train_secs = self.config.costs.train_secs(labels.len());
             let ((mm, fm, corpus), task_labels) = (self.task_context(), Arc::clone(&labels));
             let training = executor.submit_retryable_labeled(
@@ -353,15 +340,7 @@ impl VocalExplore {
                 self.config.retry.with_time_scale(time_scale),
                 move |attempt| {
                     sleep_scaled(train_secs, time_scale);
-                    mm.train_attempt(
-                        extractor,
-                        &corpus,
-                        &fm,
-                        &task_labels,
-                        iteration,
-                        cv,
-                        attempt,
-                    )
+                    mm.train_attempt(extractor, &corpus, &fm, &task_labels, iteration, attempt)
                 },
             );
             match training.join_task() {

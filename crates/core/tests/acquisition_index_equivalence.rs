@@ -176,7 +176,7 @@ fn run_interleaving(
                 }
             }
             Event::Train => {
-                mm.train(EXTRACTOR, &dataset.train, &fm, labels.records(), 0, None)
+                mm.train(EXTRACTOR, &dataset.train, &fm, labels.records(), 0)
                     .unwrap();
             }
             Event::Explore => {
@@ -390,7 +390,6 @@ fn miss_rows_count_the_eligible_rows_of_each_probability_selection() {
                     &fm,
                     labels.records(),
                     iteration as u32,
-                    None
                 )
                 .unwrap());
         }

@@ -114,105 +114,6 @@ fn async_ledger_is_invariant_across_parallelism() {
     }
 }
 
-/// Shared fault-storm run for the flight-recorder contracts: same config as
-/// `async_ledger_is_invariant_across_parallelism`, with an optional
-/// recorder capacity.
-fn storm_run(workers: usize, threads: usize, capacity: Option<usize>) -> SessionOutcome {
-    let plan = FaultPlan::new(7)
-        .with_rule(FaultSite::FeatureExtraction, FaultRule::permanent(0.2))
-        .with_rule(FaultSite::Training, FaultRule::permanent(0.3))
-        .with_rule(FaultSite::BatchInference, FaultRule::permanent(0.3))
-        .with_rule(FaultSite::RowInference, FaultRule::permanent(0.1));
-    let mut cfg = base_config(17, 6);
-    cfg.system = cfg
-        .system
-        .with_strategy(SchedulerStrategy::VeFull)
-        .with_fault_plan(plan)
-        .with_executor_workers(workers)
-        .with_compute_threads(threads)
-        .with_recorder_capacity(capacity);
-    SessionRunner::new(cfg).run_measured()
-}
-
-fn kind_counts(events: &[(u32, SessionEvent)]) -> std::collections::BTreeMap<&'static str, u64> {
-    use ve_obs::EventKind;
-    let mut counts = std::collections::BTreeMap::new();
-    for (_, e) in events {
-        *counts.entry(e.kind()).or_insert(0u64) += 1;
-    }
-    counts
-}
-
-#[test]
-fn ring_buffer_ledger_is_bit_identical_to_unbounded_within_capacity() {
-    // A capacity the session never reaches: the bounded ledger must be
-    // byte-for-byte the unbounded one, with zero drops, at every
-    // parallelism setting.
-    let reference = storm_run(1, 1, None);
-    assert!(!reference.events.is_empty());
-    assert!(
-        reference.events.len() <= 4096,
-        "capacity must cover the run"
-    );
-    for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-        let bounded = storm_run(workers, threads, Some(4096));
-        assert_eq!(
-            bounded.events, reference.events,
-            "bounded-within-capacity ledger diverged at workers={workers} threads={threads}"
-        );
-        assert!(
-            bounded.dropped_events.is_empty(),
-            "no drops within capacity at workers={workers} threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn ring_buffer_drop_accounting_is_exact_under_pressure() {
-    // Capacity far below the session's event volume: which events survive
-    // depends on recording order (scheduling), but the *accounting* must be
-    // exact against the unbounded truth — retained + dropped equals the
-    // unbounded per-kind counts — and degradations are pinned, never lost.
-    const CAPACITY: usize = 32;
-    let truth = kind_counts(&storm_run(1, 1, None).events);
-    let degraded_truth = truth.get("degraded").copied().unwrap_or(0);
-    assert!(degraded_truth > 0, "the storm must degrade something");
-    for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-        let out = storm_run(workers, threads, Some(CAPACITY));
-        let retained = kind_counts(&out.events);
-        assert!(
-            !out.dropped_events.is_empty(),
-            "capacity {CAPACITY} must be under pressure at workers={workers} threads={threads}"
-        );
-        // Memory bound: retained droppable events never exceed capacity.
-        let retained_droppable: u64 = retained
-            .iter()
-            .filter(|(k, _)| **k != "degraded")
-            .map(|(_, v)| v)
-            .sum();
-        assert!(
-            retained_droppable <= CAPACITY as u64,
-            "retained {retained_droppable} > capacity at workers={workers} threads={threads}"
-        );
-        // Exactness: per kind, retained + dropped == unbounded truth.
-        let mut reconstructed = retained.clone();
-        for (kind, dropped) in &out.dropped_events {
-            *reconstructed.entry(kind).or_insert(0) += dropped;
-        }
-        assert_eq!(
-            reconstructed, truth,
-            "retained + dropped must equal the unbounded ledger's per-kind \
-             counts at workers={workers} threads={threads}"
-        );
-        // Pinned: every degradation event retained, none ever dropped.
-        assert_eq!(
-            retained.get("degraded").copied().unwrap_or(0),
-            degraded_truth
-        );
-        assert!(out.dropped_events.iter().all(|(k, _)| *k != "degraded"));
-    }
-}
-
 #[test]
 fn chaos_fault_events_reconcile_with_executor_counters() {
     // Training always fails: every retryable training task burns its full

@@ -41,7 +41,6 @@ const LOCK_CLASSES: &[(&str, &str, &str)] = &[
     ("ve-vidsim", "rng", "oracle.rng"),
     ("ve-obs", "ledger", "obs.ledger"),
     ("ve-obs", "timings", "obs.timings"),
-    ("ve-obs", "series", "obs.metrics"),
     ("ve-report", "findings", "report.findings"),
 ];
 
@@ -350,4 +349,36 @@ fn lookup(
         .copied()
         .find(|&(x, y)| x == a && y == b)
         .expect("edge exists by construction")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workspace::load_workspace;
+    use std::path::Path;
+
+    /// A registration may only outlive its lock by mistake: every
+    /// `LOCK_CLASSES` entry must still be acquired (`.lock()`, `.read()` or
+    /// `.write()` on its receiver) in non-test code of its crate.
+    #[test]
+    fn every_registered_lock_is_acquired_in_non_test_code() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ws = load_workspace(&root).expect("workspace loads");
+        for &(krate, recv, class) in LOCK_CLASSES {
+            let acquired = ws.files.iter().filter(|f| f.crate_name == krate).any(|f| {
+                (0..f.code.len()).any(|ci| {
+                    f.ct(ci)
+                        .is_some_and(|t| t.is_ident(recv) && !f.is_test_line(t.line))
+                        && ACQUIRE_METHODS
+                            .iter()
+                            .any(|m| method_call(f, ci + 1, m).is_some())
+                })
+            });
+            assert!(
+                acquired,
+                "lock class `{class}` (`{recv}` in {krate}) is registered but never \
+                 acquired outside tests"
+            );
+        }
+    }
 }

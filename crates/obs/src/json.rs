@@ -67,7 +67,7 @@ impl Json {
 
     /// Dotted-path lookup: `strategies.ve_full.measured_median_visible_secs`
     /// walks nested objects. A purely numeric segment indexes into an array
-    /// (`hac_lance_williams.0.median_ns` style paths).
+    /// (`runs.0.median_ns` style paths).
     pub fn path(&self, dotted: &str) -> Option<&Json> {
         let mut cur = self;
         for seg in dotted.split('.') {

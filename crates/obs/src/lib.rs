@@ -17,9 +17,8 @@
 //!   and joined to events by span id. This is the only module in the crate
 //!   allowed to read the clock (`ve-lint` enforces the split per file).
 //!
-//! On top of the planes sit a deterministic metrics registry ([`metrics`]:
-//! counters, gauges, fixed-bucket histograms with integer quantile math), a
-//! Chrome `trace_event` exporter ([`trace`]) loadable in Perfetto, and an
+//! On top of the planes sit fixed-bucket latency histograms ([`metrics`],
+//! integer quantile math), a Chrome `trace_event` exporter ([`trace`]) loadable in Perfetto, and an
 //! anomaly annotator ([`anomaly`]) that flags phase outliers and queue-wait
 //! spikes against session medians (integer math only) as trace `instant`
 //! events. [`json`] is the workspace's one JSON writer and reader: every
@@ -34,6 +33,6 @@ pub mod trace;
 
 pub use anomaly::{annotate_trace, detect_timing_anomalies, Anomaly, AnomalyConfig, AnomalyKind};
 pub use event::{EventKind, EventLedger};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::Histogram;
 pub use timing::{PhaseTiming, QueueClass, TaskLabel, TaskTiming, TimingPlane};
 pub use trace::{ChromeTrace, TraceStats};

@@ -1,14 +1,10 @@
-//! Metrics registry: counters, gauges, and fixed-bucket histograms with
-//! deterministic bucket math.
+//! Fixed-bucket latency histograms with deterministic bucket math.
 //!
-//! All values are integers (counts, or durations in microseconds) and every
-//! derived statistic — including the p50/p99 summaries — is computed with
-//! integer arithmetic over fixed bucket bounds, so a snapshot is a pure
-//! function of the observation multiset: no float accumulation order, no
+//! All values are integers (durations in microseconds) and every derived
+//! statistic — including the p50/p99 summaries — is computed with integer
+//! arithmetic over fixed bucket bounds, so a histogram is a pure function of
+//! the observation multiset: no float accumulation order, no
 //! environment-dependent rounding.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Fixed-bucket histogram over `u64` values. Bucket `i` counts observations
 /// `v <= bounds[i]` (the first bucket they fit); values above the last bound
@@ -117,83 +113,6 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct RegistryState {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// An immutable copy of the registry, for export and assertions.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-/// Thread-safe registry. Disabled sinks cost one relaxed atomic load per
-/// call site via the owner's gating; the registry itself is always live.
-pub struct MetricsRegistry {
-    series: Mutex<RegistryState>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self {
-            series: Mutex::new(RegistryState::default()),
-        }
-    }
-
-    pub fn inc(&self, name: &str, by: u64) {
-        let mut state = self.series.lock().expect("obs.metrics poisoned");
-        *state.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    pub fn set_gauge(&self, name: &str, value: i64) {
-        let mut state = self.series.lock().expect("obs.metrics poisoned");
-        state.gauges.insert(name.to_string(), value);
-    }
-
-    /// Raises a gauge to `value` if it is below it (high-water semantics).
-    pub fn raise_gauge(&self, name: &str, value: i64) {
-        let mut state = self.series.lock().expect("obs.metrics poisoned");
-        let g = state.gauges.entry(name.to_string()).or_insert(i64::MIN);
-        if *g < value {
-            *g = value;
-        }
-    }
-
-    pub fn observe(&self, name: &str, value: u64) {
-        let mut state = self.series.lock().expect("obs.metrics poisoned");
-        state
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::with_default_bounds)
-            .observe(value);
-    }
-
-    pub fn counter(&self, name: &str) -> u64 {
-        let state = self.series.lock().expect("obs.metrics poisoned");
-        state.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let state = self.series.lock().expect("obs.metrics poisoned");
-        MetricsSnapshot {
-            counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
-            histograms: state.histograms.clone(),
-        }
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,19 +146,6 @@ mod tests {
             b.observe(v);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn registry_snapshot_round_trips() {
-        let reg = MetricsRegistry::new();
-        reg.inc("fm.cache_hits", 3);
-        reg.inc("fm.cache_hits", 2);
-        reg.set_gauge("queue.depth_hwm.critical", 7);
-        reg.observe("train.run_us", 1234);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["fm.cache_hits"], 5);
-        assert_eq!(snap.gauges["queue.depth_hwm.critical"], 7);
-        assert_eq!(snap.histograms["train.run_us"].total(), 1);
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! * `min` / `max` — absolute bound on one metric. `source` picks which
 //!   document the value is read from: `"fresh"` (default — the just-run
 //!   bench output) or `"baseline"` (the committed artifact itself, for
-//!   claims only full-mode runs produce, e.g. the 718× HAC speedup).
+//!   claims only full-mode runs produce, e.g. the ~20× incremental-selection
+//!   speedup at 20k candidates).
 //! * `ratio_max` / `ratio_min` — bound on `fresh / baseline` for one
 //!   metric (lower-is-better latencies use `ratio_max`). Ratio rules are
 //!   only meaningful like-for-like, so they are skipped when the two
 //!   documents' `quick` flags differ.
 //! * `order_desc` — the listed metrics (all read from fresh) must be
 //!   strictly decreasing: the Serial > VE-partial > VE-full headline.
+//! * `order_le` — the listed metrics (all read from fresh) must be
+//!   non-decreasing: a histogram's `min ≤ p50 ≤ p99 ≤ max`, where ties
+//!   are normal (p99 often equals max).
 //!
 //! `allow_missing: true` skips a rule whose metric is absent or null —
 //! quick-mode artifacts legitimately omit some sections.
@@ -36,6 +40,7 @@ pub enum RuleKind {
     RatioMax(f64),
     RatioMin(f64),
     OrderDesc(Vec<String>),
+    OrderLe(Vec<String>),
 }
 
 impl RuleKind {
@@ -46,6 +51,7 @@ impl RuleKind {
             RuleKind::RatioMax(_) => "ratio_max",
             RuleKind::RatioMin(_) => "ratio_min",
             RuleKind::OrderDesc(_) => "order_desc",
+            RuleKind::OrderLe(_) => "order_le",
         }
     }
 }
@@ -55,8 +61,8 @@ impl RuleKind {
 pub struct Rule {
     /// Artifact file name, e.g. `BENCH_training.json`.
     pub artifact: String,
-    /// Dotted metric path (empty for `order_desc`, which carries its own
-    /// metric list).
+    /// Dotted metric path (empty for `order_desc`/`order_le`, which carry
+    /// their own metric list).
     pub metric: String,
     pub kind: RuleKind,
     pub source: Source,
@@ -71,6 +77,7 @@ impl Rule {
     pub fn subject(&self) -> String {
         match &self.kind {
             RuleKind::OrderDesc(metrics) => format!("{} :: {}", self.artifact, metrics.join(" > ")),
+            RuleKind::OrderLe(metrics) => format!("{} :: {}", self.artifact, metrics.join(" <= ")),
             _ => format!("{} :: {}", self.artifact, self.metric),
         }
     }
@@ -149,11 +156,11 @@ fn parse_rule(raw: &Json) -> Result<Rule, String> {
         "max" => (RuleKind::Max(value()?), metric()?),
         "ratio_max" => (RuleKind::RatioMax(value()?), metric()?),
         "ratio_min" => (RuleKind::RatioMin(value()?), metric()?),
-        "order_desc" => {
+        "order_desc" | "order_le" => {
             let metrics = raw
                 .get("metrics")
                 .and_then(Json::as_arr)
-                .ok_or("`order_desc` needs a `metrics` array")?
+                .ok_or_else(|| format!("`{kind_name}` needs a `metrics` array"))?
                 .iter()
                 .map(|m| {
                     m.as_str()
@@ -162,9 +169,14 @@ fn parse_rule(raw: &Json) -> Result<Rule, String> {
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             if metrics.len() < 2 {
-                return Err("`order_desc` needs at least two metrics".to_string());
+                return Err(format!("`{kind_name}` needs at least two metrics"));
             }
-            (RuleKind::OrderDesc(metrics), String::new())
+            let kind = if kind_name == "order_le" {
+                RuleKind::OrderLe(metrics)
+            } else {
+                RuleKind::OrderDesc(metrics)
+            };
+            (kind, String::new())
         }
         other => return Err(format!("unknown rule kind `{other}`")),
     };
@@ -214,8 +226,8 @@ mod tests {
              "metrics": ["strategies.serial.m", "strategies.ve_partial.m", "strategies.ve_full.m"],
              "reason": "the headline ordering"},
             {"artifact": "BENCH_acquisition.json", "kind": "min", "source": "baseline",
-             "metric": "hac_speedup_vs_seed", "value": 100.0, "allow_missing": true,
-             "reason": "committed full-mode HAC claim"}
+             "metric": "median_ns.coreset.20000", "value": 100.0, "allow_missing": true,
+             "reason": "committed full-mode 20k-pool timing"}
         "#,
         );
         let contract = parse_contract(&text).unwrap();
@@ -233,6 +245,32 @@ mod tests {
                 "BENCH_training.json"
             ]
         );
+    }
+
+    #[test]
+    fn parses_order_le_rules() {
+        let text = wrap(
+            r#"
+            {"artifact": "BENCH_obs.json", "kind": "order_le",
+             "metrics": ["phases.select.min_us", "phases.select.p50_us",
+                         "phases.select.p99_us", "phases.select.max_us"],
+             "reason": "histogram summaries are ordered"}
+        "#,
+        );
+        let rule = &parse_contract(&text).unwrap().rules[0];
+        assert!(matches!(rule.kind, RuleKind::OrderLe(ref m) if m.len() == 4));
+        assert_eq!(rule.kind.name(), "order_le");
+        assert!(rule.metric.is_empty());
+        assert_eq!(
+            rule.subject(),
+            "BENCH_obs.json :: phases.select.min_us <= phases.select.p50_us <= \
+             phases.select.p99_us <= phases.select.max_us"
+        );
+        let one =
+            wrap(r#"{"artifact": "a.json", "kind": "order_le", "metrics": ["m"], "reason": "r"}"#);
+        assert!(parse_contract(&one).unwrap_err().contains("order_le"));
+        let none = wrap(r#"{"artifact": "a.json", "kind": "order_le", "reason": "r"}"#);
+        assert!(parse_contract(&none).unwrap_err().contains("metrics"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `ve-report` — the perf-regression sentinel.
 //!
 //! The five committed `BENCH_*.json` artifacts carry the paper's headline
-//! claims (718× HAC, Serial > VE-partial > VE-full, flat warm-start cost).
+//! claims (Serial > VE-partial > VE-full, incremental selection ~20× ahead
+//! of from-scratch, flat warm-start cost).
 //! This crate turns each claim into a machine-checked expectation: a
 //! checked-in `BENCH_contract.json` declares per-metric direction and
 //! tolerance ([`contract`]), and [`Sentinel::check`] evaluates a fresh
@@ -304,7 +305,7 @@ impl Sentinel {
                     );
                 }
             }
-            RuleKind::OrderDesc(metrics) => {
+            RuleKind::OrderDesc(metrics) | RuleKind::OrderLe(metrics) => {
                 let Some(doc) = fresh.get(&rule.artifact) else {
                     report.checked += 1;
                     violate(report, "fresh artifact file is missing".to_string());
@@ -328,17 +329,23 @@ impl Sentinel {
                     }
                 }
                 report.checked += 1;
+                let strict = matches!(rule.kind, RuleKind::OrderDesc(_));
                 for pair in values.windows(2) {
                     let ((a_name, a), (b_name, b)) = (&pair[0], &pair[1]);
-                    if a <= b {
+                    let (broken, relation) = if strict {
+                        (a <= b, "must stay strictly above")
+                    } else {
+                        (a > b, "must not exceed")
+                    };
+                    if broken {
                         violate(
                             report,
-                            format!("`{a_name}` = {a} must stay strictly above `{b_name}` = {b}"),
+                            format!("`{a_name}` = {a} {relation} `{b_name}` = {b}"),
                         );
                         return;
                     }
                 }
-                self.note(format!("ok order_desc {subject}"));
+                self.note(format!("ok {} {subject}", rule.kind.name()));
             }
         }
     }
@@ -472,6 +479,36 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].message.contains("s.partial"));
         assert!(report.violations[0].message.contains("s.full"));
+    }
+
+    #[test]
+    fn order_le_rule_allows_ties_and_fails_naming_the_metric() {
+        let c = contract(
+            r#"{"artifact": "BENCH_obs.json", "kind": "order_le",
+                "metrics": ["h.min_us", "h.p50_us", "h.p99_us", "h.max_us"],
+                "reason": "histogram summaries are ordered"}"#,
+        );
+        // p99 == max is a tie, not a violation.
+        let good = artifacts(
+            "BENCH_obs.json",
+            r#"{"schema": "vocalexplore/bench_obs/v1",
+                "h": {"min_us": 3, "p50_us": 40, "p99_us": 90, "max_us": 90}}"#,
+        );
+        let report = Sentinel::new().check(&c, &good, &good);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.checked, 1);
+
+        let inverted = artifacts(
+            "BENCH_obs.json",
+            r#"{"schema": "vocalexplore/bench_obs/v1",
+                "h": {"min_us": 3, "p50_us": 95, "p99_us": 90, "max_us": 90}}"#,
+        );
+        let report = Sentinel::new().check(&c, &inverted, &inverted);
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert!(v.message.contains("h.p50_us"), "{}", v.message);
+        assert!(v.message.contains("h.p99_us"), "{}", v.message);
+        assert!(v.message.contains("histogram summaries are ordered"));
     }
 
     #[test]

@@ -155,6 +155,47 @@ fn latency_regression_against_baseline_fails_the_ratio_rule() {
 }
 
 #[test]
+fn histogram_quantile_above_its_max_fails_the_order_rule() {
+    let (contract, artifacts) = load_repo();
+    let doc = std::fs::read_to_string(repo_root().join("BENCH_obs.json")).unwrap();
+    let committed = parse(&doc).unwrap();
+    let read = |metric: &str| {
+        committed
+            .path(metric)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("committed artifact carries {metric}"))
+    };
+    let (p50, max) = (read("phases.select.p50_us"), read("phases.select.max_us"));
+    // Raise select's p50 above its max in the fresh set (string surgery on
+    // the one line inside the `select` section).
+    let phases = doc.find("\"phases\": {").expect("phases section");
+    let select = phases + doc[phases..].find("\"select\": {").expect("select phase");
+    let needle = format!("\"p50_us\": {p50}");
+    assert!(
+        doc[select..].contains(&needle),
+        "artifact format drifted: {needle}"
+    );
+    let perturbed = format!(
+        "{}{}",
+        &doc[..select],
+        doc[select..].replacen(&needle, &format!("\"p50_us\": {}", max + 1.0), 1)
+    );
+    let mut fresh = artifacts.clone();
+    fresh.insert("BENCH_obs.json".to_string(), parse(&perturbed).unwrap());
+
+    let report = Sentinel::new().check(&contract, &fresh, &artifacts);
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.subject.contains("phases.select.p50_us")
+                && v.message.contains("phases.select.p50_us")),
+        "a p50 above its max must trip the order_le rule naming the metric:\n{}",
+        report.render_human()
+    );
+}
+
+#[test]
 fn missing_fresh_artifact_fails_the_gate() {
     let (contract, artifacts) = load_repo();
     let mut fresh = artifacts.clone();

@@ -5,29 +5,28 @@
 //! models" (Section 2.3) and is built from off-the-shelf components (DuckDB
 //! for metadata and labels, Parquet files for feature vectors, PyTorch
 //! checkpoints for models). This crate builds the same component as a small
-//! embedded store so the repository is self-contained:
+//! embedded store so the repository is self-contained. Video metadata (path,
+//! duration, start time) lives in the session's `VideoCorpus`, which holds
+//! every `AddVideo` clip; this crate keeps the rest:
 //!
-//! * [`VideoMetadataStore`] — the video catalog (`AddVideo` rows),
 //! * [`LabelStore`] — user-provided labels with their time spans,
 //! * [`FeatureStore`] — per-extractor feature vectors keyed by
 //!   `(extractor, video)`, the equivalent of the paper's Parquet files,
-//! * [`ModelRegistry`] — trained-model metadata plus in-memory handles to the
-//!   most recent model per extractor.
+//! * [`ModelRegistry`] — the in-memory handle and version of the most recent
+//!   model per extractor.
 //!
-//! Everything lives in memory. The catalog, label and feature stores sit
+//! Everything lives in memory. The label and feature stores sit
 //! behind the [`StorageManager`] facade, which is cheap to clone and safe to
 //! share across the Task Scheduler's worker threads: every clone reads and
 //! writes the same state.
 
 pub mod feature_store;
 pub mod labels;
-pub mod metadata;
 pub mod model_registry;
 
 pub use feature_store::{FeatureStore, FeatureStoreChange, VideoFeatures};
 pub use labels::{LabelRecord, LabelStore};
-pub use metadata::{VideoMetadataStore, VideoRecord};
-pub use model_registry::{ModelRecord, ModelRegistry};
+pub use model_registry::ModelRegistry;
 
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -40,7 +39,6 @@ pub struct StorageManager {
 
 #[derive(Debug, Default)]
 struct StorageInner {
-    metadata: VideoMetadataStore,
     labels: LabelStore,
     features: FeatureStore,
 }
@@ -49,16 +47,6 @@ impl StorageManager {
     /// Creates an empty storage manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Runs a closure with read access to the video catalog.
-    pub fn with_metadata<R>(&self, f: impl FnOnce(&VideoMetadataStore) -> R) -> R {
-        f(&self.inner.read().metadata)
-    }
-
-    /// Runs a closure with write access to the video catalog.
-    pub fn with_metadata_mut<R>(&self, f: impl FnOnce(&mut VideoMetadataStore) -> R) -> R {
-        f(&mut self.inner.write().metadata)
     }
 
     /// Runs a closure with read access to the label store.
@@ -92,14 +80,6 @@ mod tests {
     fn clones_share_one_store() {
         let sm = StorageManager::new();
         let worker = sm.clone();
-        worker.with_metadata_mut(|m| {
-            m.insert(VideoRecord {
-                vid: VideoId(1),
-                path: "a.mp4".into(),
-                duration: 10.0,
-                start_timestamp: 0.0,
-            })
-        });
         worker.with_labels_mut(|l| {
             l.add(LabelRecord {
                 vid: VideoId(1),
@@ -122,13 +102,11 @@ mod tests {
         });
 
         // Writes through the worker's clone are visible through the original.
-        let path = sm.with_metadata(|m| m.get(VideoId(1)).map(|r| r.path.clone()));
         let labels = sm.with_labels(|l| l.records().to_vec());
         let row = sm.with_features(|f| {
             f.get(ExtractorId::R3d, VideoId(1))
                 .map(|v| v.row(0).to_vec())
         });
-        assert_eq!(path.as_deref(), Some("a.mp4"));
         assert_eq!(labels.len(), 1);
         assert_eq!(labels[0].classes, vec![2]);
         assert_eq!(row, Some(vec![0.5, -0.25, 1.0]));
