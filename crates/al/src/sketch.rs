@@ -14,8 +14,13 @@
 //!    over a fixed prefix of the index rows produces `k` centroids.
 //! 2. **Assign**: every candidate row maps to its nearest centroid
 //!    (first-index-wins ties). New rows appended by incremental ingest are
-//!    assigned on arrival — O(Δ · k · d) per call, not O(n · k · d) — and a
-//!    prefix change (rows inserted before the fit prefix) triggers a refit.
+//!    assigned on arrival — O(Δ · k · d) per call, not O(n · k · d). A merge
+//!    splice that inserts rows at or after a saturated fit prefix keeps the
+//!    centroids: [`ClusterSketch::splice`] moves the kept assignments to
+//!    their new positions and assigns only the inserted rows. A prefix
+//!    change (rows inserted inside the fit prefix, or growth while the
+//!    prefix is still short) calls for a refit, which the owner triggers by
+//!    dropping the sketch.
 //! 3. **Reduce**: when the unmasked candidate count exceeds the cap, pick
 //!    representatives round-robin across clusters in ascending-size order
 //!    (smallest clusters first, members in ascending row order), so every
@@ -56,7 +61,7 @@ impl Default for ClusterSketchConfig {
 }
 
 /// A persistent clustering of a growing candidate block (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSketch {
     config: ClusterSketchConfig,
     centroids: FeatureBlock,
@@ -136,6 +141,42 @@ impl ClusterSketch {
         let fresh: Vec<usize> = (assigned..block.rows()).collect();
         self.assignments
             .extend(block.gather(&fresh).nearest_rows(&self.centroids));
+    }
+
+    /// Carries the sketch across a merge splice of its block. `old_row[i]` is
+    /// the pre-splice position of `block`'s row `i`, `None` for a row the
+    /// splice inserted. Rows with an assignment keep it; inserted rows, and
+    /// old rows appended since the last `build`/`extend` (not yet assigned),
+    /// are assigned against the current centroids — O(Δ · k · d).
+    ///
+    /// The caller keeps the sketch only when the splice left the fit prefix
+    /// in place (see module docs); the centroids are then the ones a fresh
+    /// [`ClusterSketch::build`] over `block` would fit, and since every
+    /// assignment is a pure function of (row, centroids), the result equals
+    /// that fresh build.
+    ///
+    /// # Panics
+    /// Panics if `old_row.len()` differs from `block.rows()`.
+    pub fn splice(&mut self, block: &FeatureBlock, old_row: &[Option<usize>]) {
+        assert_eq!(old_row.len(), block.rows(), "one old position per row");
+        let kept: Vec<Option<usize>> = old_row
+            .iter()
+            .map(|old| old.and_then(|o| self.assignments.get(o).copied()))
+            .collect();
+        let fresh: Vec<usize> = (0..block.rows()).filter(|&r| kept[r].is_none()).collect();
+        let mut fresh_assignments = if fresh.is_empty() {
+            Vec::new()
+        } else if self.centroids.is_empty() || block.dim() == 0 {
+            // Degenerate zero-dimensional features (see `extend`).
+            vec![0; fresh.len()]
+        } else {
+            block.gather(&fresh).nearest_rows(&self.centroids)
+        }
+        .into_iter();
+        self.assignments = kept
+            .into_iter()
+            .map(|k| k.unwrap_or_else(|| fresh_assignments.next().expect("one per fresh row")))
+            .collect();
     }
 
     /// Reduces the unmasked rows to at most `cap` representatives, returned
@@ -226,6 +267,32 @@ mod tests {
         assert_eq!(sketch.assignments, fresh.assignments);
         assert_eq!(sketch.prefix_len, fresh.prefix_len);
         let masked = vec![false; full.rows()];
+        assert_eq!(sketch.reduce(&masked, 30), fresh.reduce(&masked, 30));
+    }
+
+    #[test]
+    fn splice_matches_fresh_build() {
+        // Old block: blobs with every third row past the prefix held back;
+        // the splice inserts the held-back rows at their canonical places.
+        let full = blobs(40); // 120 rows
+        let prefix = 48;
+        let held_back = |r: usize| r >= prefix && r.is_multiple_of(3);
+        let old_rows: Vec<usize> = (0..full.rows()).filter(|&r| !held_back(r)).collect();
+        let old_block = full.gather(&old_rows);
+        // Assign only part of the old block: the rows past 70 stand for a
+        // tail append the sketch has not been extended over yet.
+        let mut sketch = ClusterSketch::build(
+            &old_block.gather(&(0..70).collect::<Vec<_>>()),
+            cfg(prefix, 6),
+        );
+        assert_eq!(sketch.assigned_rows(), 70);
+        let old_row: Vec<Option<usize>> = (0..full.rows())
+            .map(|r| old_rows.iter().position(|&o| o == r))
+            .collect();
+        sketch.splice(&full, &old_row);
+        let fresh = ClusterSketch::build(&full, cfg(prefix, 6));
+        assert_eq!(sketch, fresh);
+        let masked: Vec<bool> = (0..full.rows()).map(|r| r % 4 == 1).collect();
         assert_eq!(sketch.reduce(&masked, 30), fresh.reduce(&masked, 30));
     }
 

@@ -61,11 +61,15 @@ struct Fixture {
     mm: ModelManager,
     config: VocalExploreConfig,
     windows: usize,
+    /// The seed labels every session starts from.
+    seed: LabelStore,
 }
 
 /// Builds an eager-covered fixture: every train video extracted, a seed label
-/// set collected, and one model trained (so Cluster-Margin pays real margin
-/// computation).
+/// set collected, and one model trained on it (so Cluster-Margin pays real
+/// margin computation). Training happens here, once: warm start would make
+/// a second train fine-tune the first model, so each session would score
+/// with a different one.
 fn fixture(pool: &Pool, kind: AcquisitionKind) -> Fixture {
     let dataset = Dataset::scaled(pool.dataset, pool.scale, 17);
     let mut config = VocalExploreConfig::for_dataset(&dataset, 17)
@@ -82,33 +86,28 @@ fn fixture(pool: &Pool, kind: AcquisitionKind) -> Fixture {
         fm.ensure_clip(EXTRACTOR, clip).unwrap();
         windows += clip.num_windows(CLIP_LEN);
     }
+    let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+    let mut seed = LabelStore::new();
+    for clip in dataset.train.videos().iter().take(SEED_LABELS) {
+        let range = TimeRange::new(0.0, CLIP_LEN);
+        seed.add(LabelRecord {
+            vid: clip.id,
+            range,
+            classes: oracle.label(&dataset.train, clip.id, &range),
+            iteration: 0,
+        });
+    }
     let mm = ModelManager::new(config.clone());
+    mm.train(EXTRACTOR, &dataset.train, &fm, seed.records(), 0)
+        .unwrap();
     Fixture {
         dataset,
         fm,
         mm,
         config,
         windows,
+        seed,
     }
-}
-
-/// Seeds the label store with ground-truth labels on the first videos and
-/// trains the model once, so both session variants start from identical
-/// state.
-fn seed_labels(fx: &Fixture, labels: &mut LabelStore) {
-    let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
-    for clip in fx.dataset.train.videos().iter().take(SEED_LABELS) {
-        let range = TimeRange::new(0.0, CLIP_LEN);
-        labels.add(LabelRecord {
-            vid: clip.id,
-            range,
-            classes: oracle.label(&fx.dataset.train, clip.id, &range),
-            iteration: 0,
-        });
-    }
-    fx.mm
-        .train(EXTRACTOR, &fx.dataset.train, &fx.fm, labels.records(), 0)
-        .unwrap();
 }
 
 /// Runs one labeling session, timing only the selection calls.
@@ -117,8 +116,7 @@ fn seed_labels(fx: &Fixture, labels: &mut LabelStore) {
 /// the old per-call assembly used to happen.
 fn run_session(fx: &Fixture, iterations: usize, incremental: bool) -> SessionResult {
     let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
-    let mut labels = LabelStore::new();
-    seed_labels(fx, &mut labels);
+    let mut labels = fx.seed.clone();
     let mut alm = ActiveLearningManager::new(fx.config.clone());
     let mut times = Vec::with_capacity(iterations);
     let mut picks_log = Vec::with_capacity(iterations);

@@ -45,9 +45,12 @@
 //!   dropped extractor ⇒ full rebuild from the store snapshot;
 //! * store entries whose video is not (yet) in the corpus stay pending and
 //!   are retried every sync;
-//! * the sketch survives only tail appends past its saturated fit prefix —
-//!   anything else discards it, and the next over-cap call refits from the
-//!   current rows (same result a fresh index would produce);
+//! * the sketch survives an ingest (tail append or merge splice) whose
+//!   first new row lands at or after its saturated fit prefix: a fresh fit
+//!   would see the same prefix rows, so the centroids carry over and only
+//!   the new rows need assigning. Anything else discards it, and the next
+//!   over-cap call refits from the current rows (same result a fresh index
+//!   would produce);
 //! * anchors ingest lazily (only coreset calls pay for them), but always
 //!   catch up to the full label list before selection.
 
@@ -75,6 +78,10 @@ pub struct AcquisitionIndexStats {
     pub anchors: usize,
     /// Whether a cluster sketch is currently alive.
     pub sketch_built: bool,
+    /// [`ClusterSketch::build`] calls (k-means fits) over the index's
+    /// lifetime. Deterministic work, but a function of call history: a
+    /// from-scratch index at the same inputs may read lower.
+    pub sketch_builds: u64,
 }
 
 /// One video's windows collected from the feature store, staged for ingest.
@@ -119,6 +126,8 @@ pub struct AcquisitionIndex {
     /// anchor exists).
     coverage: Vec<f32>,
     sketch: Option<ClusterSketch>,
+    /// See [`AcquisitionIndexStats::sketch_builds`].
+    sketch_builds: u64,
     /// Row-identity epoch: counts the times existing rows moved or changed
     /// — [`Self::rebuild`] and the [`Self::merge`] splice — but *not* tail
     /// appends, which leave every earlier row in place. Reported by the
@@ -150,6 +159,7 @@ impl AcquisitionIndex {
             anchors: FeatureBlock::empty(0),
             coverage: Vec::new(),
             sketch: None,
+            sketch_builds: 0,
             epoch: 0,
         }
     }
@@ -203,6 +213,7 @@ impl AcquisitionIndex {
             videos: self.video_count(),
             anchors: self.anchors.rows(),
             sketch_built: self.sketch.is_some(),
+            sketch_builds: self.sketch_builds,
         }
     }
 
@@ -386,6 +397,7 @@ impl AcquisitionIndex {
 
     /// O(Δ) append of videos that all sort after the current tail.
     fn append(&mut self, staged: Vec<StagedVideo>) {
+        self.retain_sketch_past(self.meta.len());
         for item in staged {
             let start = self.meta.len();
             let rows = item.block.rows();
@@ -400,13 +412,19 @@ impl AcquisitionIndex {
             self.video_rows.insert(item.vid, (start, rows));
             self.video_order.push(item.vid);
         }
-        // The sketch survives tail growth only when its fit prefix is
-        // saturated (a fresh fit over the grown index would use the same
-        // prefix rows); otherwise drop it so the next over-cap call refits.
+        // Kept sketches assign the appended rows on the next over-cap call.
+    }
+
+    /// Keeps the sketch through an ingest whose first new row lands at
+    /// `first_new_row` only if a fresh fit over the grown index would use
+    /// the same prefix rows: the prefix is saturated and lies wholly before
+    /// the new rows. Otherwise drops it so the next over-cap call refits.
+    fn retain_sketch_past(&mut self, first_new_row: usize) {
+        let full = self.sketch_config.prefix_rows;
         if self
             .sketch
             .as_ref()
-            .is_some_and(|s| s.prefix_len() < self.sketch_config.prefix_rows)
+            .is_some_and(|s| s.prefix_len() < full || first_new_row < s.prefix_len())
         {
             self.sketch = None;
         }
@@ -414,8 +432,9 @@ impl AcquisitionIndex {
 
     /// Merge splice for out-of-order video ids: rebuilds the row arrays once
     /// by walking old and new videos in ascending id order (O(n + Δ) copies,
-    /// no distance work). Derived per-row state (mask, coverage) moves with
-    /// its rows, so nothing is recomputed.
+    /// no distance work). Derived per-row state (mask, coverage, a kept
+    /// sketch's assignments) moves with its rows, so only the new rows are
+    /// assigned.
     fn merge(&mut self, staged: Vec<StagedVideo>) {
         let dim = if self.block.dim() > 0 {
             self.block.dim()
@@ -433,6 +452,9 @@ impl AcquisitionIndex {
         let mut coverage = Vec::with_capacity(total_rows);
         let mut video_rows = HashMap::with_capacity(self.video_order.len() + staged.len());
         let mut video_order = Vec::with_capacity(self.video_order.len() + staged.len());
+        // Pre-splice position of every merged row (`None` for new rows).
+        let mut old_row: Vec<Option<usize>> = Vec::with_capacity(total_rows);
+        let mut first_new_row = None;
 
         let mut old = self.video_order.iter().copied().peekable();
         let mut new = staged.into_iter().peekable();
@@ -450,11 +472,14 @@ impl AcquisitionIndex {
                 meta.extend_from_slice(&self.meta[start..start + len]);
                 masked.extend_from_slice(&self.masked[start..start + len]);
                 coverage.extend_from_slice(&self.coverage[start..start + len]);
+                old_row.extend((start..start + len).map(Some));
                 video_rows.insert(vid, (meta.len() - len, len));
                 video_order.push(vid);
             } else {
                 let item = new.next().expect("peeked");
                 let len = item.block.rows();
+                first_new_row.get_or_insert(meta.len());
+                old_row.resize(old_row.len() + len, None);
                 data.extend_from_slice(item.block.as_slice());
                 for r in 0..len {
                     meta.push((item.vid, item.ranges[r]));
@@ -473,9 +498,10 @@ impl AcquisitionIndex {
         self.coverage = coverage;
         self.video_rows = video_rows;
         self.video_order = video_order;
-        // Row positions shifted: the sketch's positional assignments are
-        // void (the next over-cap call refits from the merged rows).
-        self.sketch = None;
+        self.retain_sketch_past(first_new_row.unwrap_or(total_rows));
+        if let Some(sketch) = &mut self.sketch {
+            sketch.splice(&self.block, &old_row);
+        }
         self.epoch += 1;
     }
 
@@ -568,11 +594,158 @@ impl AcquisitionIndex {
         }
         match &mut self.sketch {
             Some(sketch) => sketch.extend(&self.block),
-            None => self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config)),
+            None => {
+                self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config));
+                self.sketch_builds += 1;
+            }
         }
         self.sketch
             .as_ref()
             .expect("sketch just ensured")
             .reduce(&self.masked, self.candidate_cap)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ve_features::FeatureSimulator;
+    use ve_storage::StorageManager;
+    use ve_vidsim::{Dataset, DatasetName};
+
+    const EXTRACTOR: ExtractorId = ExtractorId::Mvit;
+
+    /// A sketch small enough that a few Deer videos saturate its prefix.
+    fn small_index() -> AcquisitionIndex {
+        let mut index = AcquisitionIndex::new(EXTRACTOR, 1.0, 16);
+        index.sketch_config = ClusterSketchConfig {
+            prefix_rows: 32,
+            clusters: 4,
+            kmeans_iters: 4,
+        };
+        index
+    }
+
+    struct Fixture {
+        dataset: Dataset,
+        fm: FeatureManager,
+        labels: LabelStore,
+        /// Train video ids, ascending.
+        vids: Vec<VideoId>,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let dataset = Dataset::scaled(DatasetName::Deer, 0.1, 5);
+            let fm = FeatureManager::new(
+                FeatureSimulator::with_dim(DatasetName::Deer, 4, 5, 8),
+                StorageManager::new(),
+            );
+            let mut vids: Vec<VideoId> = dataset.train.videos().iter().map(|c| c.id).collect();
+            vids.sort_unstable();
+            Self {
+                dataset,
+                fm,
+                labels: LabelStore::new(),
+                vids,
+            }
+        }
+
+        fn extract(&self, vids: impl IntoIterator<Item = VideoId>) {
+            for vid in vids {
+                let clip = self.dataset.train.get(vid).expect("train video");
+                self.fm.ensure_clip(EXTRACTOR, clip).unwrap();
+            }
+        }
+
+        fn sync(&self, index: &mut AcquisitionIndex) {
+            index.sync(&self.fm, &self.dataset.train, &self.labels);
+        }
+
+        /// Syncs `index`, selects, and checks both the eligible rows and the
+        /// sketch against a from-scratch index over the same store.
+        fn sync_and_check(&self, index: &mut AcquisitionIndex) {
+            self.sync(index);
+            let mut fresh = self.fresh();
+            assert_eq!(index.eligible_rows(), fresh.eligible_rows());
+            assert_eq!(index.sketch, fresh.sketch);
+        }
+
+        /// A from-scratch index that has built its sketch.
+        fn fresh(&self) -> AcquisitionIndex {
+            let mut fresh = small_index();
+            self.sync(&mut fresh);
+            fresh.eligible_rows();
+            assert_eq!(fresh.stats().sketch_builds, 1);
+            fresh
+        }
+
+        /// Every other video of the first 40, ingested as tail appends,
+        /// with the sketch built over them.
+        fn seeded_index(&self) -> AcquisitionIndex {
+            let mut index = small_index();
+            self.extract(self.vids[..40].iter().step_by(2).copied());
+            self.sync_and_check(&mut index);
+            assert!(index.rows() > 2 * index.sketch_config.prefix_rows);
+            assert_eq!(index.stats().sketch_builds, 1);
+            index
+        }
+
+        /// Held-back (odd-position) videos that sort before the index tail
+        /// and whose rows land past its fit prefix.
+        fn past_prefix(&self, index: &AcquisitionIndex) -> Vec<VideoId> {
+            let boundary = index.meta_at(index.sketch_config.prefix_rows).0;
+            self.vids[..39]
+                .iter()
+                .skip(1)
+                .step_by(2)
+                .copied()
+                .filter(|&vid| vid > boundary)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn merges_past_the_saturated_prefix_keep_the_sketch() {
+        let fx = Fixture::new();
+        let mut index = fx.seeded_index();
+        let splices = fx.past_prefix(&index);
+        assert!(splices.len() >= 5, "{splices:?}");
+        for vid in splices {
+            let epoch = index.epoch();
+            fx.extract([vid]);
+            fx.sync_and_check(&mut index);
+            assert_eq!(index.epoch(), epoch + 1, "video {vid:?} was merged");
+            assert_eq!(index.stats().sketch_builds, 1);
+        }
+    }
+
+    #[test]
+    fn a_merge_inside_the_prefix_refits() {
+        let fx = Fixture::new();
+        let mut index = fx.seeded_index();
+        fx.extract([fx.vids[1]]);
+        fx.sync_and_check(&mut index);
+        assert_eq!(index.stats().sketch_builds, 2);
+    }
+
+    #[test]
+    fn a_merge_assigns_tail_rows_appended_since_the_last_selection() {
+        let fx = Fixture::new();
+        let mut index = fx.seeded_index();
+        fx.extract([fx.vids[45]]);
+        fx.sync(&mut index);
+        let sketch = index
+            .sketch
+            .as_ref()
+            .expect("a tail append keeps the sketch");
+        assert!(
+            sketch.assigned_rows() < index.rows(),
+            "tail not yet assigned"
+        );
+        fx.extract([fx.past_prefix(&index)[0]]);
+        fx.sync(&mut index);
+        assert_eq!(index.sketch, fx.fresh().sketch);
+        assert_eq!(index.stats().sketch_builds, 1);
     }
 }

@@ -347,9 +347,7 @@ impl SessionRunner {
     /// Runs the session with every task on the session thread and returns
     /// its trace; latency is the analytic model's only.
     pub fn run(&self) -> SessionOutcome {
-        let executor = Executor::inline();
-        executor.set_timing_enabled(false);
-        self.run_on(&executor, None)
+        self.run_on(&Executor::inline(), None)
     }
 
     /// Runs the session on a pool of `executor_workers` threads with every

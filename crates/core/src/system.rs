@@ -284,9 +284,7 @@ impl VocalExplore {
     /// [`VocalExplore::process_pending_work_on`]. Returns the number of
     /// `T_e` scores produced.
     pub fn process_pending_work(&mut self) -> usize {
-        let executor = Executor::inline();
-        executor.set_timing_enabled(false);
-        self.process_pending_work_on(&executor, 0.0)
+        self.process_pending_work_on(&Executor::inline(), 0.0)
     }
 
     /// Runs the deferred work the Task Scheduler would run in the background:

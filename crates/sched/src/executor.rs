@@ -406,13 +406,18 @@ impl Executor {
     /// on the submitting thread before `submit` returns, through the same
     /// wrapper the pool's workers use (panic capture, counters, timing
     /// span), so handles, counters, and retries behave exactly as on a pool.
+    ///
+    /// Both constructors start with timing-plane capture off (see
+    /// [`Executor::set_timing_enabled`]).
     pub fn inline() -> Self {
+        let plane = TimingPlane::new();
+        plane.set_enabled(false);
         Self {
             inner: Arc::new(Inner {
                 state: Mutex::new(State::default()),
                 available: Condvar::new(),
                 drained: Condvar::new(),
-                plane: TimingPlane::new(),
+                plane,
             }),
             workers: Vec::new(),
         }
@@ -432,7 +437,9 @@ impl Executor {
 
     /// Enables or disables timing-plane capture (counters in
     /// [`ExecutorStats`] are always maintained; they are a handful of adds
-    /// under a lock already held).
+    /// under a lock already held). Capture starts off: the plane keeps every
+    /// span it records, so a long-lived executor whose owner never reads
+    /// them would grow without bound.
     pub fn set_timing_enabled(&self, on: bool) {
         self.inner.plane.set_enabled(on);
     }
@@ -911,6 +918,7 @@ mod tests {
     #[test]
     fn timing_plane_records_labeled_spans_with_queue_wait() {
         let ex = Executor::new(2);
+        ex.set_timing_enabled(true);
         let h1 =
             ex.submit_with_handle_labeled(Priority::Normal, TaskLabel::new("train", 3), || {
                 std::thread::sleep(std::time::Duration::from_millis(2))
@@ -939,12 +947,25 @@ mod tests {
     #[test]
     fn disabled_timing_plane_keeps_counters_but_drops_spans() {
         let ex = Executor::new(1);
+        ex.set_timing_enabled(true);
         ex.set_timing_enabled(false);
         ex.submit(Priority::Normal, || {});
         ex.wait_idle();
         assert!(ex.timing().tasks().is_empty());
         assert_eq!(ex.stats().completed, 1);
         assert_eq!(ex.stats().depth_hwm[1], 1);
+    }
+
+    #[test]
+    fn timing_capture_is_off_until_enabled() {
+        for ex in [Executor::inline(), Executor::new(2)] {
+            for i in 0..500 {
+                ex.submit_labeled(Priority::Normal, TaskLabel::new("eager", i), || {});
+            }
+            ex.wait_idle();
+            assert!(ex.timing().tasks().is_empty());
+            assert_eq!(ex.stats().completed, 500);
+        }
     }
 
     #[test]
@@ -1146,6 +1167,7 @@ mod tests {
     #[test]
     fn inline_executor_runs_jobs_on_the_caller_and_counts_them() {
         let ex = Executor::inline();
+        ex.set_timing_enabled(true);
         let caller = std::thread::current().id();
         let handle = ex.submit_with_handle_labeled(
             Priority::Background,
