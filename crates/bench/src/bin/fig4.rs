@@ -6,7 +6,8 @@
 //! all extractors. The headline findings to reproduce: the best feature
 //! varies across datasets (video models on Deer, MViT on K20 (skew) and
 //! Charades, CLIP variants on BDD), the Random feature is always worst, and
-//! Concat does not beat the best single feature.
+//! Concat does not beat the best single feature. Concat is scored by the
+//! session harness's own held-out evaluator ([`held_out_f1`]).
 //!
 //! ```text
 //! cargo run --release -p ve-bench --bin fig4 [-- --full]
@@ -18,11 +19,10 @@ use rand::SeedableRng;
 use ve_al::VeSampleConfig;
 use ve_bench::{print_header, print_row, run_averaged, with_fixed_feature, with_sampling, Profile};
 use ve_features::FeatureSimulator;
-use ve_ml::{
-    macro_f1, macro_f1_multilabel, Classifier, OneVsRestModel, SoftmaxModel, StandardScaler,
-    TrainConfig,
-};
-use ve_vidsim::{Dataset, TaskKind, TimeRange};
+use ve_ml::{StandardScaler, TrainConfig, TrainedModel};
+use ve_vidsim::{Dataset, TimeRange};
+use vocalexplore::harness::held_out_f1;
+use vocalexplore::model_manager::{task_targets, FittedModel};
 use vocalexplore::prelude::*;
 use vocalexplore::SamplingPolicy;
 
@@ -90,24 +90,14 @@ fn concat_f1(profile: &Profile, dataset: DatasetName) -> f64 {
         videos.shuffle(&mut rng);
 
         let mut feats = Vec::new();
-        let mut single = Vec::new();
-        let mut multi = Vec::new();
+        let mut targets = task_targets(ds.spec.task);
         for &vi in videos.iter().take(budget) {
             let clip = &ds.train.videos()[vi];
             let range = TimeRange::new(0.0, cfg.clip_len.min(clip.duration));
             let classes = oracle.label(&ds.train, clip.id, &range);
             let fv = sim.extract_concat(clip, &range);
-            match ds.spec.task {
-                TaskKind::SingleLabel => {
-                    if let Some(&c) = classes.first() {
-                        feats.push(fv.data);
-                        single.push(c);
-                    }
-                }
-                TaskKind::MultiLabel => {
-                    feats.push(fv.data);
-                    multi.push(classes);
-                }
+            if targets.push(&classes) {
+                feats.push(fv.data);
             }
         }
         if feats.len() < 10 {
@@ -118,58 +108,19 @@ fn concat_f1(profile: &Profile, dataset: DatasetName) -> f64 {
             epochs: profile.epochs,
             ..TrainConfig::default()
         };
-        // Evaluate on the middle window of every held-out video.
-        let eval: Vec<(&ve_vidsim::VideoClip, TimeRange)> = ds
-            .eval
-            .videos()
-            .iter()
-            .map(|c| {
-                let mid = (c.duration / 2.0).floor();
-                (c, TimeRange::new(mid, (mid + cfg.clip_len).min(c.duration)))
-            })
-            .collect();
-        let score = match ds.spec.task {
-            TaskKind::SingleLabel => {
-                let distinct: std::collections::HashSet<usize> = single.iter().copied().collect();
-                if distinct.len() < 2 {
-                    continue;
-                }
-                let model = SoftmaxModel::fit(&scaled, &single, ds.vocabulary.len(), &train_cfg);
-                let mut y_true = Vec::new();
-                let mut y_pred = Vec::new();
-                for (clip, range) in &eval {
-                    let Some(truth) = clip
-                        .segment_at(range.midpoint())
-                        .and_then(|s| s.primary_class())
-                    else {
-                        continue;
-                    };
-                    let x = scaler.transform(&sim.extract_concat(clip, range).data);
-                    y_true.push(truth);
-                    y_pred.push(model.predict(&x));
-                }
-                macro_f1(&y_true, &y_pred, ds.vocabulary.len())
-            }
-            TaskKind::MultiLabel => {
-                let model = OneVsRestModel::fit(&scaled, &multi, ds.vocabulary.len(), &train_cfg);
-                let mut y_true = Vec::new();
-                let mut y_pred = Vec::new();
-                for (clip, range) in &eval {
-                    let x = scaler.transform(&sim.extract_concat(clip, range).data);
-                    let probs = model.predict_proba(&x);
-                    y_pred.push(
-                        probs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &p)| p >= 0.5)
-                            .map(|(c, _)| c)
-                            .collect::<Vec<_>>(),
-                    );
-                    y_true.push(clip.classes_in(range));
-                }
-                macro_f1_multilabel(&y_true, &y_pred, ds.vocabulary.len())
-            }
+        let Some(model) = TrainedModel::fit(&scaled, &targets, ds.vocabulary.len(), &train_cfg)
+        else {
+            continue;
         };
+        let fitted = FittedModel { scaler, model };
+        let score = held_out_f1(
+            &fitted,
+            &ds.eval,
+            ds.spec.task,
+            cfg.clip_len,
+            |clip, range| sim.extract_concat(clip, range).data,
+        )
+        .unwrap_or(0.0);
         scores.push(score);
     }
     ve_stats::mean(&scores)

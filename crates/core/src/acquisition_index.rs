@@ -547,11 +547,6 @@ impl AcquisitionIndex {
         self.anchors_ingested = records.len();
     }
 
-    /// Whether any labeled anchor has been ingested.
-    pub fn has_anchors(&self) -> bool {
-        self.anchors.rows() > 0
-    }
-
     /// The coverage vector a selection call should consume: a scratch copy of
     /// the persistent anchor coverage (the call's own greedy picks must not
     /// leak into cross-iteration state), or the centroid seeding when no

@@ -20,10 +20,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use ve_al::{
-    cluster_margin_selection, greedy_k_center, uncertainty_selection_from_probs, AcquisitionKind,
-    ClusterMarginConfig, VeSample,
+    cluster_margin_selection, greedy_k_center, random_selection, uncertainty_selection_from_probs,
+    AcquisitionKind, ClusterMarginConfig, VeSample,
 };
-use ve_bandit::{RisingBandit, RisingBanditConfig};
+use ve_bandit::RisingBandit;
 use ve_features::ExtractorId;
 use ve_storage::LabelStore;
 use ve_vidsim::{ClassId, TimeRange, VideoCorpus, VideoId};
@@ -147,14 +147,6 @@ impl ActiveLearningManager {
     /// active selection has built it.
     pub fn index_stats(&self) -> Option<AcquisitionIndexStats> {
         self.index.as_ref().map(AcquisitionIndex::stats)
-    }
-
-    /// Creates an ALM with a specific bandit configuration (used by the
-    /// feature-selection experiments).
-    pub fn with_bandit(config: VocalExploreConfig, bandit: RisingBanditConfig) -> Self {
-        let mut cfg = config;
-        cfg.feature_selection = FeatureSelectionPolicy::Bandit(bandit);
-        Self::new(cfg)
     }
 
     /// The acquisition function the next untargeted `Explore` call will use.
@@ -330,10 +322,11 @@ impl ActiveLearningManager {
         budget: usize,
         clip_len: f64,
     ) -> Vec<(VideoId, TimeRange)> {
-        let mut windows = unlabeled_windows(corpus, labels, clip_len);
-        windows.shuffle(&mut self.rng);
-        windows.truncate(budget);
-        windows
+        let windows = unlabeled_windows(corpus, labels, clip_len);
+        random_selection(windows.len(), budget, &mut self.rng)
+            .into_iter()
+            .map(|i| windows[i])
+            .collect()
     }
 
     /// Active-learning selection over the persistent acquisition index.

@@ -222,21 +222,6 @@ impl FeatureManager {
         Ok(cost)
     }
 
-    /// Ensures features for a set of clips; returns total GPU seconds spent
-    /// (cache hits are free). Stops at the first clip whose extraction gave
-    /// up — earlier clips stay extracted and charged.
-    pub fn ensure_clips(
-        &self,
-        extractor: ExtractorId,
-        clips: &[&VideoClip],
-    ) -> Result<f64, ExtractionError> {
-        let mut total = 0.0;
-        for c in clips {
-            total += self.ensure_clip(extractor, c)?;
-        }
-        Ok(total)
-    }
-
     /// Returns the cached feature vector covering `range` within `vid`,
     /// extracting the whole clip on demand if necessary. Returns `None` when
     /// the video is unknown to the corpus, or when its extraction permanently

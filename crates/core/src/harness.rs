@@ -53,14 +53,14 @@
 use crate::alm::SelectionStats;
 use crate::config::{PreprocessPolicy, VocalExploreConfig};
 use crate::degradation::Degradation;
-use crate::model_manager::{FittedModel, TrainingStats};
+use crate::model_manager::{task_targets, FittedModel, TrainingStats};
 use crate::observability::SessionEvent;
 use crate::system::{sleep_scaled, VocalExplore};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ve_al::AcquisitionKind;
-use ve_features::{ExtractorId, FeatureSimulator};
+use ve_features::ExtractorId;
 use ve_ml::Classifier;
 use ve_obs::{PhaseTiming, TaskLabel, TaskTiming};
 use ve_sched::{
@@ -70,7 +70,8 @@ use ve_sched::{
 use ve_stats::s_max;
 use ve_storage::LabelRecord;
 use ve_vidsim::{
-    Dataset, DatasetName, GroundTruthOracle, NoisyOracle, Oracle, TaskKind, TimeRange, VideoId,
+    Dataset, DatasetName, GroundTruthOracle, NoisyOracle, Oracle, TaskKind, TimeRange, VideoClip,
+    VideoCorpus, VideoId,
 };
 
 /// Number of videos the `VE-full` labeling window can cover with eager
@@ -109,10 +110,6 @@ pub struct SessionConfig {
     /// Evaluate macro F1 on the held-out set every `eval_every` iterations
     /// (1 = every iteration).
     pub eval_every: usize,
-    /// Class every `Explore` call targets (`Explore(label = a)`), routing
-    /// selection through the rare-class uncertainty sampler. `None` (the
-    /// default) runs untargeted exploration.
-    pub target_label: Option<ve_vidsim::ClassId>,
     /// The system configuration (sampling policy, feature policy, strategy,
     /// cost model, ...).
     pub system: VocalExploreConfig,
@@ -133,15 +130,8 @@ impl SessionConfig {
             clip_len: 1.0,
             label_noise: 0.0,
             eval_every: 1,
-            target_label: None,
             system,
         }
-    }
-
-    /// Targets every `Explore` call at one class (uncertainty sampling).
-    pub fn with_target_label(mut self, class: ve_vidsim::ClassId) -> Self {
-        self.target_label = Some(class);
-        self
     }
 
     /// Overrides the number of iterations.
@@ -413,8 +403,7 @@ impl SessionRunner {
             // `T_s` per segment; lazy candidate extraction inside sleeps its
             // scaled GPU cost, so it lands in the visible window.
             sleep_scaled(cfg.batch_size as f64 * cfg.system.costs.select_secs, scale);
-            let (picks, stats) =
-                system.sample_segments(cfg.batch_size, cfg.clip_len, cfg.target_label);
+            let (picks, stats) = system.sample_segments(cfg.batch_size, cfg.clip_len, None);
             let timing = executor.timing();
             timing.record_phase("select", tag, micros(visible_timer.elapsed()));
             // Delivered to the (simulated) user.
@@ -508,8 +497,20 @@ impl SessionRunner {
             degradations.extend(system.drain_degradations());
 
             let macro_f1 = if iteration % cfg.eval_every == 0 || iteration == cfg.iterations {
+                let sim = fm.simulator();
                 model.and_then(|m| {
-                    self.evaluate(&m, fm.simulator(), current_extractor, &mut eval_cache)
+                    held_out_f1(
+                        &m,
+                        &self.dataset.eval,
+                        cfg.system.task,
+                        cfg.clip_len,
+                        |clip, range| {
+                            eval_cache
+                                .entry((current_extractor, clip.id))
+                                .or_insert_with(|| sim.extract(current_extractor, clip, range).data)
+                                .clone()
+                        },
+                    )
                 })
             } else {
                 None
@@ -617,88 +618,41 @@ impl SessionRunner {
             // ve-lint: allow(float-reduction-order) -- slice iteration order is fixed
             .sum::<f64>()
     }
+}
 
-    /// Macro F1 of `fitted` on the held-out evaluation set. Uses one
-    /// window per evaluation video (the middle window), which keeps per-
-    /// iteration evaluation cheap while covering every held-out video.
-    fn evaluate(
-        &self,
-        fitted: &FittedModel,
-        sim: &FeatureSimulator,
-        extractor: ExtractorId,
-        cache: &mut HashMap<(ExtractorId, VideoId), Vec<f32>>,
-    ) -> Option<f64> {
-        match self.config.system.task {
-            TaskKind::SingleLabel => {
-                let mut y_true = Vec::new();
-                let mut y_pred = Vec::new();
-                for clip in self.dataset.eval.videos() {
-                    let mid = clip.duration / 2.0;
-                    let range = TimeRange::new(
-                        mid.floor(),
-                        (mid.floor() + self.config.clip_len).min(clip.duration),
-                    );
-                    let Some(truth) = clip
-                        .segment_at(range.midpoint())
-                        .and_then(|s| s.primary_class())
-                    else {
-                        continue;
-                    };
-                    let feats = cache
-                        .entry((extractor, clip.id))
-                        .or_insert_with(|| sim.extract(extractor, clip, &range).data)
-                        .clone();
-                    let scaled = fitted.scaler.transform(&feats);
-                    y_pred.push(fitted.model.predict(&scaled));
-                    y_true.push(truth);
-                }
-                if y_true.is_empty() {
-                    None
-                } else {
-                    Some(ve_ml::macro_f1(
-                        &y_true,
-                        &y_pred,
-                        self.config.system.num_classes,
-                    ))
-                }
-            }
-            TaskKind::MultiLabel => {
-                let mut y_true = Vec::new();
-                let mut y_pred = Vec::new();
-                for clip in self.dataset.eval.videos() {
-                    let mid = clip.duration / 2.0;
-                    let range = TimeRange::new(
-                        mid.floor(),
-                        (mid.floor() + self.config.clip_len).min(clip.duration),
-                    );
-                    let truth = clip.classes_in(&range);
-                    let feats = cache
-                        .entry((extractor, clip.id))
-                        .or_insert_with(|| sim.extract(extractor, clip, &range).data)
-                        .clone();
-                    let scaled = fitted.scaler.transform(&feats);
-                    let probs = fitted.model.predict_proba(&scaled);
-                    let pred: Vec<usize> = probs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &p)| p >= 0.5)
-                        .map(|(c, _)| c)
-                        .collect();
-                    y_true.push(truth);
-                    y_pred.push(pred);
-                }
-                if y_true.is_empty() {
-                    None
-                } else {
-                    Some(ve_ml::macro_f1_multilabel(
-                        &y_true,
-                        &y_pred,
-                        self.config.system.num_classes,
-                    ))
-                }
-            }
+/// Macro F1 of `fitted` on the held-out `eval` corpus, over one window per
+/// video: the `clip_len` seconds from the floor of its midpoint, which keeps
+/// evaluation cheap while covering every video. `features` supplies a
+/// window's unscaled feature vector. Single-label truth is the class of the
+/// segment at the window's midpoint (videos without one are skipped);
+/// multi-label truth is every class in the window. `None` when no window
+/// has a truth label.
+pub fn held_out_f1(
+    fitted: &FittedModel,
+    eval: &VideoCorpus,
+    task: TaskKind,
+    clip_len: f64,
+    mut features: impl FnMut(&VideoClip, &TimeRange) -> Vec<f32>,
+) -> Option<f64> {
+    let mut truth = task_targets(task);
+    let mut predicted = Vec::new();
+    for clip in eval.videos() {
+        let mid = (clip.duration / 2.0).floor();
+        let range = TimeRange::new(mid, (mid + clip_len).min(clip.duration));
+        let classes = match task {
+            TaskKind::SingleLabel => clip
+                .segment_at(range.midpoint())
+                .and_then(|s| s.primary_class())
+                .into_iter()
+                .collect(),
+            TaskKind::MultiLabel => clip.classes_in(&range),
+        };
+        if truth.push(&classes) {
+            let x = fitted.scaler.transform(&features(clip, &range));
+            predicted.push(fitted.model.predict_labels(&x));
         }
     }
+    (!truth.is_empty()).then(|| truth.macro_f1(&predicted, fitted.model.num_classes()))
 }
 
 #[cfg(test)]

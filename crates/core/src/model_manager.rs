@@ -17,10 +17,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use ve_features::ExtractorId;
-use ve_ml::{
-    Classifier, CrossValConfig, OneVsRestModel, ScalerMoments, SoftmaxModel, StandardScaler,
-    TrainedModel,
-};
+use ve_ml::{Classifier, CrossValConfig, ScalerMoments, StandardScaler, Targets, TrainedModel};
 use ve_sched::fault::{FaultInjector, FaultSite};
 use ve_storage::{LabelRecord, ModelRegistry};
 use ve_vidsim::{TaskKind, TimeRange, VideoCorpus, VideoId};
@@ -100,6 +97,16 @@ impl std::fmt::Display for InferenceError {
 
 impl std::error::Error for InferenceError {}
 
+/// Empty targets of the task's kind: the one place a [`TaskKind`] picks
+/// between single-label (softmax) and multi-label (one-vs-rest) training,
+/// prediction and scoring.
+pub fn task_targets(task: TaskKind) -> Targets {
+    match task {
+        TaskKind::SingleLabel => Targets::Single(Vec::new()),
+        TaskKind::MultiLabel => Targets::Multi(Vec::new()),
+    }
+}
+
 /// A published model together with the scaler fitted on its training data.
 #[derive(Debug, Clone)]
 pub struct FittedModel {
@@ -137,10 +144,8 @@ struct WarmState {
     /// Every usable training row consumed so far, unscaled, in label-record
     /// order.
     examples: Vec<Vec<f32>>,
-    /// Single-label targets parallel to `examples` (empty for multi-label).
-    single: Vec<usize>,
-    /// Multi-label targets parallel to `examples` (empty for single-label).
-    multi: Vec<Vec<usize>>,
+    /// Targets parallel to `examples`.
+    targets: Targets,
     /// Running scaler moments over `examples` (O(Δ·dim) per update).
     moments: ScalerMoments,
     /// Label records already consumed from the label list.
@@ -237,38 +242,27 @@ impl ModelManager {
         self.registry.read().total_published()
     }
 
-    /// Assembles the training set for an extractor from the label records.
-    /// Returns `(features, single_label_targets, multi_label_targets)`; the
-    /// unused target vector is empty depending on the task kind.
+    /// Assembles the training set for an extractor from the label records:
+    /// one feature row and target per record with a feature, skipping
+    /// single-label records without a class.
     fn training_set(
         &self,
         extractor: ExtractorId,
         corpus: &VideoCorpus,
         fm: &FeatureManager,
         labels: &[LabelRecord],
-    ) -> (Vec<Vec<f32>>, Vec<usize>, Vec<Vec<usize>>) {
+    ) -> (Vec<Vec<f32>>, Targets) {
         let mut features = Vec::with_capacity(labels.len());
-        let mut single = Vec::new();
-        let mut multi = Vec::new();
+        let mut targets = task_targets(self.config.task);
         for record in labels {
             let Some(fv) = fm.feature_for(extractor, corpus, record.vid, &record.range) else {
                 continue;
             };
-            match self.config.task {
-                TaskKind::SingleLabel => {
-                    let Some(&class) = record.classes.first() else {
-                        continue;
-                    };
-                    features.push(fv.data);
-                    single.push(class);
-                }
-                TaskKind::MultiLabel => {
-                    features.push(fv.data);
-                    multi.push(record.classes.clone());
-                }
+            if targets.push(&record.classes) {
+                features.push(fv.data);
             }
         }
-        (features, single, multi)
+        (features, targets)
     }
 
     /// Trains and publishes a new model for the extractor using all labels
@@ -338,30 +332,18 @@ impl ModelManager {
         if let WarmOutcome::Published = self.warm_update(extractor, corpus, fm, labels, iteration) {
             return Ok(true);
         }
-        let (features, single, multi) = self.training_set(extractor, corpus, fm, labels);
+        let (features, targets) = self.training_set(extractor, corpus, fm, labels);
         if features.len() < 2 {
             return Ok(false);
         }
         let (scaled, scaler) = StandardScaler::fit_transform(&features);
-        let model = match self.config.task {
-            TaskKind::SingleLabel => {
-                let distinct: std::collections::HashSet<usize> = single.iter().copied().collect();
-                if distinct.len() < 2 {
-                    return Ok(false);
-                }
-                TrainedModel::Softmax(SoftmaxModel::fit(
-                    &scaled,
-                    &single,
-                    self.config.num_classes,
-                    &self.config.train,
-                ))
-            }
-            TaskKind::MultiLabel => TrainedModel::OneVsRest(OneVsRestModel::fit(
-                &scaled,
-                &multi,
-                self.config.num_classes,
-                &self.config.train,
-            )),
+        let Some(model) = TrainedModel::fit(
+            &scaled,
+            &targets,
+            self.config.num_classes,
+            &self.config.train,
+        ) else {
+            return Ok(false);
         };
         {
             let mut stats = self.stats.lock();
@@ -376,8 +358,7 @@ impl ModelManager {
             WarmState {
                 dim,
                 examples: features.clone(),
-                single,
-                multi,
+                targets,
                 moments,
                 consumed: labels.len(),
                 model: model.clone(),
@@ -418,7 +399,7 @@ impl ModelManager {
         }
         // Collect the Δ usable examples with the exact filtering rules of
         // `training_set` so cold and warm consume the same record stream.
-        let (d_features, d_single, d_multi) =
+        let (d_features, d_targets) =
             self.training_set(extractor, corpus, fm, &labels[state.consumed..]);
         if d_features.iter().any(|f| f.len() != state.dim) {
             states.remove(&extractor);
@@ -427,8 +408,7 @@ impl ModelManager {
         let old_len = state.examples.len();
         state.moments.update(&d_features);
         state.examples.extend(d_features);
-        state.single.extend(d_single);
-        state.multi.extend(d_multi);
+        state.targets.append(d_targets);
         state.consumed = labels.len();
         // Fine-tune set: a deterministic evenly-strided replay sample over
         // the older examples (bounded by `REPLAY_CAP`) plus every Δ example,
@@ -445,32 +425,14 @@ impl ModelManager {
             .iter()
             .map(|&i| scaler.transform(&state.examples[i]))
             .collect();
-        let model = match (&state.model, self.config.task) {
-            (TrainedModel::Softmax(init), TaskKind::SingleLabel) => {
-                let targets: Vec<usize> = idx.iter().map(|&i| state.single[i]).collect();
-                TrainedModel::Softmax(SoftmaxModel::fit_warm(
-                    &tune,
-                    &targets,
-                    self.config.num_classes,
-                    &self.config.train,
-                    init,
-                ))
-            }
-            (TrainedModel::OneVsRest(init), TaskKind::MultiLabel) => {
-                let targets: Vec<Vec<usize>> =
-                    idx.iter().map(|&i| state.multi[i].clone()).collect();
-                TrainedModel::OneVsRest(OneVsRestModel::fit_warm(
-                    &tune,
-                    &targets,
-                    self.config.num_classes,
-                    &self.config.train,
-                    init,
-                ))
-            }
-            _ => {
-                states.remove(&extractor);
-                return WarmOutcome::ColdStart;
-            }
+        let Some(model) = state.model.fit_warm(
+            &tune,
+            &state.targets.select(&idx),
+            self.config.num_classes,
+            &self.config.train,
+        ) else {
+            states.remove(&extractor);
+            return WarmOutcome::ColdStart;
         };
         state.model = model.clone();
         drop(states);
@@ -634,19 +596,19 @@ impl ModelManager {
         fm: &FeatureManager,
         labels: &[LabelRecord],
     ) -> Option<f64> {
-        let (features, single, multi) = self.training_set(extractor, corpus, fm, labels);
+        let (features, targets) = self.training_set(extractor, corpus, fm, labels);
         if features.len() < 6 {
             return None;
         }
-        let score = match self.config.task {
-            TaskKind::SingleLabel => {
-                let cfg = CrossValConfig {
-                    train: self.config.train,
-                    ..CrossValConfig::default()
-                };
+        let cfg = CrossValConfig {
+            train: self.config.train,
+            ..CrossValConfig::default()
+        };
+        let score = match &targets {
+            Targets::Single(single) => {
                 let kept = {
                     let mut per_class = vec![0usize; self.config.num_classes];
-                    for &c in &single {
+                    for &c in single {
                         per_class[c] += 1;
                     }
                     per_class
@@ -654,10 +616,12 @@ impl ModelManager {
                         .filter(|&&n| n >= cfg.min_instances_per_class.max(cfg.folds))
                         .count()
                 };
-                ve_ml::cross_validate(&features, &single, self.config.num_classes, &cfg)
+                ve_ml::cross_validate(&features, single, self.config.num_classes, &cfg)
                     .map(|score| score * kept as f64 / self.config.num_classes as f64)
             }
-            TaskKind::MultiLabel => self.multilabel_cv(&features, &multi),
+            Targets::Multi(sets) => {
+                ve_ml::cross_validate_multilabel(&features, sets, self.config.num_classes, &cfg)
+            }
         };
         if let Some(s) = score {
             // The score is a pure function of (labels, extractor, config), so
@@ -668,66 +632,6 @@ impl ModelManager {
             });
         }
         score
-    }
-
-    /// Simple 3-fold CV for multi-label tasks (no stratification; folds are
-    /// assigned round-robin which is adequate because every class appears in
-    /// many records).
-    fn multilabel_cv(&self, features: &[Vec<f32>], targets: &[Vec<usize>]) -> Option<f64> {
-        const FOLDS: usize = 3;
-        let n = features.len();
-        if n < FOLDS * 2 {
-            return None;
-        }
-        let mut scores = Vec::new();
-        for fold in 0..FOLDS {
-            let mut train_x = Vec::new();
-            let mut train_y = Vec::new();
-            let mut test_x = Vec::new();
-            let mut test_y = Vec::new();
-            for i in 0..n {
-                if i % FOLDS == fold {
-                    test_x.push(features[i].clone());
-                    test_y.push(targets[i].clone());
-                } else {
-                    train_x.push(features[i].clone());
-                    train_y.push(targets[i].clone());
-                }
-            }
-            if train_x.is_empty() || test_x.is_empty() {
-                continue;
-            }
-            let (scaled_train, scaler) = StandardScaler::fit_transform(&train_x);
-            let model = OneVsRestModel::fit(
-                &scaled_train,
-                &train_y,
-                self.config.num_classes,
-                &self.config.train,
-            );
-            let preds: Vec<Vec<usize>> = test_x
-                .iter()
-                .map(|x| {
-                    let probs = model.predict_proba(&scaler.transform(x));
-                    probs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &p)| p >= 0.5)
-                        .map(|(c, _)| c)
-                        .collect()
-                })
-                .collect();
-            scores.push(ve_ml::macro_f1_multilabel(
-                &test_y,
-                &preds,
-                self.config.num_classes,
-            ));
-        }
-        if scores.is_empty() {
-            None
-        } else {
-            // ve-lint: allow(float-reduction-order) -- fold scores accumulate in fixed fold order (Vec iteration)
-            Some(scores.iter().sum::<f64>() / scores.len() as f64)
-        }
     }
 
     /// The latest fitted model for an extractor, if any (used by the harness

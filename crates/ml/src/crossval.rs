@@ -7,9 +7,13 @@
 //! validation over classes with at least three labeled instances to ensure
 //! each class is present in each training and test split" — that filter is
 //! implemented here as `min_instances_per_class`.
+//!
+//! Multi-label targets have no single class to stratify on, so
+//! [`cross_validate_multilabel`] assigns folds round-robin instead.
 
-use crate::linear::{Classifier, SoftmaxModel, TrainConfig};
-use crate::metrics::macro_f1;
+use crate::linear::{Classifier, OneVsRestModel, SoftmaxModel, TrainConfig, TrainedModel};
+use crate::metrics::{macro_f1, macro_f1_multilabel};
+use crate::scaler::StandardScaler;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -155,6 +159,58 @@ pub fn cross_validate(
     }
 }
 
+/// Cross-validated macro-F1 estimate of a one-vs-rest model on the given
+/// features and multi-label targets.
+///
+/// Folds are unstratified: example `i` is tested in fold `i % cfg.folds`,
+/// which is adequate because every class appears in many records. Each fold
+/// standardizes its training features with its own [`StandardScaler`], and
+/// the estimate is the mean of the fold scores in fold order. Returns `None`
+/// with fewer than two examples per fold.
+pub fn cross_validate_multilabel(
+    features: &[Vec<f32>],
+    label_sets: &[Vec<usize>],
+    num_classes: usize,
+    cfg: &CrossValConfig,
+) -> Option<f64> {
+    assert!(cfg.folds >= 2, "need at least two folds");
+    assert_eq!(features.len(), label_sets.len());
+    let n = features.len();
+    if n < cfg.folds * 2 {
+        return None;
+    }
+    let mut scores = Vec::new();
+    for fold in 0..cfg.folds {
+        let mut train_x = Vec::new();
+        let mut train_y = Vec::new();
+        let mut test_x = Vec::new();
+        let mut test_y = Vec::new();
+        for i in 0..n {
+            if i % cfg.folds == fold {
+                test_x.push(features[i].clone());
+                test_y.push(label_sets[i].clone());
+            } else {
+                train_x.push(features[i].clone());
+                train_y.push(label_sets[i].clone());
+            }
+        }
+        let (scaled_train, scaler) = StandardScaler::fit_transform(&train_x);
+        let model = TrainedModel::OneVsRest(OneVsRestModel::fit(
+            &scaled_train,
+            &train_y,
+            num_classes,
+            &cfg.train,
+        ));
+        let preds: Vec<Vec<usize>> = test_x
+            .iter()
+            .map(|x| model.predict_labels(&scaler.transform(x)))
+            .collect();
+        scores.push(macro_f1_multilabel(&test_y, &preds, num_classes));
+    }
+    // ve-lint: allow(float-reduction-order) -- fold scores accumulate in fixed fold order (Vec iteration)
+    Some(scores.iter().sum::<f64>() / scores.len() as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +330,36 @@ mod tests {
             assert_eq!(single.to_bits(), multi.to_bits(), "{threads} threads");
         }
         ve_sched::parallel::set_parallelism(0);
+    }
+
+    /// Label 0 when x > 0, label 1 when y > 0.
+    fn quadrant_dataset(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<Vec<usize>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let (x, y) = (rng.gen::<f32>() * 4.0 - 2.0, rng.gen::<f32>() * 4.0 - 2.0);
+                let labels = [(x > 0.0, 0), (y > 0.0, 1)]
+                    .into_iter()
+                    .filter_map(|(on, c)| on.then_some(c))
+                    .collect();
+                (vec![x, y], labels)
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn multilabel_cross_validate_separable_data_scores_high() {
+        let (xs, ls) = quadrant_dataset(120, 31);
+        let score = cross_validate_multilabel(&xs, &ls, 2, &CrossValConfig::default()).unwrap();
+        assert!(score > 0.85, "score={score}");
+    }
+
+    #[test]
+    fn multilabel_cross_validate_needs_two_examples_per_fold() {
+        let (xs, ls) = quadrant_dataset(6, 32);
+        let cfg = CrossValConfig::default();
+        assert!(cross_validate_multilabel(&xs[..5], &ls[..5], 2, &cfg).is_none());
+        assert!(cross_validate_multilabel(&xs, &ls, 2, &cfg).is_some());
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! * multinomial logistic regression ([`linear::SoftmaxModel`]) for
 //!   single-label datasets (Deer, K20, K20-skew, Bears) and one-vs-rest
 //!   logistic regression ([`linear::OneVsRestModel`]) for multi-label
-//!   datasets (Charades verbs, BDD objects),
+//!   datasets (Charades verbs, BDD objects); [`linear::Targets`] and
+//!   [`linear::TrainedModel`] are the one place that picks between them, so
+//!   callers train, predict and score without branching on the task,
 //! * evaluation metrics ([`metrics`]) — macro F1 is the paper's primary
 //!   quality metric,
-//! * stratified k-fold cross-validation ([`crossval`]) used by the rising
-//!   bandit to estimate feature quality when no validation set exists, and
+//! * k-fold cross-validation ([`crossval`]; stratified for single-label,
+//!   round-robin for multi-label targets) used by the rising bandit to
+//!   estimate feature quality when no validation set exists, and
 //! * exponential weighted moving-average smoothing ([`ewma`]) used to smooth
 //!   noisy per-step model quality (Section 3.2.4).
 
@@ -29,9 +32,11 @@ pub mod tensor;
 pub use block::{
     argmax_chunked, argmax_chunked_filtered, dot_fast, sq_norm, FeatureBlock, FeatureBlockBuilder,
 };
-pub use crossval::{cross_validate, stratified_k_fold, CrossValConfig, FoldAssignment};
+pub use crossval::{
+    cross_validate, cross_validate_multilabel, stratified_k_fold, CrossValConfig, FoldAssignment,
+};
 pub use ewma::Ewma;
-pub use linear::{Classifier, LabelKind, OneVsRestModel, SoftmaxModel, TrainConfig, TrainedModel};
+pub use linear::{Classifier, OneVsRestModel, SoftmaxModel, Targets, TrainConfig, TrainedModel};
 pub use metrics::{
     accuracy, confusion_matrix, macro_f1, macro_f1_multilabel, per_class_f1, ClassificationReport,
 };

@@ -7,19 +7,89 @@
 //! details); single-label tasks (Deer activities, K20, Bears) use a softmax
 //! model while multi-label tasks (Charades verbs, BDD objects) use one
 //! binary head per class.
+//!
+//! [`Targets`] and [`TrainedModel`] are the one place that split lives: the
+//! targets' variant is the task kind, and `TrainedModel::{fit, fit_warm,
+//! predict_labels}` plus [`Targets::macro_f1`] pick the model, the decision
+//! rule and the metric from it, so callers never branch on the task.
 
+use crate::metrics::{macro_f1, macro_f1_multilabel};
 use crate::tensor::{dot, Lane, LaneMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Whether the classification task is single-label or multi-label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LabelKind {
+/// Per-example class targets of a single- or multi-label task. The variant
+/// is the task kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Targets {
     /// Exactly one class per example (softmax).
-    SingleLabel,
+    Single(Vec<usize>),
     /// Zero or more classes per example (independent sigmoid per class).
-    MultiLabel,
+    Multi(Vec<Vec<usize>>),
+}
+
+impl Targets {
+    /// Number of examples.
+    pub fn len(&self) -> usize {
+        match self {
+            Targets::Single(labels) => labels.len(),
+            Targets::Multi(sets) => sets.len(),
+        }
+    }
+
+    /// Whether there are no examples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends one example labeled `classes`. A single-label example takes
+    /// the first class; with none it is not appended and `false` is
+    /// returned, so the caller drops its features too.
+    pub fn push(&mut self, classes: &[usize]) -> bool {
+        match self {
+            Targets::Single(labels) => match classes.first() {
+                Some(&class) => labels.push(class),
+                None => return false,
+            },
+            Targets::Multi(sets) => sets.push(classes.to_vec()),
+        }
+        true
+    }
+
+    /// Appends every example of `other`.
+    ///
+    /// # Panics
+    /// Panics when `other` is of the other task kind.
+    pub fn append(&mut self, other: Targets) {
+        match (self, other) {
+            (Targets::Single(labels), Targets::Single(more)) => labels.extend(more),
+            (Targets::Multi(sets), Targets::Multi(more)) => sets.extend(more),
+            _ => panic!("target kind mismatch"),
+        }
+    }
+
+    /// The targets of examples `idx`, in that order.
+    pub fn select(&self, idx: &[usize]) -> Targets {
+        match self {
+            Targets::Single(labels) => Targets::Single(idx.iter().map(|&i| labels[i]).collect()),
+            Targets::Multi(sets) => Targets::Multi(idx.iter().map(|&i| sets[i].clone()).collect()),
+        }
+    }
+
+    /// Macro F1 over the full vocabulary of `predicted` (one
+    /// [`TrainedModel::predict_labels`] set per example) against these
+    /// targets: [`macro_f1`] for single-label targets, where each set holds
+    /// exactly one class, and [`macro_f1_multilabel`] otherwise.
+    pub fn macro_f1(&self, predicted: &[Vec<usize>], num_classes: usize) -> f64 {
+        match self {
+            Targets::Single(labels) => {
+                let predicted: Vec<usize> = predicted.iter().map(|set| set[0]).collect();
+                macro_f1(labels, &predicted, num_classes)
+            }
+            Targets::Multi(sets) => macro_f1_multilabel(sets, predicted, num_classes),
+        }
+    }
 }
 
 /// Training hyperparameters for the linear models.
@@ -345,11 +415,70 @@ pub enum TrainedModel {
 }
 
 impl TrainedModel {
-    /// The label kind this model was trained for.
-    pub fn kind(&self) -> LabelKind {
+    /// Trains from scratch the model `targets` call for: softmax for
+    /// single-label targets, one-vs-rest for multi-label ones. `None` when
+    /// single-label targets hold fewer than two distinct classes.
+    ///
+    /// # Panics
+    /// Panics on the invalid inputs [`SoftmaxModel::fit`] and
+    /// [`OneVsRestModel::fit`] reject.
+    pub fn fit(
+        features: &[Vec<f32>],
+        targets: &Targets,
+        num_classes: usize,
+        cfg: &TrainConfig,
+    ) -> Option<Self> {
+        Some(match targets {
+            Targets::Single(labels) => {
+                let first = *labels.first()?;
+                if labels.iter().all(|&l| l == first) {
+                    return None;
+                }
+                TrainedModel::Softmax(SoftmaxModel::fit(features, labels, num_classes, cfg))
+            }
+            Targets::Multi(sets) => {
+                TrainedModel::OneVsRest(OneVsRestModel::fit(features, sets, num_classes, cfg))
+            }
+        })
+    }
+
+    /// Fine-tunes this model on `targets` for `cfg.warm_epochs` passes (see
+    /// [`SoftmaxModel::fit_warm`]). `None` when the model kind does not match
+    /// the targets' task kind, so the caller trains from scratch instead.
+    ///
+    /// # Panics
+    /// Panics on the invalid inputs the per-kind `fit_warm` rejects.
+    pub fn fit_warm(
+        &self,
+        features: &[Vec<f32>],
+        targets: &Targets,
+        num_classes: usize,
+        cfg: &TrainConfig,
+    ) -> Option<Self> {
+        Some(match (self, targets) {
+            (TrainedModel::Softmax(init), Targets::Single(labels)) => TrainedModel::Softmax(
+                SoftmaxModel::fit_warm(features, labels, num_classes, cfg, init),
+            ),
+            (TrainedModel::OneVsRest(init), Targets::Multi(sets)) => TrainedModel::OneVsRest(
+                OneVsRestModel::fit_warm(features, sets, num_classes, cfg, init),
+            ),
+            _ => return None,
+        })
+    }
+
+    /// The predicted label set of one feature vector: the most probable
+    /// class for a softmax model, every class with probability `>= 0.5` for
+    /// a one-vs-rest model.
+    pub fn predict_labels(&self, x: &[f32]) -> Vec<usize> {
         match self {
-            TrainedModel::Softmax(_) => LabelKind::SingleLabel,
-            TrainedModel::OneVsRest(_) => LabelKind::MultiLabel,
+            TrainedModel::Softmax(m) => vec![m.predict(x)],
+            TrainedModel::OneVsRest(m) => m
+                .predict_proba(x)
+                .iter()
+                .enumerate()
+                .filter(|(_, &p)| p >= 0.5)
+                .map(|(c, _)| c)
+                .collect(),
         }
     }
 }
@@ -893,10 +1022,101 @@ mod tests {
     fn trained_model_enum_dispatch() {
         let (xs, ys) = blob_dataset(20, &[[0.0, 0.0], [5.0, 5.0]], 0.5, 5);
         let m = TrainedModel::Softmax(SoftmaxModel::fit(&xs, &ys, 2, &TrainConfig::default()));
-        assert_eq!(m.kind(), LabelKind::SingleLabel);
         assert_eq!(m.num_classes(), 2);
         assert_eq!(m.dim(), 2);
         assert_eq!(m.predict_proba(&xs[0]).len(), 2);
+    }
+
+    #[test]
+    fn targets_push_select_and_append() {
+        let mut single = Targets::Single(Vec::new());
+        assert!(single.push(&[2, 0]));
+        assert!(!single.push(&[]), "a single-label example needs a class");
+        assert!(single.push(&[1]));
+        assert_eq!(single, Targets::Single(vec![2, 1]));
+        let mut multi = Targets::Multi(Vec::new());
+        assert!(multi.push(&[]) && multi.push(&[0, 3]));
+        multi.append(Targets::Multi(vec![vec![1]]));
+        assert_eq!(multi.len(), 3);
+        assert_eq!(
+            multi.select(&[2, 0, 2]),
+            Targets::Multi(vec![vec![1], vec![], vec![1]])
+        );
+        assert_eq!(single.select(&[1]), Targets::Single(vec![1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "target kind mismatch")]
+    fn targets_append_rejects_the_other_kind() {
+        Targets::Single(vec![0]).append(Targets::Multi(vec![vec![0]]));
+    }
+
+    #[test]
+    fn trained_model_fit_matches_the_per_kind_fits() {
+        let (xs, ys) = blob_dataset(20, &[[0.0, 0.0], [5.0, 5.0]], 0.5, 11);
+        let ls: Vec<Vec<usize>> = ys.iter().map(|&y| vec![y]).collect();
+        let cfg = TrainConfig::default();
+        let weights = |m: &TrainedModel| match m {
+            TrainedModel::Softmax(m) => bits(m.weights().as_slice()),
+            TrainedModel::OneVsRest(m) => bits(m.weights().as_slice()),
+        };
+
+        let single = Targets::Single(ys.clone());
+        let soft = TrainedModel::fit(&xs, &single, 3, &cfg).unwrap();
+        let soft_ref = SoftmaxModel::fit(&xs, &ys, 3, &cfg);
+        assert_eq!(weights(&soft), bits(soft_ref.weights().as_slice()));
+        let multi = Targets::Multi(ls.clone());
+        let ovr = TrainedModel::fit(&xs, &multi, 3, &cfg).unwrap();
+        let ovr_ref = OneVsRestModel::fit(&xs, &ls, 3, &cfg);
+        assert_eq!(weights(&ovr), bits(ovr_ref.weights().as_slice()));
+
+        let one_class = Targets::Single(vec![1; xs.len()]);
+        assert!(TrainedModel::fit(&xs, &one_class, 3, &cfg).is_none());
+
+        let warm = soft.fit_warm(
+            &xs[5..],
+            &single.select(&(5..xs.len()).collect::<Vec<_>>()),
+            3,
+            &cfg,
+        );
+        let warm_ref = SoftmaxModel::fit_warm(&xs[5..], &ys[5..], 3, &cfg, &soft_ref);
+        assert_eq!(weights(&warm.unwrap()), bits(warm_ref.weights().as_slice()));
+        assert!(soft.fit_warm(&xs, &multi, 3, &cfg).is_none());
+        assert!(ovr.fit_warm(&xs, &single, 3, &cfg).is_none());
+    }
+
+    #[test]
+    fn predict_labels_is_argmax_or_the_half_threshold() {
+        let (xs, ys) = blob_dataset(20, &[[0.0, 0.0], [5.0, 5.0]], 0.5, 12);
+        let cfg = TrainConfig::default();
+        let soft = TrainedModel::fit(&xs, &Targets::Single(ys.clone()), 3, &cfg).unwrap();
+        let sets: Vec<Vec<usize>> = ys
+            .iter()
+            .map(|&y| if y == 1 { vec![0, 1] } else { vec![] })
+            .collect();
+        let ovr = TrainedModel::fit(&xs, &Targets::Multi(sets), 3, &cfg).unwrap();
+        for x in &xs {
+            assert_eq!(soft.predict_labels(x), vec![soft.predict(x)]);
+            let probs = ovr.predict_proba(x);
+            let expected: Vec<usize> = (0..3).filter(|&c| probs[c] >= 0.5).collect();
+            assert_eq!(ovr.predict_labels(x), expected);
+        }
+        assert_eq!(ovr.predict_labels(&[5.0, 5.0]), vec![0, 1]);
+        assert!(ovr.predict_labels(&[0.0, 0.0]).is_empty());
+    }
+
+    #[test]
+    fn targets_macro_f1_dispatches_on_the_task_kind() {
+        let predicted = vec![vec![0], vec![1], vec![1]];
+        assert_eq!(
+            Targets::Single(vec![0, 0, 1]).macro_f1(&predicted, 3),
+            macro_f1(&[0, 0, 1], &[0, 1, 1], 3)
+        );
+        let truth = vec![vec![0], vec![1, 2], vec![]];
+        assert_eq!(
+            Targets::Multi(truth.clone()).macro_f1(&predicted, 3),
+            macro_f1_multilabel(&truth, &predicted, 3)
+        );
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub fn accuracy(y_true: &[usize], y_pred: &[usize]) -> f64 {
 }
 
 /// Macro F1 for a multi-label task. `y_true` / `y_pred` hold, per example,
-/// the set of positive class indices (predictions usually obtained by
-/// thresholding per-class probabilities at 0.5).
+/// the set of positive class indices (predictions as
+/// [`crate::linear::TrainedModel::predict_labels`] yields them).
 pub fn macro_f1_multilabel(
     y_true: &[Vec<usize>],
     y_pred: &[Vec<usize>],
