@@ -9,8 +9,10 @@
 //! batch. The original paper clusters once with HAC; this implementation
 //! uses a small deterministic k-means over the margin-filtered set, which
 //! serves the same purpose at VOCALExplore's candidate-set sizes. The
-//! margin-filtered pool is gathered into a contiguous [`FeatureBlock`] so
-//! the k-means assign step is one blocked, parallel nearest-centroid sweep.
+//! candidates are rows of a larger block (the acquisition index's); only
+//! the margin-filtered pool is gathered into its own contiguous
+//! [`FeatureBlock`], so the k-means assign step is one blocked, parallel
+//! nearest-centroid sweep.
 
 use ve_ml::{argmax_chunked, FeatureBlock, FeatureBlockBuilder};
 
@@ -37,39 +39,40 @@ impl Default for ClusterMarginConfig {
     }
 }
 
-/// Selects `budget` candidate indices with Cluster-Margin sampling.
+/// Selects `budget` candidates with Cluster-Margin sampling and returns
+/// their positions in `candidates`.
 ///
-/// * `features` — candidate feature block (one row per candidate).
+/// * `block`, `candidates` — the candidates are the rows `candidates` of
+///   `block` (any order, duplicates allowed); only the margin pool's rows are
+///   ever copied out of `block`.
 /// * `probs` — per-candidate class-probability block from the latest model
-///   (`features.rows()` rows). When the model has not been trained yet
-///   (empty block, or fewer than two probability columns), the margin stage
-///   degenerates to treating every candidate as maximally uncertain, leaving
-///   a purely diversity-driven selection.
+///   (`candidates.len()` rows, in `candidates` order). When the model has not
+///   been trained yet (empty block, or fewer than two probability columns),
+///   the margin stage degenerates to treating every candidate as maximally
+///   uncertain, leaving a purely diversity-driven selection.
 ///
 /// # Panics
 /// Panics if `probs` is non-empty but has a different row count than
-/// `features`.
+/// `candidates`, or a candidate row is out of range.
 pub fn cluster_margin_selection(
-    features: &FeatureBlock,
+    block: &FeatureBlock,
+    candidates: &[usize],
     probs: &FeatureBlock,
     budget: usize,
     cfg: &ClusterMarginConfig,
 ) -> Vec<usize> {
-    if features.is_empty() || budget == 0 {
+    let n = candidates.len();
+    if n == 0 || budget == 0 {
         return Vec::new();
     }
     if !probs.is_empty() {
-        assert_eq!(
-            probs.rows(),
-            features.rows(),
-            "probability rows must match candidates"
-        );
+        assert_eq!(probs.rows(), n, "probability rows must match candidates");
     }
 
     // Stage 1: margin filtering.
-    let margins = margins_of(probs, features.rows());
-    let pool_size = (cfg.margin_pool_multiplier.max(1) * budget).min(features.rows());
-    let mut order: Vec<usize> = (0..features.rows()).collect();
+    let margins = margins_of(probs, n);
+    let pool_size = (cfg.margin_pool_multiplier.max(1) * budget).min(n);
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| margins[a].partial_cmp(&margins[b]).expect("NaN margin"));
     let pool: Vec<usize> = order.into_iter().take(pool_size).collect();
 
@@ -79,7 +82,8 @@ pub fn cluster_margin_selection(
     let k = (cfg.clusters_per_budget.max(1) * budget)
         .min(pool.len())
         .max(1);
-    let pool_block = features.gather(&pool);
+    let pool_rows: Vec<usize> = pool.iter().map(|&p| candidates[p]).collect();
+    let pool_block = block.gather(&pool_rows);
     let assignments = kmeans_assign(&pool_block, k, cfg.kmeans_iters);
 
     // Stage 3: round-robin over clusters, ascending by cluster size, picking
@@ -232,6 +236,11 @@ mod tests {
         FeatureBlock::from_nested(rows)
     }
 
+    /// Every row of `b`, in order: the candidate set of a whole block.
+    fn all(b: &FeatureBlock) -> Vec<usize> {
+        (0..b.rows()).collect()
+    }
+
     /// Candidates in two well-separated clusters with synthetic class
     /// probabilities: cluster A is certain, cluster B is uncertain.
     fn setup() -> (FeatureBlock, FeatureBlock) {
@@ -258,7 +267,7 @@ mod tests {
             margin_pool_multiplier: 2,
             ..ClusterMarginConfig::default()
         };
-        let picks = cluster_margin_selection(&feats, &probs, 5, &cfg);
+        let picks = cluster_margin_selection(&feats, &all(&feats), &probs, 5, &cfg);
         assert_eq!(picks.len(), 5);
         // Every pick must come from the uncertain cluster (indices 10..20):
         // the 10 lowest-margin candidates are exactly those.
@@ -289,7 +298,8 @@ mod tests {
             clusters_per_budget: 1,
             ..ClusterMarginConfig::default()
         };
-        let picks = cluster_margin_selection(&block(&feats), &probs, 4, &cfg);
+        let feats = block(&feats);
+        let picks = cluster_margin_selection(&feats, &all(&feats), &probs, 4, &cfg);
         let left = picks.iter().filter(|&&i| i < 10).count();
         let right = picks.len() - left;
         assert!(
@@ -298,11 +308,40 @@ mod tests {
         );
     }
 
+    /// Candidates given as rows of a larger block select exactly what the
+    /// same candidates gathered into their own block select.
+    #[test]
+    fn candidate_rows_select_like_a_gathered_block() {
+        let rows: Vec<Vec<f32>> = (0..60)
+            .map(|i| vec![(i as f32 * 0.37).sin() * 5.0, (i as f32 * 0.11).cos()])
+            .collect();
+        let big = block(&rows);
+        let candidates: Vec<usize> = (0..40).map(|i| (i * 23 + 7) % 60).rev().collect();
+        let probs = block(
+            &(0..candidates.len())
+                .map(|i| {
+                    let p = (i as f32 * 0.53).sin() * 0.5 + 0.5;
+                    vec![p, 1.0 - p]
+                })
+                .collect::<Vec<_>>(),
+        );
+        let gathered = big.gather(&candidates);
+        let cfg = ClusterMarginConfig {
+            margin_pool_multiplier: 3,
+            ..ClusterMarginConfig::default()
+        };
+        assert_eq!(
+            cluster_margin_selection(&big, &candidates, &probs, 6, &cfg),
+            cluster_margin_selection(&gathered, &all(&gathered), &probs, 6, &cfg)
+        );
+    }
+
     #[test]
     fn works_without_model_probabilities() {
         let (feats, _) = setup();
         let picks = cluster_margin_selection(
             &feats,
+            &all(&feats),
             &FeatureBlock::empty(0),
             6,
             &ClusterMarginConfig::default(),
@@ -315,7 +354,13 @@ mod tests {
     #[test]
     fn budget_larger_than_pool() {
         let (feats, probs) = setup();
-        let picks = cluster_margin_selection(&feats, &probs, 100, &ClusterMarginConfig::default());
+        let picks = cluster_margin_selection(
+            &feats,
+            &all(&feats),
+            &probs,
+            100,
+            &ClusterMarginConfig::default(),
+        );
         assert_eq!(picks.len(), 20);
     }
 
@@ -323,15 +368,21 @@ mod tests {
     fn empty_inputs() {
         assert!(cluster_margin_selection(
             &FeatureBlock::empty(2),
+            &[],
             &FeatureBlock::empty(2),
             5,
             &ClusterMarginConfig::default()
         )
         .is_empty());
         let (feats, probs) = setup();
-        assert!(
-            cluster_margin_selection(&feats, &probs, 0, &ClusterMarginConfig::default()).is_empty()
-        );
+        assert!(cluster_margin_selection(
+            &feats,
+            &all(&feats),
+            &probs,
+            0,
+            &ClusterMarginConfig::default()
+        )
+        .is_empty());
     }
 
     #[test]
@@ -341,6 +392,7 @@ mod tests {
         let feats = FeatureBlock::from_vec(6, 0, Vec::new());
         let picks = cluster_margin_selection(
             &feats,
+            &all(&feats),
             &FeatureBlock::empty(0),
             3,
             &ClusterMarginConfig::default(),
@@ -365,6 +417,7 @@ mod tests {
     fn rejects_mismatched_probs() {
         cluster_margin_selection(
             &block(&[vec![0.0, 1.0], vec![1.0, 0.0]]),
+            &[0, 1],
             &block(&[vec![0.5, 0.5]]),
             1,
             &ClusterMarginConfig::default(),
@@ -386,8 +439,10 @@ mod tests {
                 let feats: Vec<Vec<f32>> = (0..n)
                     .map(|i| seed_vals[i * 3..i * 3 + 3].to_vec())
                     .collect();
+                let feats = FeatureBlock::from_nested(&feats);
                 let picks = cluster_margin_selection(
-                    &FeatureBlock::from_nested(&feats),
+                    &feats,
+                    &all(&feats),
                     &FeatureBlock::empty(0),
                     budget,
                     &ClusterMarginConfig::default(),

@@ -9,6 +9,13 @@
 //! ```
 //!
 //! `--quick` skips the 20k pools.
+//!
+//! The `inference` section times candidate probability inference at the
+//! Cluster-Margin shape (2,000 rows × 512 dims, 9 and 20 classes): the
+//! per-row path (`scaler.transform` + `Classifier::predict_proba` per row,
+//! rows fanned out with `par_map`) against the batched
+//! `TrainedModel::predict_proba_rows`, with their ratio as `speedup`. Both
+//! outputs are checked bit-identical before timing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,11 +23,18 @@ use std::hint::black_box;
 use std::time::Instant;
 use ve_al::{cluster_margin_selection, coreset_selection, ClusterMarginConfig};
 use ve_bench::emit::Artifact;
-use ve_ml::FeatureBlock;
+use ve_ml::{
+    Classifier, FeatureBlock, FeatureBlockBuilder, StandardScaler, Targets, TrainConfig,
+    TrainedModel,
+};
 use ve_obs::json::Json;
 
 const DIM: usize = 64;
 const BUDGET: usize = 5;
+
+/// Candidate rows and feature dimensionality of the inference timings.
+const INFER_ROWS: usize = 2_000;
+const INFER_DIM: usize = 512;
 
 fn make_pool(n: usize, seed: u64) -> (FeatureBlock, FeatureBlock) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -53,6 +67,58 @@ fn median_ns<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
     times[times.len() / 2]
 }
 
+/// A softmax model over `classes` classes fitted on `block`'s first rows,
+/// with its scaler.
+fn inference_model(block: &FeatureBlock, classes: usize) -> (StandardScaler, TrainedModel) {
+    let rows: Vec<Vec<f32>> = (0..200).map(|r| block.row(r).to_vec()).collect();
+    let (scaled, scaler) = StandardScaler::fit_transform(&rows);
+    let labels = Targets::Single((0..rows.len()).map(|r| r % classes).collect());
+    let cfg = TrainConfig {
+        epochs: 5,
+        ..TrainConfig::default()
+    };
+    let model = TrainedModel::fit(&scaled, &labels, classes, &cfg).expect("several classes");
+    (scaler, model)
+}
+
+/// Median ns of the per-row and the batched inference paths over the
+/// candidate rows of `block`, plus their ratio.
+fn inference_timings(block: &FeatureBlock, classes: usize, runs: usize) -> Json {
+    let (scaler, model) = inference_model(block, classes);
+    // Unsorted, as the acquisition index's eligible rows are after masking.
+    let rows: Vec<usize> = (0..block.rows()).map(|i| (i * 7) % block.rows()).collect();
+    let per_row = || {
+        let probs = ve_sched::parallel::par_map(rows.len(), |i| {
+            model.predict_proba(&scaler.transform(block.row(rows[i])))
+        });
+        let mut out = FeatureBlockBuilder::with_capacity(rows.len(), classes);
+        for p in &probs {
+            out.push_row(p);
+        }
+        out.build()
+    };
+    let batched = || FeatureBlock::from_matrix(model.predict_proba_rows(&scaler, block, &rows));
+    let bits =
+        |b: &FeatureBlock| -> Vec<u32> { b.as_slice().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(
+        bits(&per_row()),
+        bits(&batched()),
+        "batched inference must be bit-identical to the per-row path"
+    );
+    let per_row_ns = median_ns(runs, per_row);
+    let batched_ns = median_ns(runs, batched);
+    eprintln!(
+        "inference {classes:>2} classes: per-row {:.3} ms, batched {:.3} ms",
+        per_row_ns / 1e6,
+        batched_ns / 1e6
+    );
+    Json::obj([
+        ("per_row_ns", Json::f64(per_row_ns, 0)),
+        ("batched_ns", Json::f64(batched_ns, 0)),
+        ("speedup", Json::f64(per_row_ns / batched_ns, 3)),
+    ])
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let pools: &[usize] = if quick {
@@ -69,8 +135,15 @@ fn main() {
         let labeled = feats.gather(&labeled_idx);
         let runs = if n >= 20_000 { 5 } else { 9 };
         let coreset_ns = median_ns(runs, || coreset_selection(&feats, &labeled, BUDGET));
+        let candidates: Vec<usize> = (0..n).collect();
         let cm_ns = median_ns(runs, || {
-            cluster_margin_selection(&feats, &probs, BUDGET, &ClusterMarginConfig::default())
+            cluster_margin_selection(
+                &feats,
+                &candidates,
+                &probs,
+                BUDGET,
+                &ClusterMarginConfig::default(),
+            )
         });
         eprintln!(
             "pool {n:>6}: coreset {:.2} ms, cluster_margin {:.2} ms",
@@ -81,7 +154,22 @@ fn main() {
         cm_fields.push((n.to_string(), Json::f64(cm_ns, 0)));
     }
 
-    Artifact::new("vocalexplore/bench_acquisition/v2", quick)
+    let mut rng = StdRng::seed_from_u64(11);
+    let infer_block = FeatureBlock::from_vec(
+        INFER_ROWS,
+        INFER_DIM,
+        (0..INFER_ROWS * INFER_DIM)
+            .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
+            .collect(),
+    );
+    let inference = Json::obj([
+        ("rows", Json::usize(INFER_ROWS)),
+        ("dim", Json::usize(INFER_DIM)),
+        ("9", inference_timings(&infer_block, 9, 21)),
+        ("20", inference_timings(&infer_block, 20, 21)),
+    ]);
+
+    Artifact::new("vocalexplore/bench_acquisition/v3", quick)
         .field("dim", Json::usize(DIM))
         .field("budget", Json::usize(BUDGET))
         .field(
@@ -91,5 +179,6 @@ fn main() {
                 ("cluster_margin", Json::obj(cm_fields)),
             ]),
         )
+        .field("inference", inference)
         .write("BENCH_acquisition.json");
 }

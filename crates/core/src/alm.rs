@@ -479,17 +479,22 @@ impl ActiveLearningManager {
                 picks
             }
             AcquisitionKind::ClusterMargin => {
-                let sub = index.block().gather(&eligible);
-                let probs = mm.predict_proba_batch(extractor, &sub);
+                let probs = mm.predict_proba_batch(extractor, index.block(), &eligible);
                 self.inferred_rows += probs.rows() as u64;
-                cluster_margin_selection(&sub, &probs, budget, &ClusterMarginConfig::default())
-                    .into_iter()
-                    .map(|i| eligible[i])
-                    .collect()
+                cluster_margin_selection(
+                    index.block(),
+                    &eligible,
+                    &probs,
+                    budget,
+                    &ClusterMarginConfig::default(),
+                )
+                .into_iter()
+                .map(|i| eligible[i])
+                .collect()
             }
             AcquisitionKind::Uncertainty => {
                 let class = target_label.expect("uncertainty sampling needs a target label");
-                let probs = mm.predict_proba_batch(extractor, &index.block().gather(&eligible));
+                let probs = mm.predict_proba_batch(extractor, index.block(), &eligible);
                 self.inferred_rows += probs.rows() as u64;
                 let (n_pos, n_neg) = labels.positive_negative_counts(class);
                 uncertainty_selection_from_probs(

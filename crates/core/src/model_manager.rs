@@ -17,7 +17,10 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use ve_features::ExtractorId;
-use ve_ml::{Classifier, CrossValConfig, ScalerMoments, StandardScaler, Targets, TrainedModel};
+use ve_ml::{
+    Classifier, CrossValConfig, FeatureBlock, FeatureBlockBuilder, ScalerMoments, StandardScaler,
+    Targets, TrainedModel,
+};
 use ve_sched::fault::{FaultInjector, FaultSite};
 use ve_storage::{LabelRecord, ModelRegistry};
 use ve_vidsim::{TaskKind, TimeRange, VideoCorpus, VideoId};
@@ -105,6 +108,20 @@ pub fn task_targets(task: TaskKind) -> Targets {
         TaskKind::SingleLabel => Targets::Single(Vec::new()),
         TaskKind::MultiLabel => Targets::Multi(Vec::new()),
     }
+}
+
+/// One prediction per class of `probs`, sorted by decreasing probability.
+fn sorted_predictions(probs: &[f32]) -> Vec<Prediction> {
+    let mut predictions: Vec<Prediction> = probs
+        .iter()
+        .enumerate()
+        .map(|(class, &probability)| Prediction { class, probability })
+        .collect();
+    // `total_cmp` keeps the task path panic-free: `predict` runs inside
+    // executor-submitted closures, where a NaN probability must degrade
+    // to a deterministic (if useless) order, not poison the task.
+    predictions.sort_by(|a, b| b.probability.total_cmp(&a.probability));
+    predictions
 }
 
 /// A published model together with the scaler fitted on its training data.
@@ -489,29 +506,22 @@ impl ModelManager {
             return Ok(Vec::new());
         };
         let scaled = fitted.scaler.transform(&fv.data);
-        let probs = fitted.model.predict_proba(&scaled);
-        let mut predictions: Vec<Prediction> = probs
-            .iter()
-            .enumerate()
-            .map(|(class, &probability)| Prediction { class, probability })
-            .collect();
-        // `total_cmp` keeps the task path panic-free: `predict` runs inside
-        // executor-submitted closures, where a NaN probability must degrade
-        // to a deterministic (if useless) order, not poison the task.
-        predictions.sort_by(|a, b| b.probability.total_cmp(&a.probability));
-        Ok(predictions)
+        Ok(sorted_predictions(&fitted.model.predict_proba(&scaled)))
     }
 
     /// Predictions for a whole batch of segments from the latest model of the
-    /// given extractor (one `T_i` per segment, fanned out across the
-    /// data-parallel workers — each segment is coarse enough to be worth a
-    /// task by itself). Output is position-ordered and identical at any
-    /// thread count. Returns empty prediction lists when no model exists.
+    /// given extractor: each entry equals what [`ModelManager::predict`]
+    /// returns for that segment. Empty prediction lists when no model
+    /// exists.
     ///
-    /// When any segment's inference exhausts its retry budget the whole batch
-    /// errors with the failure at the **lowest segment index** — fault
-    /// decisions are pure per segment, so which error surfaces does not
-    /// depend on worker scheduling.
+    /// Segments are visited in order on the calling thread, each through
+    /// its row-inference fault gate and then its feature lookup
+    /// (extracting on demand). Every segment is visited even after a
+    /// failure, so a batch extracts, and charges GPU seconds for, exactly
+    /// the videos a loop of per-segment `predict` calls would. The resolved
+    /// rows are then scored with one [`TrainedModel::predict_proba_rows`]
+    /// call. When any segment's inference exhausts its retry budget the
+    /// whole batch errors with the failure at the **lowest segment index**.
     pub fn predict_batch(
         &self,
         extractor: ExtractorId,
@@ -519,15 +529,46 @@ impl ModelManager {
         fm: &FeatureManager,
         segments: &[(VideoId, TimeRange)],
     ) -> Result<Vec<Vec<Prediction>>, InferenceError> {
-        if !self.has_model(extractor) {
+        let Some(fitted) = self.registry.read().latest(extractor) else {
             return Ok(segments.iter().map(|_| Vec::new()).collect());
+        };
+        let mut first_error = None;
+        let mut features = FeatureBlockBuilder::with_capacity(segments.len(), fitted.model.dim());
+        let resolved: Vec<Option<usize>> = segments
+            .iter()
+            .map(|(vid, range)| {
+                if let Err(attempts) = self.fault_gate(
+                    FaultSite::RowInference,
+                    Self::row_key(extractor, *vid, range),
+                ) {
+                    first_error.get_or_insert(InferenceError::Row {
+                        extractor,
+                        vid: *vid,
+                        attempts,
+                    });
+                    return None;
+                }
+                fm.with_video_features(extractor, corpus, *vid, |entry| {
+                    entry.window_for(range).map(|i| {
+                        features.push_row(entry.row(i));
+                        features.len() - 1
+                    })
+                })
+                .flatten()
+            })
+            .collect();
+        if let Some(error) = first_error {
+            return Err(error);
         }
-        ve_sched::parallel::par_map_tasks(segments.len(), |i| {
-            let (vid, range) = &segments[i];
-            self.predict(extractor, corpus, fm, *vid, range)
-        })
-        .into_iter()
-        .collect()
+        let features = features.build();
+        let rows: Vec<usize> = (0..features.rows()).collect();
+        let probs = fitted
+            .model
+            .predict_proba_rows(&fitted.scaler, &features, &rows);
+        Ok(resolved
+            .into_iter()
+            .map(|row| row.map_or_else(Vec::new, |r| sorted_predictions(probs.row(r))))
+            .collect())
     }
 
     /// Consults the injector for the batch-probability backend of this
@@ -550,31 +591,24 @@ impl ModelManager {
         })
     }
 
-    /// Raw class probabilities for a batch of already-extracted feature
-    /// vectors (used by the acquisition functions). Returns one probability
-    /// row per candidate as a contiguous block, or an empty block when no
-    /// model has been trained yet. Rows are scored in parallel across the
-    /// scheduler's data-parallel workers; output is identical at any thread
+    /// Raw class probabilities of the candidate rows `rows` of `block` (the
+    /// acquisition index's block; the acquisition functions pass their
+    /// eligible rows, so nothing is copied out first). Returns one
+    /// probability row per entry of `rows`, in that order, as a contiguous
+    /// block, or an empty block when no model has been trained yet. Scored
+    /// with [`TrainedModel::predict_proba_rows`], so each row is bit-identical
+    /// to [`ModelManager::predict`]'s probabilities for it, at any thread
     /// count.
     pub fn predict_proba_batch(
         &self,
         extractor: ExtractorId,
-        features: &ve_ml::FeatureBlock,
-    ) -> ve_ml::FeatureBlock {
+        block: &FeatureBlock,
+        rows: &[usize],
+    ) -> FeatureBlock {
         let Some(fitted) = self.registry.read().latest(extractor) else {
-            return ve_ml::FeatureBlock::empty(0);
+            return FeatureBlock::empty(0);
         };
-        let rows = ve_sched::parallel::par_map(features.rows(), |i| {
-            fitted
-                .model
-                .predict_proba(&fitted.scaler.transform(features.row(i)))
-        });
-        let mut out =
-            ve_ml::FeatureBlockBuilder::with_capacity(features.rows(), fitted.model.num_classes());
-        for row in &rows {
-            out.push_row(row);
-        }
-        out.build()
+        FeatureBlock::from_matrix(fitted.model.predict_proba_rows(&fitted.scaler, block, rows))
     }
 
     /// Cross-validated macro-F1 estimate of the extractor's quality on the
@@ -722,7 +756,8 @@ mod tests {
         assert!(mm
             .predict_proba_batch(
                 ExtractorId::Mvit,
-                &ve_ml::FeatureBlock::from_nested(&[vec![0.0; 64]])
+                &FeatureBlock::from_nested(&[vec![0.0; 64]]),
+                &[0]
             )
             .is_empty());
     }
@@ -757,6 +792,73 @@ mod tests {
             .predict_batch(ExtractorId::Clip, &ds.train, &fm, &segments)
             .unwrap();
         assert!(empty.iter().all(|p| p.is_empty()));
+    }
+
+    #[test]
+    fn predict_batch_under_row_faults_matches_a_per_segment_loop() {
+        use ve_sched::fault::{FaultPlan, FaultRule};
+        // A permanent row-inference plan fails some segments at every
+        // attempt. The segments' videos are not extracted yet, so every
+        // lookup that passes its gate extracts on demand and charges GPU
+        // seconds: the batch must visit every segment, like a loop of
+        // per-segment `predict` calls, and surface the lowest failing index.
+        let plan = FaultPlan::new(5).with_rule(FaultSite::RowInference, FaultRule::permanent(0.5));
+        let faulted = || {
+            let (ds, fm, mut mm, labels) = setup(60);
+            assert!(mm
+                .train(ExtractorId::R3d, &ds.train, &fm, &labels, 1)
+                .unwrap());
+            mm.set_fault_injector(Some(Arc::new(FaultInjector::new(plan.clone()))));
+            (ds, fm, mm)
+        };
+        let segments_of = |ds: &Dataset| -> Vec<(VideoId, TimeRange)> {
+            ds.train
+                .videos()
+                .iter()
+                .skip(60)
+                .take(12)
+                .map(|c| (c.id, TimeRange::new(0.0, 1.0)))
+                .collect()
+        };
+
+        let (ds, fm, mm) = faulted();
+        let segments = segments_of(&ds);
+        let before = fm.gpu_seconds_spent();
+        let oracle: Vec<Result<Vec<Prediction>, InferenceError>> = segments
+            .iter()
+            .map(|(vid, range)| mm.predict(ExtractorId::R3d, &ds.train, &fm, *vid, range))
+            .collect();
+        let oracle_gpu = fm.gpu_seconds_spent() - before;
+        let failed: Vec<usize> = (0..oracle.len()).filter(|&i| oracle[i].is_err()).collect();
+        assert!(
+            failed.len() >= 2,
+            "the plan must fail two segments, so the lowest index is the one to surface: {failed:?}"
+        );
+        let lowest = oracle[failed[0]].clone().unwrap_err();
+        assert!(oracle_gpu > 0.0);
+
+        let (ds, fm, mut mm) = faulted();
+        let before = fm.gpu_seconds_spent();
+        let batch = mm.predict_batch(ExtractorId::R3d, &ds.train, &fm, &segments);
+        assert_eq!(batch, Err(lowest));
+        assert_eq!(
+            (fm.gpu_seconds_spent() - before).to_bits(),
+            oracle_gpu.to_bits(),
+            "the batch must extract exactly the videos the per-segment loop extracts"
+        );
+
+        // Fault-free, the batch equals the per-segment predictions.
+        mm.set_fault_injector(None);
+        let batch = mm
+            .predict_batch(ExtractorId::R3d, &ds.train, &fm, &segments)
+            .unwrap();
+        for (preds, (vid, range)) in batch.iter().zip(&segments) {
+            assert_eq!(
+                preds,
+                &mm.predict(ExtractorId::R3d, &ds.train, &fm, *vid, range)
+                    .unwrap()
+            );
+        }
     }
 
     #[test]

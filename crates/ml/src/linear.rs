@@ -13,8 +13,10 @@
 //! predict_labels}` plus [`Targets::macro_f1`] pick the model, the decision
 //! rule and the metric from it, so callers never branch on the task.
 
+use crate::block::FeatureBlock;
 use crate::metrics::{macro_f1, macro_f1_multilabel};
-use crate::tensor::{dot, Lane, LaneMatrix, Matrix};
+use crate::scaler::StandardScaler;
+use crate::tensor::{dot, Lane, LaneMatrix, Matrix, ROWS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -481,6 +483,67 @@ impl TrainedModel {
                 .collect(),
         }
     }
+
+    /// Class probabilities of `block.row(rows[i])` for every `i`, each row
+    /// standardized by `scaler`: a `rows.len() × num_classes` matrix, row
+    /// `i` bit-identical to `self.predict_proba(&scaler.transform(block.row(rows[i])))`.
+    ///
+    /// This is the batched inference path for candidate scoring and picks.
+    /// The class-major weights are transposed once per call into the
+    /// lane-blocked layout, and [`ROWS`] rows share each sweep over them.
+    /// Row ranges fan out over the data-parallel workers from 512 rows on;
+    /// every row is scored independently, so the result is identical at any
+    /// thread count.
+    ///
+    /// # Panics
+    /// Panics if the scaler or the block does not match the model's
+    /// dimensionality, or a row index is out of range.
+    pub fn predict_proba_rows(
+        &self,
+        scaler: &StandardScaler,
+        block: &FeatureBlock,
+        rows: &[usize],
+    ) -> Matrix {
+        let (weights, bias, softmax) = match self {
+            TrainedModel::Softmax(m) => (&m.weights, &m.bias, true),
+            TrainedModel::OneVsRest(m) => (&m.weights, &m.bias, false),
+        };
+        let (classes, dim) = (weights.rows(), weights.cols());
+        assert_eq!(scaler.dim(), dim, "scaler dimension mismatch");
+        assert_eq!(block.dim(), dim, "feature dimension mismatch");
+        let lanes = LaneMatrix::from_matrix(weights);
+        let mut out = vec![0.0f32; rows.len() * classes];
+        let mut out_rows: Vec<&mut [f32]> = out.chunks_mut(classes.max(1)).collect();
+        ve_sched::parallel::par_chunks_mut(&mut out_rows, |start, piece| {
+            let mut xs = vec![0.0f32; ROWS * dim];
+            let mut z = vec![Lane::default(); ROWS * lanes.lanes()];
+            let ids = &rows[start..start + piece.len()];
+            for (ids, piece) in ids.chunks(ROWS).zip(piece.chunks_mut(ROWS)) {
+                let (xs, z) = (
+                    &mut xs[..ids.len() * dim],
+                    &mut z[..ids.len() * lanes.lanes()],
+                );
+                for (i, &r) in ids.iter().enumerate() {
+                    scaler.transform_into(block.row(r), &mut xs[i * dim..(i + 1) * dim]);
+                }
+                lanes.logits_rows_into(xs, z);
+                for (p, z) in piece.iter_mut().zip(z.chunks_exact(lanes.lanes())) {
+                    p.copy_from_slice(&z.as_flattened()[..classes]);
+                    for (l, b) in p.iter_mut().zip(bias) {
+                        *l += b;
+                    }
+                    if softmax {
+                        softmax_in_place(p);
+                    } else {
+                        for v in p.iter_mut() {
+                            *v = sigmoid(*v);
+                        }
+                    }
+                }
+            }
+        });
+        Matrix::from_vec(rows.len(), classes, out)
+    }
 }
 
 impl Classifier for TrainedModel {
@@ -892,6 +955,100 @@ mod tests {
             );
             assert_eq!(bits(warm.bias()), bits(&warm_b), "warm {case}");
         }
+    }
+
+    /// `predict_proba_rows` must reproduce the per-row path,
+    /// `predict_proba(&scaler.transform(row))`, bit for bit: softmax and
+    /// one-vs-rest heads, 1..=40 classes (one to three lane blocks of the
+    /// batched sweep, with remainders), every row-group remainder, both
+    /// sides of the 512-row fan-out threshold, repeated and unsorted row
+    /// indices, `±0.0` features and zero-variance scaler dimensions, at one
+    /// and at four workers.
+    #[test]
+    fn predict_proba_rows_matches_per_row_predict_proba_bit_for_bit() {
+        const BLOCK_ROWS: usize = 97;
+        const SHORT: [usize; 6] = [0, 1, 3, 4, 5, 7];
+        const LONG: [usize; 4] = [511, 512, 513, 2000];
+        // Unsorted, and repeated: the last index repeats the first, and
+        // lists longer than the block wrap around it.
+        let row_list = |len: usize| -> Vec<usize> {
+            let mut rows: Vec<usize> = (0..len).map(|i| (i * 37 + 11) % BLOCK_ROWS).collect();
+            if len >= 2 {
+                rows[len - 1] = rows[0];
+            }
+            rows
+        };
+        let models = |classes: usize, dim: usize, rng: &mut StdRng| -> [TrainedModel; 2] {
+            let mut weights = || {
+                let w: Vec<f32> = (0..classes * dim)
+                    .map(|_| rng.gen::<f32>() * 2.0 - 1.0)
+                    .collect();
+                let bias: Vec<f32> = (0..classes).map(|_| rng.gen::<f32>() * 6.0 - 3.0).collect();
+                (Matrix::from_vec(classes, dim, w), bias)
+            };
+            let (w, b) = weights();
+            let softmax = TrainedModel::Softmax(SoftmaxModel {
+                weights: w,
+                bias: b,
+                dim,
+                num_classes: classes,
+            });
+            let (w, b) = weights();
+            let one_vs_rest = TrainedModel::OneVsRest(OneVsRestModel {
+                weights: w,
+                bias: b,
+                dim,
+                num_classes: classes,
+            });
+            [softmax, one_vs_rest]
+        };
+        let check = |classes: usize, dim: usize, lens: &[usize]| {
+            let mut rng = StdRng::seed_from_u64((classes * 1000 + dim) as u64);
+            let block = FeatureBlock::from_nested(&signed_zero_features(BLOCK_ROWS, dim, &mut rng));
+            // Every other dimension is constant in the scaler's training
+            // rows (zero variance, so its std is taken as 1), and the
+            // constant is 0 in half of them, so `±0.0` features keep their
+            // sign through standardization.
+            let mut train = signed_zero_features(20, dim, &mut rng);
+            for row in &mut train {
+                for (d, v) in row.iter_mut().enumerate() {
+                    if d % 2 == 1 {
+                        *v = if d % 4 == 1 { 0.0 } else { 0.75 };
+                    }
+                }
+            }
+            let scaler = StandardScaler::fit(&train);
+            for model in models(classes, dim, &mut rng) {
+                for &len in lens {
+                    let rows = row_list(len);
+                    let probs = model.predict_proba_rows(&scaler, &block, &rows);
+                    assert_eq!((probs.rows(), probs.cols()), (len, classes));
+                    for (i, &r) in rows.iter().enumerate() {
+                        let expected = model.predict_proba(&scaler.transform(block.row(r)));
+                        assert_eq!(
+                            bits(probs.row(i)),
+                            bits(&expected),
+                            "{classes} classes, dim {dim}, {len} rows, row {i}"
+                        );
+                    }
+                }
+            }
+        };
+        let _guard = ve_sched::parallel::test_parallelism_guard();
+        for threads in [1, 4] {
+            ve_sched::parallel::set_parallelism(threads);
+            for classes in 1..=40 {
+                for dim in [1, 3, 64, 131, 512] {
+                    check(classes, dim, &SHORT);
+                }
+            }
+            // The long lists cross the fan-out threshold; one, two and
+            // three lane blocks with a remainder block each.
+            for (classes, dim) in [(1, 131), (9, 512), (13, 64), (40, 3)] {
+                check(classes, dim, &LONG);
+            }
+        }
+        ve_sched::parallel::set_parallelism(0);
     }
 
     #[test]

@@ -66,12 +66,22 @@ impl StandardScaler {
 
     /// Transforms a single vector.
     pub fn transform(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; x.len()];
+        self.transform_into(x, &mut out);
+        out
+    }
+
+    /// Transforms a single vector into `out`, with the same arithmetic as
+    /// [`StandardScaler::transform`] and no allocation.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` does not match the scaler's dimensionality.
+    pub fn transform_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        x.iter()
-            .zip(&self.mean)
-            .zip(&self.std)
-            .map(|((&v, &m), &s)| (v - m) / s)
-            .collect()
+        assert_eq!(out.len(), self.mean.len(), "dimension mismatch");
+        for (((o, &v), &m), &s) in out.iter_mut().zip(x).zip(&self.mean).zip(&self.std) {
+            *o = (v - m) / s;
+        }
     }
 
     /// Transforms a batch of vectors.

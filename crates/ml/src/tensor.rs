@@ -154,6 +154,14 @@ pub(crate) type Lane = [f32; LANE];
 /// the split never changes a result.
 const MAX_BLOCK: usize = 10;
 
+/// Rows one sweep of [`LaneMatrix::logits_rows_into`] scores together.
+pub(crate) const ROWS: usize = 4;
+
+/// Most lanes [`LaneMatrix::logits_rows_into`] keeps per sweep: `ROWS ×
+/// MAX_ROWS_BLOCK` lane accumulators plus one block of weights fit in
+/// sixteen vector registers.
+const MAX_ROWS_BLOCK: usize = 3;
+
 /// Calls `$this.$kernel::<W>($args)` with `W == $width`, for any width in
 /// `1..=MAX_BLOCK`.
 macro_rules! with_block_width {
@@ -260,6 +268,73 @@ impl LaneMatrix {
             }
         }
         out[l0..l0 + W].copy_from_slice(&acc);
+    }
+
+    /// [`LaneMatrix::logits_into`] for many rows at once: `xs` holds the
+    /// rows back to back (`dim` values each) and `out` receives `lanes()`
+    /// lanes per row, in row order. Each sweep over the weights serves
+    /// [`ROWS`] rows, so every weight lane loaded feeds several rows; every
+    /// logit is bit-identical to `logits_into`'s for its row.
+    pub(crate) fn logits_rows_into(&self, xs: &[f32], out: &mut [Lane]) {
+        let dim = self.data.len() / self.lanes;
+        let n = out.len() / self.lanes;
+        assert_eq!(
+            out.len(),
+            n * self.lanes,
+            "logit buffer must span every lane"
+        );
+        assert_eq!(xs.len(), n * dim, "one feature row per logit row");
+        for r0 in (0..n).step_by(ROWS) {
+            let r1 = (r0 + ROWS).min(n);
+            let xs = &xs[r0 * dim..r1 * dim];
+            let out = &mut out[r0 * self.lanes..r1 * self.lanes];
+            match r1 - r0 {
+                1 => self.logits_rows_group::<1>(xs, out),
+                2 => self.logits_rows_group::<2>(xs, out),
+                3 => self.logits_rows_group::<3>(xs, out),
+                _ => self.logits_rows_group::<ROWS>(xs, out),
+            }
+        }
+    }
+
+    fn logits_rows_group<const R: usize>(&self, xs: &[f32], out: &mut [Lane]) {
+        let mut l0 = 0;
+        while l0 < self.lanes {
+            let width = (self.lanes - l0).min(MAX_ROWS_BLOCK);
+            match width {
+                1 => self.logits_rows_block::<R, 1>(xs, l0, out),
+                2 => self.logits_rows_block::<R, 2>(xs, l0, out),
+                _ => self.logits_rows_block::<R, MAX_ROWS_BLOCK>(xs, l0, out),
+            }
+            l0 += width;
+        }
+    }
+
+    /// Lanes `l0..l0 + W` of `R` rows' logits. Per logit the operations are
+    /// `logits_block`'s: `-0.0`, then `+= w[c][d] * x[d]` in ascending `d`.
+    fn logits_rows_block<const R: usize, const W: usize>(
+        &self,
+        xs: &[f32],
+        l0: usize,
+        out: &mut [Lane],
+    ) {
+        let dim = xs.len() / R;
+        let x: [&[f32]; R] = std::array::from_fn(|r| &xs[r * dim..][..dim]);
+        let mut acc = [[[-0.0f32; LANE]; W]; R];
+        for d in 0..dim {
+            let w = &self.data[d * self.lanes + l0..][..W];
+            for (acc, x) in acc.iter_mut().zip(&x) {
+                let xd = x[d];
+                for (a, w) in acc.iter_mut().zip(w) {
+                    for k in 0..LANE {
+                        a[k] += w[k] * xd;
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[r * self.lanes + l0..][..W].copy_from_slice(acc);
+        }
     }
 
     /// Adds the outer product `err ⊗ x` (`err` is `lanes()` long).
@@ -419,6 +494,47 @@ mod tests {
                 }
             }
             assert_eq!(grad.to_matrix(classes), reference, "{classes} classes");
+        }
+    }
+
+    /// The batched logits pass must equal `logits_into` row by row, bit
+    /// for bit, for every row-group remainder and every lane-block split up
+    /// to 13 lanes; an all-`-0.0` row keeps the `-0.0` start value.
+    #[test]
+    fn batched_logits_match_per_row_logits() {
+        let dim = 7;
+        for classes in 1..=50 {
+            let w: Vec<f32> = (0..classes * dim)
+                .map(|i| (i as f32 * 0.43).cos())
+                .collect();
+            let lanes = LaneMatrix::from_matrix(&Matrix::from_vec(classes, dim, w));
+            for n in 0..=9 {
+                let mut xs: Vec<f32> = (0..n * dim)
+                    .map(|i| (i as f32 * 0.29).sin() * 3.0)
+                    .collect();
+                if n > 0 {
+                    xs[..dim].fill(-0.0);
+                }
+                let mut out = vec![[f32::NAN; LANE]; n * lanes.lanes()];
+                lanes.logits_rows_into(&xs, &mut out);
+                for r in 0..n {
+                    let mut expected = vec![[0.0; LANE]; lanes.lanes()];
+                    lanes.logits_into(&xs[r * dim..(r + 1) * dim], &mut expected);
+                    let got = &out[r * lanes.lanes()..(r + 1) * lanes.lanes()];
+                    assert_eq!(
+                        got.as_flattened()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        expected
+                            .as_flattened()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        "{classes} classes, {n} rows, row {r}"
+                    );
+                }
+            }
         }
     }
 

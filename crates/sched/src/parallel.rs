@@ -125,9 +125,10 @@ where
 
 /// Maps `f` over `0..n` with **one task per index**, collecting results in
 /// index order. Unlike [`par_map`] this fans out even for tiny `n` — it is
-/// meant for a handful of coarse-grained tasks (cross-validation folds,
-/// per-extractor evaluations) where each item is worth a thread by itself.
-/// Results are position-ordered, so output is independent of scheduling.
+/// meant for a handful of coarse-grained tasks where each item is worth a
+/// thread by itself: the cross-validation folds and the fixed-size chunks
+/// of `ve_ml`'s chunked argmax scans. Results are position-ordered, so
+/// output is independent of scheduling.
 pub fn par_map_tasks<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,

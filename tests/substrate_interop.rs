@@ -88,8 +88,10 @@ fn acquisition_functions_operate_on_simulated_embeddings() {
     let unique: std::collections::HashSet<_> = coreset.iter().collect();
     assert_eq!(unique.len(), 10);
 
+    let all_rows: Vec<usize> = (0..candidate_block.rows()).collect();
     let cm = cluster_margin_selection(
         &candidate_block,
+        &all_rows,
         &ve_ml::FeatureBlock::empty(0),
         10,
         &ClusterMarginConfig::default(),
