@@ -30,7 +30,7 @@ use ve_bench::emit::Artifact;
 use ve_features::{ExtractorId, FeatureSimulator};
 use ve_obs::json::Json;
 use ve_storage::{LabelRecord, LabelStore, StorageManager};
-use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind, TimeRange};
+use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind, TimeRange, VideoId};
 use vocalexplore::alm::ActiveLearningManager;
 use vocalexplore::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use vocalexplore::feature_manager::FeatureManager;
@@ -147,22 +147,23 @@ fn run_session(fx: &Fixture, iterations: usize, cold: bool) -> SessionResult {
         }
     }
     // Held-out probe: a fixed window on 40 videos past the seed region.
-    let probes: Vec<_> = fx
+    let probes: Vec<(VideoId, TimeRange)> = fx
         .dataset
         .train
         .videos()
         .iter()
         .skip(100)
         .take(40)
+        .map(|clip| (clip.id, TimeRange::new(0.0, CLIP_LEN)))
         .collect();
+    let predictions = mm
+        .predict_batch(EXTRACTOR, &fx.dataset.train, &fx.fm, &probes)
+        .unwrap();
     let correct = probes
         .iter()
-        .filter(|clip| {
-            let range = TimeRange::new(0.0, CLIP_LEN);
-            let truth = oracle.label(&fx.dataset.train, clip.id, &range);
-            let preds = mm
-                .predict(EXTRACTOR, &fx.dataset.train, &fx.fm, clip.id, &range)
-                .unwrap();
+        .zip(&predictions)
+        .filter(|((vid, range), preds)| {
+            let truth = oracle.label(&fx.dataset.train, *vid, range);
             preds.first().map(|p| p.class) == truth.first().copied()
         })
         .count();

@@ -70,7 +70,8 @@ pub enum PreprocessPolicy {
 pub struct CostModel {
     /// Seconds per sample-selection task (`T_s`).
     pub select_secs: f64,
-    /// Seconds per model-inference task (`T_i`).
+    /// Model-inference seconds per segment (`T_i`): serving a batch of `B`
+    /// segments costs `B · T_i` (one task sleeping the sum).
     pub infer_secs: f64,
     /// Fixed component of model training (`T_m`).
     pub train_base_secs: f64,

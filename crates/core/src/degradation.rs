@@ -50,20 +50,12 @@ pub enum Degradation {
         /// Extractor whose batch-inference backend failed.
         extractor: ExtractorId,
     },
-    /// Row inference for a user-facing prediction failed; the segment was
-    /// reported without predictions.
+    /// Row inference failed for a segment of a user-facing batch; the whole
+    /// batch was served without predictions.
     PredictionDropped {
         /// Session iteration the prediction belonged to.
         iteration: u32,
-        /// Video whose predictions were dropped.
+        /// Video of the lowest failing segment.
         vid: VideoId,
-    },
-    /// A cross-validated quality evaluation failed; the bandit saw no new
-    /// reward observation for the extractor this iteration.
-    EvaluationLost {
-        /// Session iteration of the evaluation.
-        iteration: u32,
-        /// Extractor whose evaluation was lost.
-        extractor: ExtractorId,
     },
 }

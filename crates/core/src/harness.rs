@@ -30,8 +30,9 @@
 //!
 //! 1. Serial only: the deferred work for the labels so far, inside the
 //!    visible window.
-//! 2. `sample_segments`, then one `Critical` inference task per pick, joined
-//!    in submission order.
+//! 2. `sample_segments`, then one `Critical` inference task for the whole
+//!    batch (it sleeps `B · T_i`; a failed segment drops the batch's
+//!    predictions).
 //! 3. The oracle labels the batch.
 //! 4. Every value the record reports is read here — extractors, bandit
 //!    state, `S_max`, analytic costs — along with the model whose F1 it
@@ -407,7 +408,7 @@ impl SessionRunner {
             let timing = executor.timing();
             timing.record_phase("select", tag, micros(visible_timer.elapsed()));
             // Delivered to the (simulated) user.
-            drop(system.predict_on(executor, &picks, scale));
+            drop(system.serve_predictions(executor, &picks, scale));
             let visible_wall = visible_timer.elapsed();
             timing.record_phase("visible", tag, micros(visible_wall));
 
@@ -853,6 +854,36 @@ mod tests {
                 .filter(|r| r.measured_visible_secs.is_some());
             assert_eq!(timed.count(), if measured { 8 } else { 0 });
             assert_eq!(out.phases.is_empty(), !measured);
+        }
+    }
+
+    #[test]
+    fn measured_run_serves_each_batch_with_one_infer_task() {
+        let out =
+            SessionRunner::new(measured_config(SchedulerStrategy::VeFull, 15, 1e-4)).run_measured();
+        assert_eq!(out.executor.submitted, out.timings.len() as u64);
+        let served: HashSet<u32> = out
+            .events
+            .iter()
+            .filter_map(|(iteration, event)| match event {
+                SessionEvent::PredictionsServed { predicted, .. } if *predicted > 0 => {
+                    Some(*iteration)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(!served.is_empty(), "the session must serve predictions");
+        for iteration in 1..=out.records.len() as u32 {
+            let spans = out
+                .timings
+                .iter()
+                .filter(|t| t.label.kind == "infer" && t.label.iteration == iteration)
+                .count();
+            assert_eq!(
+                spans,
+                usize::from(served.contains(&iteration)),
+                "infer spans at iteration {iteration}"
+            );
         }
     }
 

@@ -117,9 +117,9 @@ fn sorted_predictions(probs: &[f32]) -> Vec<Prediction> {
         .enumerate()
         .map(|(class, &probability)| Prediction { class, probability })
         .collect();
-    // `total_cmp` keeps the task path panic-free: `predict` runs inside
-    // executor-submitted closures, where a NaN probability must degrade
-    // to a deterministic (if useless) order, not poison the task.
+    // `total_cmp` keeps the task path panic-free: `predict_batch` runs
+    // inside an executor-submitted closure, where a NaN probability must
+    // degrade to a deterministic (if useless) order, not poison the task.
     predictions.sort_by(|a, b| b.probability.total_cmp(&a.probability));
     predictions
 }
@@ -476,12 +476,15 @@ impl ModelManager {
         (vid.0 << 3 | extractor.index() as u64) ^ range.start.to_bits().rotate_left(17)
     }
 
-    /// Predictions for a video segment from the latest model of the given
+    /// Predictions for one video segment from the latest model of the given
     /// extractor, sorted by decreasing probability. Empty when no model has
-    /// been trained yet or the video is unknown.
+    /// been trained yet or the video is unknown. Errors when the fault
+    /// injector fails this segment's inference at every attempt of the
+    /// retry budget.
     ///
-    /// Errors when the fault injector fails this segment's inference at every
-    /// attempt of the retry budget.
+    /// The per-row oracle [`ModelManager::predict_batch`] is tested against;
+    /// every caller outside tests serves whole batches.
+    #[cfg(test)]
     pub fn predict(
         &self,
         extractor: ExtractorId,
@@ -510,15 +513,16 @@ impl ModelManager {
     }
 
     /// Predictions for a whole batch of segments from the latest model of the
-    /// given extractor: each entry equals what [`ModelManager::predict`]
-    /// returns for that segment. Empty prediction lists when no model
-    /// exists.
+    /// given extractor, each sorted by decreasing probability; empty for a
+    /// segment whose video is unknown, and for every segment when no model
+    /// exists. This is the one serving path: `Explore`, `Watch` and the
+    /// session engine all call it for their whole batch.
     ///
     /// Segments are visited in order on the calling thread, each through
     /// its row-inference fault gate and then its feature lookup
     /// (extracting on demand). Every segment is visited even after a
     /// failure, so a batch extracts, and charges GPU seconds for, exactly
-    /// the videos a loop of per-segment `predict` calls would. The resolved
+    /// the videos a loop of per-segment lookups would. The resolved
     /// rows are then scored with one [`TrainedModel::predict_proba_rows`]
     /// call. When any segment's inference exhausts its retry budget the
     /// whole batch errors with the failure at the **lowest segment index**.
@@ -596,8 +600,9 @@ impl ModelManager {
     /// eligible rows, so nothing is copied out first). Returns one
     /// probability row per entry of `rows`, in that order, as a contiguous
     /// block, or an empty block when no model has been trained yet. Scored
-    /// with [`TrainedModel::predict_proba_rows`], so each row is bit-identical
-    /// to [`ModelManager::predict`]'s probabilities for it, at any thread
+    /// with [`TrainedModel::predict_proba_rows`], the kernel
+    /// [`ModelManager::predict_batch`] serves with, so each row is
+    /// bit-identical to per-row `Classifier::predict_proba` at any thread
     /// count.
     pub fn predict_proba_batch(
         &self,

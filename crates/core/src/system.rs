@@ -9,7 +9,7 @@
 //! to account visible latency per scheduling strategy.
 
 use crate::alm::{ActiveLearningManager, SelectionStats};
-use crate::api::{ExploreBatch, Prediction, SegmentRef};
+use crate::api::{ExploreBatch, SegmentRef};
 use crate::config::VocalExploreConfig;
 use crate::degradation::Degradation;
 use crate::feature_manager::FeatureManager;
@@ -183,9 +183,8 @@ impl VocalExplore {
             segments.push((vid, range));
             t += clip_len;
         }
-        let refs = self.attach_predictions(segments);
         ExploreBatch {
-            segments: refs,
+            segments: self.serve_predictions(&Executor::inline(), &segments, 0.0),
             acquisition: None,
             stats: None,
         }
@@ -202,11 +201,11 @@ impl VocalExplore {
         assert!(clip_len > 0.0, "clip length must be positive");
         // Keep models and feature selection up to date before sampling, on
         // the calling thread (the Serial schedule).
-        self.process_pending_work();
+        let executor = Executor::inline();
+        self.process_pending_work_on(&executor, 0.0);
         let (picks, stats) = self.sample_segments(budget, clip_len, target_label);
-        let refs = self.attach_predictions(picks);
         ExploreBatch {
-            segments: refs,
+            segments: self.serve_predictions(&executor, &picks, 0.0),
             acquisition: Some(stats.acquisition),
             stats: Some(stats),
         }
@@ -216,7 +215,7 @@ impl VocalExplore {
     /// and picks `budget` segments, without running the deferred
     /// training/evaluation work and without attaching predictions. The
     /// session engine calls this directly — it places the deferred work by
-    /// strategy and fans inference out as critical tasks.
+    /// strategy and serves the batch on its own executor.
     pub fn sample_segments(
         &mut self,
         budget: usize,
@@ -401,88 +400,56 @@ impl VocalExplore {
             && self.mm.has_model(self.alm.current_extractor())
     }
 
-    /// Predictions for an `Explore` batch as `Critical` executor tasks, one
-    /// per segment, joined in submission order (each sleeps the modeled
-    /// `T_i` at `time_scale`). The first failed segment drops the whole
-    /// batch's predictions. Empty rows while predictions are not ready.
-    pub(crate) fn predict_on(
+    /// Serves a batch with the current model's predictions attached: one
+    /// `Critical` `infer` task on `executor` sleeps the modeled `B · T_i` at
+    /// `time_scale` and scores every segment with
+    /// [`ModelManager::predict_batch`]. No task runs while predictions are
+    /// not ready. Degraded serving: a failed inference returns the batch
+    /// without predictions (recording the lowest failing segment) rather
+    /// than failing the call.
+    pub(crate) fn serve_predictions(
         &mut self,
         executor: &Executor,
         segments: &[(VideoId, TimeRange)],
         time_scale: f64,
-    ) -> Vec<Vec<Prediction>> {
-        self.serve_predictions(segments, |system| {
-            let extractor = system.alm.current_extractor();
-            let infer_secs = system.config.costs.infer_secs;
-            let handles: Vec<_> = segments
-                .iter()
-                .map(|&(vid, range)| {
-                    let (mm, fm, corpus) = system.task_context();
-                    executor.submit_with_handle_labeled(
-                        Priority::Critical,
-                        TaskLabel::new("infer", system.iteration),
-                        move || {
-                            sleep_scaled(infer_secs, time_scale);
-                            mm.predict(extractor, &corpus, &fm, vid, &range)
-                        },
-                    )
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("inference task must not panic"))
-                .collect()
-        })
-    }
-
-    fn attach_predictions(&mut self, segments: Vec<(VideoId, TimeRange)>) -> Vec<SegmentRef> {
-        let predictions = self.serve_predictions(&segments, |system| {
-            system.mm.predict_batch(
-                system.alm.current_extractor(),
-                &system.corpus,
-                &system.fm,
-                &segments,
-            )
+    ) -> Vec<SegmentRef> {
+        let mut predictions = vec![Vec::new(); segments.len()];
+        if self.predictions_ready() {
+            let extractor = self.alm.current_extractor();
+            let infer_secs = segments.len() as f64 * self.config.costs.infer_secs;
+            let ((mm, fm, corpus), batch) = (self.task_context(), segments.to_vec());
+            let inference = executor.submit_with_handle_labeled(
+                Priority::Critical,
+                TaskLabel::new("infer", self.iteration),
+                move || {
+                    sleep_scaled(infer_secs, time_scale);
+                    mm.predict_batch(extractor, &corpus, &fm, &batch)
+                },
+            );
+            match inference.join().expect("inference task must not panic") {
+                Ok(served) => predictions = served,
+                Err(InferenceError::Row { vid, .. }) => {
+                    self.obs.record_degradation(Degradation::PredictionDropped {
+                        iteration: self.iteration,
+                        vid,
+                    })
+                }
+                Err(_) => {}
+            }
+        }
+        self.obs.record(SessionEvent::PredictionsServed {
+            segments: segments.len() as u32,
+            predicted: predictions.iter().filter(|p| !p.is_empty()).count() as u32,
         });
         segments
-            .into_iter()
+            .iter()
             .zip(predictions)
-            .map(|((vid, range), predictions)| SegmentRef {
+            .map(|(&(vid, range), predictions)| SegmentRef {
                 vid,
                 range,
                 predictions,
             })
             .collect()
-    }
-
-    /// Runs `infer` once predictions are ready and does the serving
-    /// bookkeeping. Degraded serving: a failed inference returns the batch
-    /// without predictions (recording the failed segment) rather than
-    /// failing the call.
-    fn serve_predictions(
-        &mut self,
-        segments: &[(VideoId, TimeRange)],
-        infer: impl FnOnce(&Self) -> Result<Vec<Vec<Prediction>>, InferenceError>,
-    ) -> Vec<Vec<Prediction>> {
-        let unpredicted = || vec![Vec::new(); segments.len()];
-        let predictions = match self.predictions_ready().then(|| infer(self)) {
-            Some(Ok(predictions)) => predictions,
-            Some(Err(err)) => {
-                if let InferenceError::Row { vid, .. } = err {
-                    self.obs.record_degradation(Degradation::PredictionDropped {
-                        iteration: self.iteration,
-                        vid,
-                    });
-                }
-                unpredicted()
-            }
-            None => unpredicted(),
-        };
-        self.obs.record(SessionEvent::PredictionsServed {
-            segments: segments.len() as u32,
-            predicted: predictions.iter().filter(|p| !p.is_empty()).count() as u32,
-        });
-        predictions
     }
 }
 

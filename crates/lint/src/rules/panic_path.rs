@@ -9,8 +9,10 @@
 //! `TaskHandle`, so every `unwrap`/`expect`/`panic!` reachable from a submit
 //! site is a latent dropped-iteration bug.
 //!
-//! **Analysis.** Roots are the argument spans of `.submit(…)` /
-//! `.submit_with_handle(…)`. The direct closure text is scanned for panic
+//! **Analysis.** Roots are the argument spans of every `Executor` submit
+//! method (`SUBMIT_METHODS`): `.submit(…)`, `.submit_with_handle(…)`,
+//! `.submit_retryable(…)` and the `_labeled` form of each, the forms the
+//! session engine uses. The direct closure text is scanned for panic
 //! markers and slice indexing; calls out of the closure are resolved through
 //! a workspace-wide `fn`-name index (same-crate definitions preferred) and
 //! traversed to a fixed depth. Name-based resolution overshoots homonyms, so
@@ -22,6 +24,16 @@ use crate::lexer::TokenKind;
 use crate::rules::{method_call, KEYWORDS};
 use crate::workspace::{SourceFile, WorkspaceModel};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Every `ve_sched::Executor` method that takes a task closure.
+const SUBMIT_METHODS: &[&str] = &[
+    "submit",
+    "submit_labeled",
+    "submit_with_handle",
+    "submit_with_handle_labeled",
+    "submit_retryable",
+    "submit_retryable_labeled",
+];
 
 /// Traversal depth cap: submit-site closure = depth 0.
 const MAX_DEPTH: usize = 16;
@@ -238,7 +250,7 @@ pub fn check(ws: &WorkspaceModel) -> Vec<Finding> {
 
     for (fi, file) in ws.files.iter().enumerate() {
         for ci in 0..file.code.len() {
-            let submit = ["submit", "submit_with_handle"]
+            let submit = SUBMIT_METHODS
                 .iter()
                 .find_map(|m| method_call(file, ci, m).map(|open| (*m, open)));
             let Some((method, open)) = submit else {

@@ -303,92 +303,133 @@ fn wall_clock_suppressible_with_reason() {
 
 // --------------------------------------------------------------- panic path
 
+/// Every `Executor` submit form, up to and including the task closure's
+/// parameter list: each panic-path fixture is run through all of them.
+const SUBMIT_FORMS: &[&str] = &[
+    "submit(Priority::Normal, move ||",
+    "submit_labeled(Priority::Normal, TaskLabel::new(\"t\", 1), move ||",
+    "submit_with_handle(Priority::Normal, move ||",
+    "submit_with_handle_labeled(Priority::Normal, TaskLabel::new(\"t\", 1), move ||",
+    "submit_retryable(Priority::Normal, policy, move |attempt|",
+    "submit_retryable_labeled(Priority::Normal, TaskLabel::new(\"t\", 1), policy, move |attempt|",
+];
+
 #[test]
 fn panic_path_fires_on_unwrap_in_submitted_closure() {
-    let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
-                       let v = compute().unwrap();\n\
-                       store(v);\n\
-                   });\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert_eq!(active_rules(&report), ["panic-in-task-path"]);
-    assert_eq!(report.active[0].line, 3);
-    assert!(report.active[0].message.contains(".unwrap()"));
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn go(ex: &Executor) {{\n\
+                 ex.{submit} {{\n\
+                     let v = compute().unwrap();\n\
+                     store(v);\n\
+                 }});\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert_eq!(active_rules(&report), ["panic-in-task-path"], "{submit}");
+        assert_eq!(report.active[0].line, 3, "{submit}");
+        assert!(report.active[0].message.contains(".unwrap()"), "{submit}");
+    }
 }
 
 #[test]
 fn panic_path_follows_calls_out_of_the_closure() {
-    let src = "fn helper(x: Option<u64>) -> u64 {\n\
-                   x.expect(\"x must be set\")\n\
-               }\n\
-               fn go(ex: &Executor) {\n\
-                   ex.submit_with_handle(Priority::Normal, move || helper(input()));\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert_eq!(active_rules(&report), ["panic-in-task-path"]);
-    assert_eq!(report.active[0].line, 2, "marker is at the callee's expect");
-    assert!(
-        report.active[0].message.contains("via `helper`"),
-        "message names the call chain: {}",
-        report.active[0].message
-    );
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn helper(x: Option<u64>) -> u64 {{\n\
+                 x.expect(\"x must be set\")\n\
+             }}\n\
+             fn go(ex: &Executor) {{\n\
+                 ex.{submit} helper(input()));\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert_eq!(active_rules(&report), ["panic-in-task-path"], "{submit}");
+        assert_eq!(
+            report.active[0].line, 2,
+            "marker is at the callee's expect: {submit}"
+        );
+        assert!(
+            report.active[0].message.contains("via `helper`"),
+            "message names the call chain: {}",
+            report.active[0].message
+        );
+    }
 }
 
 #[test]
 fn panic_path_flags_slice_indexing_in_direct_closure() {
-    let src = "fn go(ex: &Executor, xs: Vec<f64>) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
-                       let first = xs[0];\n\
-                       store(first);\n\
-                   });\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert_eq!(active_rules(&report), ["panic-in-task-path"]);
-    assert!(report.active[0].message.contains("slice indexing"));
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn go(ex: &Executor, xs: Vec<f64>) {{\n\
+                 ex.{submit} {{\n\
+                     let first = xs[0];\n\
+                     store(first);\n\
+                 }});\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert_eq!(active_rules(&report), ["panic-in-task-path"], "{submit}");
+        assert!(
+            report.active[0].message.contains("slice indexing"),
+            "{submit}"
+        );
+    }
 }
 
 #[test]
 fn panic_path_fires_on_panic_macro() {
-    let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, || panic!(\"boom\"));\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert_eq!(active_rules(&report), ["panic-in-task-path"]);
-    assert!(report.active[0].message.contains("`panic!`"));
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn go(ex: &Executor) {{\n\
+                 ex.{submit} panic!(\"boom\"));\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert_eq!(active_rules(&report), ["panic-in-task-path"], "{submit}");
+        assert!(report.active[0].message.contains("`panic!`"), "{submit}");
+    }
 }
 
 #[test]
 fn panic_path_silent_for_panic_free_closure_and_test_code() {
-    let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
-                       if let Some(v) = compute() {\n\
-                           store(v);\n\
-                       }\n\
-                   });\n\
-               }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-                   fn t(ex: &Executor) {\n\
-                       ex.submit(Priority::Normal, || panic!(\"fine in tests\"));\n\
-                   }\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert!(report.is_clean(), "{}", report.render_human());
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn go(ex: &Executor) {{\n\
+                 ex.{submit} {{\n\
+                     if let Some(v) = compute() {{\n\
+                         store(v);\n\
+                     }}\n\
+                 }});\n\
+             }}\n\
+             #[cfg(test)]\n\
+             mod tests {{\n\
+                 fn t(ex: &Executor) {{\n\
+                     ex.{submit} panic!(\"fine in tests\"));\n\
+                 }}\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert!(report.is_clean(), "{submit}: {}", report.render_human());
+    }
 }
 
 #[test]
 fn panic_path_suppressible_at_the_marker_line() {
-    let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
-                       // ve-lint: allow(panic-in-task-path) -- invariant: compute is total here\n\
-                       let v = compute().unwrap();\n\
-                       store(v);\n\
-                   });\n\
-               }\n";
-    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
-    assert!(report.is_clean(), "{}", report.render_human());
-    assert_eq!(report.suppressed, 1);
+    for submit in SUBMIT_FORMS {
+        let src = format!(
+            "fn go(ex: &Executor) {{\n\
+                 ex.{submit} {{\n\
+                     // ve-lint: allow(panic-in-task-path) -- invariant: compute is total here\n\
+                     let v = compute().unwrap();\n\
+                     store(v);\n\
+                 }});\n\
+             }}\n"
+        );
+        let report = run(&[("vocalexplore", "src/fx.rs", src.as_str())]);
+        assert!(report.is_clean(), "{submit}: {}", report.render_human());
+        assert_eq!(report.suppressed, 1, "{submit}");
+    }
 }
 
 // ------------------------------------------------------------ lock discipline
