@@ -29,7 +29,10 @@ pub mod sketch;
 pub mod uncertainty;
 pub mod ve_sample;
 
-pub use cluster_margin::{cluster_margin_selection, kmeans_fit, ClusterMarginConfig};
+pub use cluster_margin::{
+    cluster_margin_selection, cluster_margin_selection_with_sweeps, kmeans_fit,
+    ClusterMarginConfig, KMeansFit,
+};
 pub use coreset::{coreset_selection, greedy_k_center};
 pub use random::random_selection;
 pub use sketch::{ClusterSketch, ClusterSketchConfig};

@@ -11,7 +11,8 @@
 //! is a *pure function of the candidate index contents*:
 //!
 //! 1. **Fit**: deterministic k-means ([`crate::cluster_margin::kmeans_fit`])
-//!    over a fixed prefix of the index rows produces `k` centroids.
+//!    over a fixed prefix of the index rows produces `k` centroids; the fit
+//!    stops at its fixed point, at most `kmeans_iters` sweeps.
 //! 2. **Assign**: every candidate row maps to its nearest centroid
 //!    (first-index-wins ties). New rows appended by incremental ingest are
 //!    assigned on arrival — O(Δ · k · d) per call, not O(n · k · d). A merge
@@ -25,7 +26,11 @@
 //!    representatives round-robin across clusters in ascending-size order
 //!    (smallest clusters first, members in ascending row order), so every
 //!    region keeps proportional-but-bounded representation instead of
-//!    surviving by lottery.
+//!    surviving by lottery. The round-robin is computed in closed form:
+//!    each cluster's quota is the number of full rounds it takes part in,
+//!    plus one for the first clusters in the partial last round, and one
+//!    ascending pass over the rows emits each cluster's first `quota`
+//!    unmasked members.
 //!
 //! # Determinism
 //!
@@ -46,7 +51,8 @@ pub struct ClusterSketchConfig {
     pub prefix_rows: usize,
     /// Number of centroids.
     pub clusters: usize,
-    /// k-means iterations of the fit.
+    /// Cap on the fit's k-means sweeps; the fit exits earlier at its fixed
+    /// point, with the result the capped loop would return.
     pub kmeans_iters: usize,
 }
 
@@ -69,6 +75,8 @@ pub struct ClusterSketch {
     assignments: Vec<usize>,
     /// Rows the centroids were fitted over (`min(prefix_rows, n at fit)`).
     prefix_len: usize,
+    /// k-means sweeps the fit ran.
+    fit_sweeps: usize,
 }
 
 impl ClusterSketch {
@@ -80,16 +88,17 @@ impl ClusterSketch {
         assert!(!block.is_empty(), "cannot sketch an empty candidate block");
         let prefix_len = config.prefix_rows.max(1).min(block.rows());
         let prefix: Vec<usize> = (0..prefix_len).collect();
-        let (centroids, _) = kmeans_fit(
+        let fit = kmeans_fit(
             &block.gather(&prefix),
             config.clusters.max(1),
             config.kmeans_iters.max(1),
         );
         let mut sketch = Self {
             config,
-            centroids,
+            centroids: fit.centroids,
             assignments: Vec::with_capacity(block.rows()),
             prefix_len,
+            fit_sweeps: fit.sweeps,
         };
         sketch.extend(block);
         sketch
@@ -108,6 +117,11 @@ impl ClusterSketch {
     /// Rows the centroids were fitted over.
     pub fn prefix_len(&self) -> usize {
         self.prefix_len
+    }
+
+    /// k-means sweeps the fit ran (at most `kmeans_iters`).
+    pub fn fit_sweeps(&self) -> usize {
+        self.fit_sweeps
     }
 
     /// Number of fitted centroids.
@@ -185,6 +199,13 @@ impl ClusterSketch {
     /// in ascending row order, so small/rare regions are fully kept while
     /// dense regions are subsampled.
     ///
+    /// The round-robin is not simulated. Every cluster takes part in the
+    /// first `levels` rounds (fewer if it runs out of members first), and
+    /// the partial round after them gives one more member to the first
+    /// clusters, in visiting order, that still have one. That fixes each
+    /// cluster's quota, and since members go in ascending row order, one
+    /// ascending pass emits the selection already sorted.
+    ///
     /// # Panics
     /// Panics if `masked.len()` differs from the assigned row count.
     pub fn reduce(&self, masked: &[bool], cap: usize) -> Vec<usize> {
@@ -193,37 +214,46 @@ impl ClusterSketch {
             self.assignments.len(),
             "mask length must match assigned rows"
         );
-        let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); self.clusters()];
-        for (row, &cluster) in self.assignments.iter().enumerate() {
-            if !masked[row] {
-                clusters[cluster].push(row);
+        let mut sizes = vec![0usize; self.clusters()];
+        for (&cluster, &m) in self.assignments.iter().zip(masked) {
+            if !m {
+                sizes[cluster] += 1;
             }
         }
-        clusters.retain(|c| !c.is_empty());
-        // Stable sort: equal sizes keep ascending cluster-id order.
-        clusters.sort_by_key(|c| c.len());
+        // Visiting order: ascending (size, id) over non-empty clusters.
+        let mut order: Vec<usize> = (0..sizes.len()).filter(|&c| sizes[c] > 0).collect();
+        order.sort_by_key(|&c| sizes[c]);
+        let take = cap.min(sizes.iter().sum::<usize>());
 
-        let total: usize = clusters.iter().map(|c| c.len()).sum::<usize>();
-        let take = cap.min(total);
-        let mut selected = Vec::with_capacity(take);
-        let mut cursor = vec![0usize; clusters.len()];
-        while selected.len() < take {
-            let mut progressed = false;
-            for (ci, cluster) in clusters.iter().enumerate() {
-                if selected.len() >= take {
-                    break;
-                }
-                if cursor[ci] < cluster.len() {
-                    selected.push(cluster[cursor[ci]]);
-                    cursor[ci] += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
+        // Complete rounds while the budget covers them, then the partial one.
+        let mut quota = vec![0usize; sizes.len()];
+        let (mut levels, mut left) = (0usize, take);
+        for (i, &c) in order.iter().enumerate() {
+            let active = order.len() - i;
+            let round_cost = (sizes[c] - levels) * active;
+            if round_cost > left {
+                levels += left / active;
+                left %= active;
                 break;
             }
+            levels = sizes[c];
+            left -= round_cost;
         }
-        selected.sort_unstable();
+        for &c in &order {
+            quota[c] = sizes[c].min(levels);
+            if sizes[c] > levels && left > 0 {
+                quota[c] += 1;
+                left -= 1;
+            }
+        }
+
+        let mut selected = Vec::with_capacity(take);
+        for (row, (&cluster, &m)) in self.assignments.iter().zip(masked).enumerate() {
+            if !m && quota[cluster] > 0 {
+                quota[cluster] -= 1;
+                selected.push(row);
+            }
+        }
         selected
     }
 }
@@ -354,6 +384,104 @@ mod tests {
         ve_sched::parallel::set_parallelism(0);
         assert_eq!(single.assignments, multi.assignments);
         assert_eq!(single_reduced, multi_reduced);
+    }
+
+    /// The round-robin simulated over per-cluster member lists, then
+    /// sorted: the oracle [`ClusterSketch::reduce`] must match.
+    fn round_robin_reduce(
+        assignments: &[usize],
+        clusters: usize,
+        masked: &[bool],
+        cap: usize,
+    ) -> Vec<usize> {
+        let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); clusters];
+        for (row, &cluster) in assignments.iter().enumerate() {
+            if !masked[row] {
+                clusters[cluster].push(row);
+            }
+        }
+        clusters.retain(|c| !c.is_empty());
+        clusters.sort_by_key(|c| c.len());
+        let total: usize = clusters.iter().map(|c| c.len()).sum::<usize>();
+        let take = cap.min(total);
+        let mut selected = Vec::with_capacity(take);
+        let mut cursor = vec![0usize; clusters.len()];
+        while selected.len() < take {
+            let mut progressed = false;
+            for (ci, cluster) in clusters.iter().enumerate() {
+                if selected.len() >= take {
+                    break;
+                }
+                if cursor[ci] < cluster.len() {
+                    selected.push(cluster[cursor[ci]]);
+                    cursor[ci] += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        selected.sort_unstable();
+        selected
+    }
+
+    /// A sketch with the given assignments over `k` (dummy) centroids.
+    fn sketch_with(assignments: Vec<usize>, k: usize) -> ClusterSketch {
+        ClusterSketch {
+            config: cfg(1, k),
+            centroids: FeatureBlock::from_vec(k, 1, (0..k).map(|c| c as f32).collect()),
+            assignments,
+            prefix_len: 1,
+            fit_sweeps: 1,
+        }
+    }
+
+    #[test]
+    fn quota_reduce_matches_the_round_robin_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        let mut cases = 0;
+        for case in 0..60 {
+            let k = 1 + case % 9;
+            let n = case * 5 % 120;
+            let assignments: Vec<usize> = match case % 4 {
+                // Random clusters.
+                0 => (0..n).map(|_| rng.gen_range(0..k)).collect(),
+                // Equal-size clusters.
+                1 => (0..n).map(|r| r % k).collect(),
+                // Skewed sizes, with the high ids left empty.
+                2 => (0..n).map(|r| (r * r) % k / 2).collect(),
+                // Contiguous runs.
+                _ => (0..n).map(|r| r * k / n.max(1)).collect(),
+            };
+            let sketch = sketch_with(assignments.clone(), k);
+            for mask_every in [0usize, 2, 3, 7] {
+                let masked: Vec<bool> = (0..n)
+                    .map(|r| mask_every > 0 && (r + case) % mask_every == 0)
+                    .collect();
+                for cap in [0, 1, 2, k, k + 1, 2 * k + 1, n / 3, n / 2, n, n + 5] {
+                    assert_eq!(
+                        sketch.reduce(&masked, cap),
+                        round_robin_reduce(&assignments, k, &masked, cap),
+                        "case {case} mask {mask_every} cap {cap}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 0);
+        // Fitted sketches too: real assignments over real clusters.
+        let block = blobs(30);
+        let sketch = ClusterSketch::build(&block, cfg(60, 7));
+        let masked: Vec<bool> = (0..block.rows()).map(|r| r % 5 == 2).collect();
+        for cap in 0..=block.rows() {
+            assert_eq!(
+                sketch.reduce(&masked, cap),
+                round_robin_reduce(&sketch.assignments, sketch.clusters(), &masked, cap),
+                "fitted cap {cap}"
+            );
+        }
     }
 
     #[test]

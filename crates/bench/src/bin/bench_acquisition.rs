@@ -16,18 +16,32 @@
 //! rows fanned out with `par_map`) against the batched
 //! `TrainedModel::predict_proba_rows`, with their ratio as `speedup`. Both
 //! outputs are checked bit-identical before timing.
+//!
+//! `kmeans_sweeps` counts the k-means assignment sweeps (an exact work
+//! counter, not a timing) on fixed simulator features: the R3D embeddings
+//! of every window of a scaled Deer training corpus (~2,000 rows, the
+//! default candidate cap), in corpus order. `sketch_fit` is the default
+//! `ClusterSketch` fit over them; `margin_pool` is default Cluster-Margin's
+//! diversity stage over all of them, scored by a model fitted on the first
+//! `SWEEP_LABELS` windows' ground-truth classes. Both modes compute it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-use ve_al::{cluster_margin_selection, coreset_selection, ClusterMarginConfig};
+use ve_al::{
+    cluster_margin_selection, cluster_margin_selection_with_sweeps, coreset_selection,
+    ClusterMarginConfig, ClusterSketch, ClusterSketchConfig,
+};
 use ve_bench::emit::Artifact;
+use ve_features::simulator::DEFAULT_SIM_DIM;
+use ve_features::{ExtractorId, FeatureSimulator};
 use ve_ml::{
     Classifier, FeatureBlock, FeatureBlockBuilder, StandardScaler, Targets, TrainConfig,
     TrainedModel,
 };
 use ve_obs::json::Json;
+use ve_vidsim::{Dataset, DatasetName};
 
 const DIM: usize = 64;
 const BUDGET: usize = 5;
@@ -35,6 +49,11 @@ const BUDGET: usize = 5;
 /// Candidate rows and feature dimensionality of the inference timings.
 const INFER_ROWS: usize = 2_000;
 const INFER_DIM: usize = 512;
+
+/// Deer corpus scale of the sweep-counter features (~2,000 windows).
+const SWEEP_SCALE: f64 = 0.224;
+/// Labeled windows behind the sweep counters' margin model.
+const SWEEP_LABELS: usize = 30;
 
 fn make_pool(n: usize, seed: u64) -> (FeatureBlock, FeatureBlock) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -119,6 +138,52 @@ fn inference_timings(block: &FeatureBlock, classes: usize, runs: usize) -> Json 
     ])
 }
 
+/// The `kmeans_sweeps` section (see the module docs).
+fn kmeans_sweeps() -> Json {
+    let dataset = Dataset::scaled(DatasetName::Deer, SWEEP_SCALE, 17);
+    let num_classes = dataset.vocabulary.len();
+    let sim = FeatureSimulator::with_dim(DatasetName::Deer, num_classes, 17, DEFAULT_SIM_DIM);
+    let mut feats = FeatureBlockBuilder::with_capacity(0, DEFAULT_SIM_DIM);
+    let mut classes = Vec::new();
+    for clip in dataset.train.videos() {
+        for (v, seg) in sim
+            .extract_clip(ExtractorId::R3d, clip)
+            .iter()
+            .zip(&clip.segments)
+        {
+            feats.push_row(&v.data);
+            classes.push(seg.primary_class());
+        }
+    }
+    let block = feats.build();
+    let (rows, labels): (Vec<Vec<f32>>, Vec<usize>) = (0..SWEEP_LABELS)
+        .filter_map(|r| classes[r].map(|c| (block.row(r).to_vec(), c)))
+        .unzip();
+    let (scaled, scaler) = StandardScaler::fit_transform(&rows);
+    let targets = Targets::Single(labels);
+    let model = TrainedModel::fit(&scaled, &targets, num_classes, &TrainConfig::default())
+        .expect("the labeled windows span several classes");
+    let candidates: Vec<usize> = (0..block.rows()).collect();
+    let probs = FeatureBlock::from_matrix(model.predict_proba_rows(&scaler, &block, &candidates));
+    let sketch_fit = ClusterSketch::build(&block, ClusterSketchConfig::default()).fit_sweeps();
+    let (_, margin_pool) = cluster_margin_selection_with_sweeps(
+        &block,
+        &candidates,
+        &probs,
+        BUDGET,
+        &ClusterMarginConfig::default(),
+    );
+    eprintln!(
+        "kmeans sweeps over {} windows: sketch fit {sketch_fit}, margin pool {margin_pool}",
+        block.rows()
+    );
+    Json::obj([
+        ("rows", Json::usize(block.rows())),
+        ("sketch_fit", Json::usize(sketch_fit)),
+        ("margin_pool", Json::usize(margin_pool)),
+    ])
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let pools: &[usize] = if quick {
@@ -180,5 +245,6 @@ fn main() {
             ]),
         )
         .field("inference", inference)
+        .field("kmeans_sweeps", kmeans_sweeps())
         .write("BENCH_acquisition.json");
 }

@@ -236,7 +236,7 @@ impl VocalExplore {
             &self.corpus,
             &self.fm,
             &self.mm,
-            &self.storage.with_labels(|l| l.clone()),
+            &self.storage.labels_snapshot(),
             budget,
             clip_len,
             target_label,
@@ -297,11 +297,10 @@ impl VocalExplore {
     /// as [`Degradation::TrainingFailed`]. Returns the number of `T_e`
     /// scores produced.
     pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
-        let labels = self.label_records();
+        let labels = self.storage.labels_snapshot();
         if labels.len() < self.config.min_labels_for_predictions {
             return 0;
         }
-        let labels = Arc::new(labels);
         let iteration = self.iteration;
         let eval_secs = self.config.costs.eval_secs;
         let evaluations: Vec<_> = self
@@ -315,7 +314,7 @@ impl VocalExplore {
                     TaskLabel::new("eval", iteration),
                     move || {
                         sleep_scaled(eval_secs, time_scale);
-                        mm.evaluate_cv(extractor, &corpus, &fm, &labels)
+                        mm.evaluate_cv(extractor, &corpus, &fm, labels.records())
                             .map(|score| (extractor, score))
                     },
                 )
@@ -337,7 +336,14 @@ impl VocalExplore {
                 self.config.retry.with_time_scale(time_scale),
                 move |attempt| {
                     sleep_scaled(train_secs, time_scale);
-                    mm.train_attempt(extractor, &corpus, &fm, &task_labels, iteration, attempt)
+                    mm.train_attempt(
+                        extractor,
+                        &corpus,
+                        &fm,
+                        task_labels.records(),
+                        iteration,
+                        attempt,
+                    )
                 },
             );
             match training.join_task() {

@@ -18,7 +18,9 @@
 //! Everything lives in memory. The label and feature stores sit
 //! behind the [`StorageManager`] facade, which is cheap to clone and safe to
 //! share across the Task Scheduler's worker threads: every clone reads and
-//! writes the same state.
+//! writes the same state. The label store is copy-on-write:
+//! [`StorageManager::labels_snapshot`] hands out the current store without
+//! copying it, and a later write copies it only while a snapshot is alive.
 
 pub mod feature_store;
 pub mod labels;
@@ -39,7 +41,7 @@ pub struct StorageManager {
 
 #[derive(Debug, Default)]
 struct StorageInner {
-    labels: LabelStore,
+    labels: Arc<LabelStore>,
     features: FeatureStore,
 }
 
@@ -54,9 +56,18 @@ impl StorageManager {
         f(&self.inner.read().labels)
     }
 
-    /// Runs a closure with write access to the label store.
+    /// Runs a closure with write access to the label store. The store is
+    /// copied first only if a [`Self::labels_snapshot`] still shares it.
     pub fn with_labels_mut<R>(&self, f: impl FnOnce(&mut LabelStore) -> R) -> R {
-        f(&mut self.inner.write().labels)
+        f(Arc::make_mut(&mut self.inner.write().labels))
+    }
+
+    /// The label store as it is now, shared rather than copied: later
+    /// writes leave the snapshot unchanged. Unlike [`Self::with_labels`], no
+    /// lock is held while the snapshot is in use, so its holder may write
+    /// features meanwhile.
+    pub fn labels_snapshot(&self) -> Arc<LabelStore> {
+        Arc::clone(&self.inner.read().labels)
     }
 
     /// Runs a closure with read access to the feature store.
@@ -110,6 +121,20 @@ mod tests {
         assert_eq!(labels.len(), 1);
         assert_eq!(labels[0].classes, vec![2]);
         assert_eq!(row, Some(vec![0.5, -0.25, 1.0]));
+
+        // A snapshot keeps its contents across later writes.
+        let snapshot = sm.labels_snapshot();
+        sm.with_labels_mut(|l| {
+            l.add(LabelRecord {
+                vid: VideoId(2),
+                range: TimeRange::new(0.0, 1.0),
+                classes: vec![0],
+                iteration: 1,
+            })
+        });
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(sm.with_labels(|l| l.len()), 2);
+        assert_eq!(sm.labels_snapshot().len(), 2);
 
         // And the facade can be shared with worker threads.
         fn shareable<T: Send + Sync>(_: &T) {}
