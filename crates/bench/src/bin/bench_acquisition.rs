@@ -23,7 +23,11 @@
 //! default candidate cap), in corpus order. `sketch_fit` is the default
 //! `ClusterSketch` fit over them; `margin_pool` is default Cluster-Margin's
 //! diversity stage over all of them, scored by a model fitted on the first
-//! `SWEEP_LABELS` windows' ground-truth classes. Both modes compute it.
+//! `SWEEP_LABELS` windows' ground-truth classes. The default sketch fit
+//! stops at its cap before it converges, so `sketch_fit_to_fixed_point`
+//! refits the same input with a cap of `SKETCH_SWEEP_CAP` sweeps, enough to
+//! reach the fixed point: a fit that ran every sweep up to its cap would
+//! read the cap there. Both modes compute the section.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,6 +58,9 @@ const INFER_DIM: usize = 512;
 const SWEEP_SCALE: f64 = 0.224;
 /// Labeled windows behind the sweep counters' margin model.
 const SWEEP_LABELS: usize = 30;
+/// Sweep cap of the `sketch_fit_to_fixed_point` refit, well past the sweep
+/// at which the assignment repeats.
+const SKETCH_SWEEP_CAP: usize = 100;
 
 fn make_pool(n: usize, seed: u64) -> (FeatureBlock, FeatureBlock) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -166,6 +173,14 @@ fn kmeans_sweeps() -> Json {
     let candidates: Vec<usize> = (0..block.rows()).collect();
     let probs = FeatureBlock::from_matrix(model.predict_proba_rows(&scaler, &block, &candidates));
     let sketch_fit = ClusterSketch::build(&block, ClusterSketchConfig::default()).fit_sweeps();
+    let sketch_fit_to_fixed_point = ClusterSketch::build(
+        &block,
+        ClusterSketchConfig {
+            kmeans_iters: SKETCH_SWEEP_CAP,
+            ..ClusterSketchConfig::default()
+        },
+    )
+    .fit_sweeps();
     let (_, margin_pool) = cluster_margin_selection_with_sweeps(
         &block,
         &candidates,
@@ -174,12 +189,17 @@ fn kmeans_sweeps() -> Json {
         &ClusterMarginConfig::default(),
     );
     eprintln!(
-        "kmeans sweeps over {} windows: sketch fit {sketch_fit}, margin pool {margin_pool}",
+        "kmeans sweeps over {} windows: sketch fit {sketch_fit} \
+         ({sketch_fit_to_fixed_point} to its fixed point), margin pool {margin_pool}",
         block.rows()
     );
     Json::obj([
         ("rows", Json::usize(block.rows())),
         ("sketch_fit", Json::usize(sketch_fit)),
+        (
+            "sketch_fit_to_fixed_point",
+            Json::usize(sketch_fit_to_fixed_point),
+        ),
         ("margin_pool", Json::usize(margin_pool)),
     ])
 }

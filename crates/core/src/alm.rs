@@ -242,9 +242,10 @@ impl ActiveLearningManager {
     }
 
     /// Feeds one round of CV scores (produced by
-    /// [`ModelManager::evaluate_cv`] for each of
-    /// [`ActiveLearningManager::evaluation_candidates`], possibly on executor
-    /// worker threads) into the rising bandit. Empty score sets are ignored.
+    /// [`ModelManager::evaluate_round`] over
+    /// [`ActiveLearningManager::evaluation_candidates`], possibly on an
+    /// executor worker thread) into the rising bandit. Empty score sets are
+    /// ignored.
     pub fn observe_feature_scores(&mut self, scores: &[(ExtractorId, f64)]) {
         let FeatureState::Bandit {
             bandit,

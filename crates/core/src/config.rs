@@ -77,7 +77,8 @@ pub struct CostModel {
     pub train_base_secs: f64,
     /// Per-label component of model training.
     pub train_per_label_secs: f64,
-    /// Seconds per feature-evaluation task (`T_e`), per candidate feature.
+    /// Feature-evaluation seconds per candidate feature (`T_e`): a bandit
+    /// round over `k` candidates costs `k · T_e` (one task sleeping the sum).
     pub eval_secs: f64,
 }
 

@@ -40,7 +40,9 @@
 //! 5. `VE-full` only: one `Background` eager-extraction task per planned
 //!    video.
 //! 6. `VE-partial`/`VE-full`, except after the last labels: the deferred
-//!    work, in the labeling window.
+//!    work, in the labeling window — while the bandit has not converged,
+//!    one `T_e` task that cross-validates the round's `k` candidates (it
+//!    sleeps `k · T_e`), then one `T_m` training task.
 //! 7. Think time (measured mode), the `wait_idle` barrier (work past the
 //!    window is *spill*, never charged to the next call), eager give-ups
 //!    recorded in submission order, then F1.
@@ -660,6 +662,7 @@ pub fn held_out_f1(
 mod tests {
     use super::*;
     use crate::config::{FeatureSelectionPolicy, SamplingPolicy};
+    use ve_bandit::RisingBanditConfig;
 
     fn quick_session(dataset: DatasetName, seed: u64) -> SessionConfig {
         let mut cfg = SessionConfig::new(dataset, 0.08, seed)
@@ -885,6 +888,51 @@ mod tests {
                 "infer spans at iteration {iteration}"
             );
         }
+    }
+
+    #[test]
+    fn measured_run_scores_each_bandit_round_with_one_eval_task() {
+        // A short horizon makes the bandit converge inside the session, so
+        // the rounds before convergence and the silence after it both show.
+        let mut cfg = measured_config(SchedulerStrategy::VePartial, 19, 1e-4).with_iterations(10);
+        cfg.system = cfg
+            .system
+            .with_feature_selection(FeatureSelectionPolicy::Bandit(RisingBanditConfig {
+                horizon: 4,
+                warmup: 2,
+                ..RisingBanditConfig::default()
+            }))
+            .with_compute_threads(2);
+        cfg.system.train.epochs = 20;
+        let min_labels = cfg.system.min_labels_for_predictions;
+        let out = SessionRunner::new(cfg).run_measured();
+        assert_eq!(out.executor.submitted, out.timings.len() as u64);
+        let converged_at = out.feature_selected_at.expect("the bandit must converge");
+        assert!(
+            converged_at < out.records.len(),
+            "no iteration after convergence"
+        );
+        let mut rounds = 0;
+        for record in &out.records {
+            // VE-partial runs iteration i's deferred work after its record
+            // is read and never after the last labels.
+            let has_candidates = record.iteration < out.records.len()
+                && record.labels_total >= min_labels
+                && record.selected_extractor.is_none();
+            let spans = out
+                .timings
+                .iter()
+                .filter(|t| t.label.kind == "eval" && t.label.iteration == record.iteration as u32)
+                .count();
+            assert_eq!(
+                spans,
+                usize::from(has_candidates),
+                "eval spans at iteration {}",
+                record.iteration
+            );
+            rounds += spans;
+        }
+        assert!(rounds >= 2, "the session must run bandit rounds: {rounds}");
     }
 
     #[test]

@@ -616,61 +616,95 @@ impl ModelManager {
         FeatureBlock::from_matrix(fitted.model.predict_proba_rows(&fitted.scaler, block, rows))
     }
 
-    /// Cross-validated macro-F1 estimate of the extractor's quality on the
-    /// labels collected so far (the rising bandit's reward signal). Returns
-    /// `None` while there are too few labels to build stratified folds.
+    /// Cross-validated macro-F1 estimates of the candidate extractors'
+    /// quality on the labels collected so far (the rising bandit's reward
+    /// signal for one round), as `(extractor, score)` pairs in candidate
+    /// order. A candidate is left out while there are too few labels to
+    /// build its folds.
     ///
-    /// The estimate is expressed on the same scale as the held-out evaluation
-    /// metric — macro F1 over the **full vocabulary** — by treating classes
-    /// that do not yet have enough labels to participate in the stratified
-    /// folds as contributing an F1 of 0. This keeps the reward *rising* as
-    /// labels accumulate (more classes become learnable), which is the
-    /// behaviour the rising-bandit assumptions rely on; scoring only the
-    /// already-covered classes would instead start near 1 and drift downward
-    /// as the problem grows harder.
-    pub fn evaluate_cv(
+    /// Each candidate's training set is built on the calling thread, in
+    /// candidate order (on-demand extraction charges the feature manager in
+    /// that order); then every candidate's fold models are fitted in one
+    /// [`ve_ml::cross_validate_round`] fan-out over the compute threads. Each
+    /// score is bit-identical to cross-validating its candidate alone.
+    ///
+    /// A single-label estimate is expressed on the same scale as the
+    /// held-out evaluation metric — macro F1 over the **full vocabulary** —
+    /// by treating classes that do not yet have enough labels to participate
+    /// in the stratified folds as contributing an F1 of 0. This keeps the
+    /// reward *rising* as labels accumulate (more classes become learnable),
+    /// which is the behaviour the rising-bandit assumptions rely on; scoring
+    /// only the already-covered classes would instead start near 1 and drift
+    /// downward as the problem grows harder.
+    pub fn evaluate_round(
+        &self,
+        candidates: &[ExtractorId],
+        corpus: &VideoCorpus,
+        fm: &FeatureManager,
+        labels: &[LabelRecord],
+    ) -> Vec<(ExtractorId, f64)> {
+        let cfg = CrossValConfig {
+            train: self.config.train,
+            ..CrossValConfig::default()
+        };
+        let sets: Vec<(ExtractorId, Vec<Vec<f32>>, Targets)> = candidates
+            .iter()
+            .map(|&extractor| {
+                let (features, targets) = self.training_set(extractor, corpus, fm, labels);
+                (extractor, features, targets)
+            })
+            .filter(|(_, features, _)| features.len() >= 6)
+            .collect();
+        let problems: Vec<(&[Vec<f32>], &Targets)> = sets
+            .iter()
+            .map(|(_, features, targets)| (features.as_slice(), targets))
+            .collect();
+        let scores = ve_ml::cross_validate_round(&problems, self.config.num_classes, &cfg);
+        sets.iter()
+            .zip(scores)
+            .filter_map(|((extractor, _, targets), score)| {
+                let score = match targets {
+                    Targets::Single(single) => {
+                        let kept = self.kept_classes(single, &cfg);
+                        score? * kept as f64 / self.config.num_classes as f64
+                    }
+                    Targets::Multi(_) => score?,
+                };
+                // The score is a pure function of (labels, extractor,
+                // config), so its bits belong in the deterministic plane.
+                self.record(SessionEvent::EvaluationCompleted {
+                    extractor: *extractor,
+                    score_bits: score.to_bits(),
+                });
+                Some((*extractor, score))
+            })
+            .collect()
+    }
+
+    /// Number of classes with enough single-label instances to join the
+    /// stratified folds.
+    fn kept_classes(&self, labels: &[usize], cfg: &CrossValConfig) -> usize {
+        let mut per_class = vec![0usize; self.config.num_classes];
+        for &c in labels {
+            per_class[c] += 1;
+        }
+        per_class
+            .iter()
+            .filter(|&&n| n >= cfg.min_instances_per_class.max(cfg.folds))
+            .count()
+    }
+
+    /// [`ModelManager::evaluate_round`] for a single extractor.
+    #[cfg(test)]
+    pub(crate) fn evaluate_cv(
         &self,
         extractor: ExtractorId,
         corpus: &VideoCorpus,
         fm: &FeatureManager,
         labels: &[LabelRecord],
     ) -> Option<f64> {
-        let (features, targets) = self.training_set(extractor, corpus, fm, labels);
-        if features.len() < 6 {
-            return None;
-        }
-        let cfg = CrossValConfig {
-            train: self.config.train,
-            ..CrossValConfig::default()
-        };
-        let score = match &targets {
-            Targets::Single(single) => {
-                let kept = {
-                    let mut per_class = vec![0usize; self.config.num_classes];
-                    for &c in single {
-                        per_class[c] += 1;
-                    }
-                    per_class
-                        .iter()
-                        .filter(|&&n| n >= cfg.min_instances_per_class.max(cfg.folds))
-                        .count()
-                };
-                ve_ml::cross_validate(&features, single, self.config.num_classes, &cfg)
-                    .map(|score| score * kept as f64 / self.config.num_classes as f64)
-            }
-            Targets::Multi(sets) => {
-                ve_ml::cross_validate_multilabel(&features, sets, self.config.num_classes, &cfg)
-            }
-        };
-        if let Some(s) = score {
-            // The score is a pure function of (labels, extractor, config), so
-            // its bits belong in the deterministic plane.
-            self.record(SessionEvent::EvaluationCompleted {
-                extractor,
-                score_bits: s.to_bits(),
-            });
-        }
-        score
+        let round = self.evaluate_round(&[extractor], corpus, fm, labels);
+        round.first().map(|&(_, score)| score)
     }
 
     /// The latest fitted model for an extractor, if any (used by the harness
@@ -884,6 +918,154 @@ mod tests {
         assert!(mm
             .evaluate_cv(ExtractorId::R3d, &ds.train, &fm, &labels)
             .is_none());
+    }
+
+    /// The per-extractor loop `evaluate_round` replaced: each candidate
+    /// cross-validated alone with [`ve_ml::cross_validate`] or
+    /// [`ve_ml::cross_validate_multilabel`], then the kept-class scaling.
+    fn per_extractor_oracle(
+        mm: &ModelManager,
+        candidates: &[ExtractorId],
+        corpus: &VideoCorpus,
+        fm: &FeatureManager,
+        labels: &[LabelRecord],
+    ) -> Vec<(ExtractorId, u64)> {
+        let cfg = CrossValConfig {
+            train: mm.config.train,
+            ..CrossValConfig::default()
+        };
+        let classes = mm.config.num_classes;
+        candidates
+            .iter()
+            .filter_map(|&e| {
+                let (features, targets) = mm.training_set(e, corpus, fm, labels);
+                if features.len() < 6 {
+                    return None;
+                }
+                let score = match &targets {
+                    Targets::Single(ys) => {
+                        let kept = (0..classes)
+                            .filter(|&c| ys.iter().filter(|&&y| y == c).count() >= 3)
+                            .count();
+                        ve_ml::cross_validate(&features, ys, classes, &cfg)? * kept as f64
+                            / classes as f64
+                    }
+                    Targets::Multi(sets) => {
+                        ve_ml::cross_validate_multilabel(&features, sets, classes, &cfg)?
+                    }
+                };
+                Some((e, score.to_bits()))
+            })
+            .collect()
+    }
+
+    /// `evaluate_round` against [`per_extractor_oracle`] for every label
+    /// set, on rounds of 0, 1 and 5 candidates in scrambled order, at 1 and 4
+    /// compute threads; the round's `EvaluationCompleted` events carry the
+    /// same pairs in the same order.
+    fn assert_round_matches_oracle(
+        ds: &Dataset,
+        fm: &FeatureManager,
+        mut mm: ModelManager,
+        label_sets: &[(&str, Vec<LabelRecord>, bool)],
+    ) {
+        let obs = crate::observability::Obs::new(true);
+        mm.set_obs(Arc::clone(&obs));
+        let rounds = [
+            Vec::new(),
+            vec![ExtractorId::Clip],
+            vec![
+                ExtractorId::Mvit,
+                ExtractorId::Random,
+                ExtractorId::R3d,
+                ExtractorId::ClipPooled,
+                ExtractorId::Clip,
+            ],
+        ];
+        let _guard = ve_sched::parallel::test_parallelism_guard();
+        for (name, labels, scored) in label_sets {
+            let want = per_extractor_oracle(&mm, &rounds[2], &ds.train, fm, labels);
+            assert_eq!(!want.is_empty(), *scored, "{name}: {want:?}");
+            for threads in [1, 4] {
+                ve_sched::parallel::set_parallelism(threads);
+                for round in &rounds {
+                    let before = obs.events().len();
+                    let got: Vec<(ExtractorId, u64)> = mm
+                        .evaluate_round(round, &ds.train, fm, labels)
+                        .into_iter()
+                        .map(|(e, s)| (e, s.to_bits()))
+                        .collect();
+                    let expected: Vec<(ExtractorId, u64)> = round
+                        .iter()
+                        .filter_map(|e| want.iter().find(|(w, _)| w == e).copied())
+                        .collect();
+                    let context = format!("{name}, round {round:?}, {threads} threads");
+                    assert_eq!(got, expected, "{context}");
+                    let recorded: Vec<(ExtractorId, u64)> = obs.events()[before..]
+                        .iter()
+                        .filter_map(|(_, event)| match event {
+                            SessionEvent::EvaluationCompleted {
+                                extractor,
+                                score_bits,
+                            } => Some((*extractor, *score_bits)),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(recorded, expected, "{context}: events");
+                }
+            }
+        }
+        ve_sched::parallel::set_parallelism(0);
+    }
+
+    #[test]
+    fn single_label_round_matches_the_per_extractor_loop() {
+        let (ds, fm, mut mm, labels) = setup(90);
+        mm.config.train.epochs = 20;
+        let majority = labels[0].classes[0];
+        let one_class: Vec<LabelRecord> = labels
+            .iter()
+            .filter(|r| r.classes[0] == majority)
+            .cloned()
+            .collect();
+        assert!(one_class.len() >= 6);
+        let label_sets = [
+            ("too few labels", labels[..5].to_vec(), false),
+            ("one kept class", one_class, false),
+            ("ninety labels", labels, true),
+        ];
+        assert_round_matches_oracle(&ds, &fm, mm, &label_sets);
+    }
+
+    #[test]
+    fn multi_label_round_matches_the_per_extractor_loop() {
+        let ds = Dataset::scaled(DatasetName::Bdd, 0.3, 9);
+        let sim = FeatureSimulator::new(DatasetName::Bdd, 6, 9);
+        let fm = FeatureManager::new(sim, StorageManager::new());
+        let mut cfg = VocalExploreConfig::for_dataset(&ds, 9);
+        cfg.train.epochs = 20;
+        let mm = ModelManager::new(cfg);
+        let oracle = GroundTruthOracle::new(TaskKind::MultiLabel);
+        let labels: Vec<LabelRecord> = ds
+            .train
+            .videos()
+            .iter()
+            .take(40)
+            .map(|clip| {
+                let range = TimeRange::new(0.0, 1.5);
+                LabelRecord {
+                    vid: clip.id,
+                    range,
+                    classes: oracle.label(&ds.train, clip.id, &range),
+                    iteration: 0,
+                }
+            })
+            .collect();
+        let label_sets = [
+            ("too few labels", labels[..5].to_vec(), false),
+            ("forty labels", labels, true),
+        ];
+        assert_round_matches_oracle(&ds, &fm, mm, &label_sets);
     }
 
     #[test]

@@ -287,43 +287,41 @@ impl VocalExplore {
     }
 
     /// Runs the deferred work the Task Scheduler would run in the background:
-    /// one `T_e` feature-evaluation task per extractor the rising bandit
-    /// still scores, joined and fed to the bandit, then — when labels have
-    /// arrived since the last published model — one retryable `T_m` training
-    /// task for the extractor used for predictions. Every task is submitted
-    /// to `executor` at `Normal` priority and sleeps its modeled cost at
-    /// `time_scale` (0 sleeps nothing). A training request that exhausts the
-    /// retry budget keeps the previous model version serving and is recorded
-    /// as [`Degradation::TrainingFailed`]. Returns the number of `T_e`
-    /// scores produced.
+    /// while the rising bandit still scores extractors, one `T_e` evaluation
+    /// task for the whole round — it sleeps `k · T_e` for the `k` candidates
+    /// and cross-validates all of them in one
+    /// [`ModelManager::evaluate_round`] — joined and fed to the bandit; then,
+    /// when labels have arrived since the last published model, one
+    /// retryable `T_m` training task for the extractor used for predictions.
+    /// Every task is submitted to `executor` at `Normal` priority and sleeps
+    /// its modeled cost at `time_scale` (0 sleeps nothing). A training
+    /// request that exhausts the retry budget keeps the previous model
+    /// version serving and is recorded as [`Degradation::TrainingFailed`].
+    /// Returns the number of `T_e` scores produced.
     pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
         let labels = self.storage.labels_snapshot();
         if labels.len() < self.config.min_labels_for_predictions {
             return 0;
         }
         let iteration = self.iteration;
-        let eval_secs = self.config.costs.eval_secs;
-        let evaluations: Vec<_> = self
-            .alm
-            .evaluation_candidates()
-            .into_iter()
-            .map(|extractor| {
-                let ((mm, fm, corpus), labels) = (self.task_context(), Arc::clone(&labels));
-                executor.submit_with_handle_labeled(
+        let candidates = self.alm.evaluation_candidates();
+        let scores: Vec<(ExtractorId, f64)> = if candidates.is_empty() {
+            Vec::new()
+        } else {
+            let round_secs = candidates.len() as f64 * self.config.costs.eval_secs;
+            let ((mm, fm, corpus), labels) = (self.task_context(), Arc::clone(&labels));
+            executor
+                .submit_with_handle_labeled(
                     Priority::Normal,
                     TaskLabel::new("eval", iteration),
                     move || {
-                        sleep_scaled(eval_secs, time_scale);
-                        mm.evaluate_cv(extractor, &corpus, &fm, labels.records())
-                            .map(|score| (extractor, score))
+                        sleep_scaled(round_secs, time_scale);
+                        mm.evaluate_round(&candidates, &corpus, &fm, labels.records())
                     },
                 )
-            })
-            .collect();
-        let scores: Vec<(ExtractorId, f64)> = evaluations
-            .into_iter()
-            .filter_map(|h| h.join().expect("evaluation task must not panic"))
-            .collect();
+                .join()
+                .expect("evaluation task must not panic")
+        };
         self.alm.observe_feature_scores(&scores);
 
         if labels.len() > self.labels_at_last_training {

@@ -87,6 +87,44 @@ fn sync_and_async_ledgers_are_identical_for_every_strategy() {
 }
 
 #[test]
+fn sync_and_async_ledgers_are_identical_for_a_bandit_session() {
+    // The rising bandit (the default feature policy) scores its candidates
+    // in one `eval` task per round, which the fixed-R3D configs above never
+    // submit; VE-full runs it beside the window's eager extraction.
+    let mut cfg = base_config(29, 6);
+    cfg.system = cfg
+        .system
+        .with_strategy(SchedulerStrategy::VeFull)
+        .with_feature_selection(FeatureSelectionPolicy::default());
+    let inline = SessionRunner::new(cfg.clone()).run();
+    let evaluations = inline
+        .events
+        .iter()
+        .filter(|(_, e)| matches!(e, SessionEvent::EvaluationCompleted { .. }))
+        .count();
+    assert!(evaluations >= 5, "the session must score bandit rounds");
+    for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+        let mut threaded = cfg.clone();
+        threaded.system = threaded
+            .system
+            .with_executor_workers(workers)
+            .with_compute_threads(threads);
+        let measured = SessionRunner::new(threaded).run_measured();
+        let context = format!("bandit at workers={workers} threads={threads}");
+        common::assert_same_session(&inline, &measured, &context);
+        assert_eq!(
+            measured.timings.len() as u64,
+            measured.executor.submitted,
+            "timing spans must equal submitted tasks ({context})"
+        );
+        assert!(
+            measured.timings.iter().any(|t| t.label.kind == "eval"),
+            "the threaded run must submit eval tasks ({context})"
+        );
+    }
+}
+
+#[test]
 fn async_ledger_is_invariant_across_parallelism() {
     let plan = FaultPlan::new(7)
         .with_rule(FaultSite::FeatureExtraction, FaultRule::permanent(0.2))

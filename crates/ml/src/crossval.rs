@@ -10,8 +10,15 @@
 //!
 //! Multi-label targets have no single class to stratify on, so
 //! [`cross_validate_multilabel`] assigns folds round-robin instead.
+//!
+//! The bandit scores every surviving extractor on each round, so the unit of
+//! work is a *round*: [`cross_validate_round`] takes one problem per
+//! candidate feature and fits all of their fold models in one fan-out over
+//! the compute threads. [`cross_validate`] and [`cross_validate_multilabel`]
+//! are its one-problem calls, and every estimate is bit-identical to
+//! scoring its problem alone, at any thread count.
 
-use crate::linear::{Classifier, OneVsRestModel, SoftmaxModel, TrainConfig, TrainedModel};
+use crate::linear::{Classifier, OneVsRestModel, SoftmaxModel, Targets, TrainConfig, TrainedModel};
 use crate::metrics::{macro_f1, macro_f1_multilabel};
 use crate::scaler::StandardScaler;
 use rand::rngs::StdRng;
@@ -85,7 +92,7 @@ pub fn stratified_k_fold(
 }
 
 /// Cross-validated macro-F1 estimate of model quality on the given features
-/// and single-label targets.
+/// and single-label targets: a one-problem [`cross_validate_round`].
 ///
 /// Returns `None` when fewer than two classes have enough instances to
 /// stratify — the signal the bandit uses to skip evaluation at very early
@@ -96,119 +103,255 @@ pub fn cross_validate(
     num_classes: usize,
     cfg: &CrossValConfig,
 ) -> Option<f64> {
-    assert_eq!(features.len(), labels.len());
-    if features.is_empty() {
-        return None;
-    }
-    let assignment = stratified_k_fold(
-        labels,
+    let targets = Targets::Single(labels.to_vec());
+    only_score(cross_validate_round(
+        &[(features, &targets)],
         num_classes,
-        cfg.folds,
-        cfg.min_instances_per_class,
-        cfg.seed,
-    );
-    if assignment.kept_classes.len() < 2 {
-        return None;
-    }
-
-    // Remap kept classes to a dense range so the per-fold models do not carry
-    // unused heads for excluded classes.
-    let mut class_map = vec![usize::MAX; num_classes];
-    for (dense, &c) in assignment.kept_classes.iter().enumerate() {
-        class_map[c] = dense;
-    }
-    let dense_classes = assignment.kept_classes.len();
-
-    // Each fold trains an independent model, so the folds fan out across
-    // `ve-sched`'s coarse task helper; results are collected in fold order
-    // (and every per-fold model seeds its own RNG from the config), so the
-    // score is identical at any thread count.
-    let fold_scores = ve_sched::parallel::par_map_tasks(cfg.folds, |f| {
-        let mut train_x: Vec<Vec<f32>> = Vec::new();
-        let mut train_y: Vec<usize> = Vec::new();
-        let mut test_x: Vec<Vec<f32>> = Vec::new();
-        let mut test_y: Vec<usize> = Vec::new();
-        for (i, assigned) in assignment.fold.iter().enumerate() {
-            let Some(fold) = assigned else { continue };
-            let dense = class_map[labels[i]];
-            if *fold == f {
-                test_x.push(features[i].clone());
-                test_y.push(dense);
-            } else {
-                train_x.push(features[i].clone());
-                train_y.push(dense);
-            }
-        }
-        if test_x.is_empty() || train_x.is_empty() {
-            return None;
-        }
-        let distinct_train: std::collections::HashSet<usize> = train_y.iter().copied().collect();
-        if distinct_train.len() < 2 {
-            return None;
-        }
-        let model = SoftmaxModel::fit(&train_x, &train_y, dense_classes, &cfg.train);
-        let preds: Vec<usize> = test_x.iter().map(|x| model.predict(x)).collect();
-        Some(macro_f1(&test_y, &preds, dense_classes))
-    });
-    let scores: Vec<f64> = fold_scores.into_iter().flatten().collect();
-    if scores.is_empty() {
-        None
-    } else {
-        // ve-lint: allow(float-reduction-order) -- scores keep fixed fold order (Vec iteration)
-        Some(scores.iter().sum::<f64>() / scores.len() as f64)
-    }
+        cfg,
+    ))
 }
 
 /// Cross-validated macro-F1 estimate of a one-vs-rest model on the given
-/// features and multi-label targets.
+/// features and multi-label targets: a one-problem [`cross_validate_round`].
 ///
 /// Folds are unstratified: example `i` is tested in fold `i % cfg.folds`,
 /// which is adequate because every class appears in many records. Each fold
-/// standardizes its training features with its own [`StandardScaler`], and
-/// the estimate is the mean of the fold scores in fold order. Returns `None`
-/// with fewer than two examples per fold.
+/// standardizes its training features with its own [`StandardScaler`].
+/// Returns `None` with fewer than two examples per fold.
 pub fn cross_validate_multilabel(
     features: &[Vec<f32>],
     label_sets: &[Vec<usize>],
     num_classes: usize,
     cfg: &CrossValConfig,
 ) -> Option<f64> {
-    assert!(cfg.folds >= 2, "need at least two folds");
-    assert_eq!(features.len(), label_sets.len());
-    let n = features.len();
-    if n < cfg.folds * 2 {
-        return None;
+    let targets = Targets::Multi(label_sets.to_vec());
+    only_score(cross_validate_round(
+        &[(features, &targets)],
+        num_classes,
+        cfg,
+    ))
+}
+
+fn only_score(scores: Vec<Option<f64>>) -> Option<f64> {
+    scores.into_iter().next().flatten()
+}
+
+/// Cross-validates a whole round of problems — one `(features, targets)`
+/// pair per candidate feature — and returns one estimate per problem, in
+/// problem order.
+///
+/// Every (problem, fold) model is independent, so all of them fan out
+/// through **one** `ve-sched` [`par_map_tasks`](ve_sched::parallel::par_map_tasks)
+/// call: a compute thread that finishes one fold takes the next, whichever
+/// problem it belongs to. Each problem's fold scores are then averaged in
+/// fold order, and every fold model seeds its own RNG from the config, so
+/// each estimate is bit-identical to cross-validating that problem alone, at
+/// any thread count.
+///
+/// Single-label problems use [`stratified_k_fold`] over classes with at
+/// least `min_instances_per_class` examples, remapped to a dense class
+/// range, and score `None` with fewer than two such classes. Multi-label
+/// problems use round-robin folds and score `None` with fewer than two
+/// examples per fold.
+///
+/// # Panics
+/// Panics when a problem's features and targets differ in length, or when
+/// `cfg.folds < 2`.
+pub fn cross_validate_round(
+    problems: &[(&[Vec<f32>], &Targets)],
+    num_classes: usize,
+    cfg: &CrossValConfig,
+) -> Vec<Option<f64>> {
+    let plans: Vec<Option<FoldPlan>> = problems
+        .iter()
+        .map(|&(features, targets)| FoldPlan::new(features, targets, num_classes, cfg))
+        .collect();
+    score_plans(&plans, cfg)
+}
+
+/// How one problem's examples split into folds.
+enum Folds<'a> {
+    /// Single-label: `assignment` over the kept classes, which `class_map`
+    /// renumbers densely (excluded classes map to `usize::MAX`).
+    Stratified {
+        labels: &'a [usize],
+        assignment: FoldAssignment,
+        class_map: Vec<usize>,
+    },
+    /// Multi-label: example `i` is tested in fold `i % folds`.
+    RoundRobin {
+        label_sets: &'a [Vec<usize>],
+        num_classes: usize,
+    },
+}
+
+/// One problem, ready for its fold models to be fitted.
+struct FoldPlan<'a> {
+    features: &'a [Vec<f32>],
+    folds: Folds<'a>,
+}
+
+impl<'a> FoldPlan<'a> {
+    /// The problem's fold plan, or `None` when it cannot be scored.
+    fn new(
+        features: &'a [Vec<f32>],
+        targets: &'a Targets,
+        num_classes: usize,
+        cfg: &CrossValConfig,
+    ) -> Option<Self> {
+        assert!(cfg.folds >= 2, "need at least two folds");
+        assert_eq!(features.len(), targets.len());
+        match targets {
+            Targets::Single(labels) => {
+                if features.is_empty() {
+                    return None;
+                }
+                let assignment = stratified_k_fold(
+                    labels,
+                    num_classes,
+                    cfg.folds,
+                    cfg.min_instances_per_class,
+                    cfg.seed,
+                );
+                Self::stratified(features, labels, assignment, num_classes)
+            }
+            Targets::Multi(label_sets) => (features.len() >= cfg.folds * 2).then_some(Self {
+                features,
+                folds: Folds::RoundRobin {
+                    label_sets,
+                    num_classes,
+                },
+            }),
+        }
     }
-    let mut scores = Vec::new();
-    for fold in 0..cfg.folds {
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        let mut test_x = Vec::new();
-        let mut test_y = Vec::new();
-        for i in 0..n {
-            if i % cfg.folds == fold {
-                test_x.push(features[i].clone());
-                test_y.push(label_sets[i].clone());
-            } else {
-                train_x.push(features[i].clone());
-                train_y.push(label_sets[i].clone());
+
+    /// A single-label plan over a given fold assignment; `None` with fewer
+    /// than two kept classes.
+    fn stratified(
+        features: &'a [Vec<f32>],
+        labels: &'a [usize],
+        assignment: FoldAssignment,
+        num_classes: usize,
+    ) -> Option<Self> {
+        if assignment.kept_classes.len() < 2 {
+            return None;
+        }
+        // Remap kept classes to a dense range so the per-fold models do not
+        // carry unused heads for excluded classes.
+        let mut class_map = vec![usize::MAX; num_classes];
+        for (dense, &c) in assignment.kept_classes.iter().enumerate() {
+            class_map[c] = dense;
+        }
+        Some(Self {
+            features,
+            folds: Folds::Stratified {
+                labels,
+                assignment,
+                class_map,
+            },
+        })
+    }
+
+    /// Fits fold `f`'s model on the other folds and returns its macro F1 on
+    /// fold `f`. A stratified fold scores `None` when its test set is empty
+    /// or its training set holds fewer than two classes.
+    fn fold_score(&self, f: usize, cfg: &CrossValConfig) -> Option<f64> {
+        let features = self.features;
+        match &self.folds {
+            Folds::Stratified {
+                labels,
+                assignment,
+                class_map,
+            } => {
+                let dense_classes = assignment.kept_classes.len();
+                let mut train_x: Vec<Vec<f32>> = Vec::new();
+                let mut train_y: Vec<usize> = Vec::new();
+                let mut test_x: Vec<Vec<f32>> = Vec::new();
+                let mut test_y: Vec<usize> = Vec::new();
+                for (i, assigned) in assignment.fold.iter().enumerate() {
+                    let Some(fold) = assigned else { continue };
+                    let dense = class_map[labels[i]];
+                    if *fold == f {
+                        test_x.push(features[i].clone());
+                        test_y.push(dense);
+                    } else {
+                        train_x.push(features[i].clone());
+                        train_y.push(dense);
+                    }
+                }
+                if test_x.is_empty() || train_x.is_empty() {
+                    return None;
+                }
+                let distinct_train: std::collections::HashSet<usize> =
+                    train_y.iter().copied().collect();
+                if distinct_train.len() < 2 {
+                    return None;
+                }
+                let model = SoftmaxModel::fit(&train_x, &train_y, dense_classes, &cfg.train);
+                let preds: Vec<usize> = test_x.iter().map(|x| model.predict(x)).collect();
+                Some(macro_f1(&test_y, &preds, dense_classes))
+            }
+            Folds::RoundRobin {
+                label_sets,
+                num_classes,
+            } => {
+                let mut train_x = Vec::new();
+                let mut train_y = Vec::new();
+                let mut test_x = Vec::new();
+                let mut test_y = Vec::new();
+                for (i, (x, y)) in features.iter().zip(label_sets.iter()).enumerate() {
+                    if i % cfg.folds == f {
+                        test_x.push(x.clone());
+                        test_y.push(y.clone());
+                    } else {
+                        train_x.push(x.clone());
+                        train_y.push(y.clone());
+                    }
+                }
+                let (scaled_train, scaler) = StandardScaler::fit_transform(&train_x);
+                let model = TrainedModel::OneVsRest(OneVsRestModel::fit(
+                    &scaled_train,
+                    &train_y,
+                    *num_classes,
+                    &cfg.train,
+                ));
+                let preds: Vec<Vec<usize>> = test_x
+                    .iter()
+                    .map(|x| model.predict_labels(&scaler.transform(x)))
+                    .collect();
+                Some(macro_f1_multilabel(&test_y, &preds, *num_classes))
             }
         }
-        let (scaled_train, scaler) = StandardScaler::fit_transform(&train_x);
-        let model = TrainedModel::OneVsRest(OneVsRestModel::fit(
-            &scaled_train,
-            &train_y,
-            num_classes,
-            &cfg.train,
-        ));
-        let preds: Vec<Vec<usize>> = test_x
-            .iter()
-            .map(|x| model.predict_labels(&scaler.transform(x)))
-            .collect();
-        scores.push(macro_f1_multilabel(&test_y, &preds, num_classes));
     }
-    // ve-lint: allow(float-reduction-order) -- fold scores accumulate in fixed fold order (Vec iteration)
-    Some(scores.iter().sum::<f64>() / scores.len() as f64)
+}
+
+/// Fits every (plan, fold) model in one fan-out and averages each plan's
+/// fold scores in fold order; `None` for a missing plan or one whose folds
+/// all scored `None`.
+fn score_plans(plans: &[Option<FoldPlan>], cfg: &CrossValConfig) -> Vec<Option<f64>> {
+    let jobs: Vec<(&FoldPlan, usize)> = plans
+        .iter()
+        .flatten()
+        .flat_map(|plan| (0..cfg.folds).map(move |f| (plan, f)))
+        .collect();
+    let mut fold_scores = ve_sched::parallel::par_map_tasks(jobs.len(), |j| {
+        let (plan, f) = jobs[j];
+        plan.fold_score(f, cfg)
+    })
+    .into_iter();
+    plans
+        .iter()
+        .map(|plan| {
+            plan.as_ref()?;
+            let scores: Vec<f64> = fold_scores.by_ref().take(cfg.folds).flatten().collect();
+            if scores.is_empty() {
+                None
+            } else {
+                // ve-lint: allow(float-reduction-order) -- scores keep fixed fold order (Vec iteration)
+                Some(scores.iter().sum::<f64>() / scores.len() as f64)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -360,6 +503,261 @@ mod tests {
         let cfg = CrossValConfig::default();
         assert!(cross_validate_multilabel(&xs[..5], &ls[..5], 2, &cfg).is_none());
         assert!(cross_validate_multilabel(&xs, &ls, 2, &cfg).is_some());
+    }
+
+    /// The per-problem fold loop of [`cross_validate`] before rounds
+    /// existed: each fold fitted in turn, scores averaged in fold order.
+    fn oracle_single(
+        features: &[Vec<f32>],
+        labels: &[usize],
+        num_classes: usize,
+        cfg: &CrossValConfig,
+    ) -> Option<f64> {
+        assert_eq!(features.len(), labels.len());
+        if features.is_empty() {
+            return None;
+        }
+        let assignment = stratified_k_fold(
+            labels,
+            num_classes,
+            cfg.folds,
+            cfg.min_instances_per_class,
+            cfg.seed,
+        );
+        oracle_stratified(features, labels, &assignment, num_classes, cfg)
+    }
+
+    /// [`oracle_single`] over a given fold assignment.
+    fn oracle_stratified(
+        features: &[Vec<f32>],
+        labels: &[usize],
+        assignment: &FoldAssignment,
+        num_classes: usize,
+        cfg: &CrossValConfig,
+    ) -> Option<f64> {
+        if assignment.kept_classes.len() < 2 {
+            return None;
+        }
+        let mut class_map = vec![usize::MAX; num_classes];
+        for (dense, &c) in assignment.kept_classes.iter().enumerate() {
+            class_map[c] = dense;
+        }
+        let dense_classes = assignment.kept_classes.len();
+        let mut scores = Vec::new();
+        for f in 0..cfg.folds {
+            let (mut train_x, mut train_y, mut test_x, mut test_y) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for (i, assigned) in assignment.fold.iter().enumerate() {
+                let Some(fold) = assigned else { continue };
+                let dense = class_map[labels[i]];
+                if *fold == f {
+                    test_x.push(features[i].clone());
+                    test_y.push(dense);
+                } else {
+                    train_x.push(features[i].clone());
+                    train_y.push(dense);
+                }
+            }
+            let mut distinct_train = train_y.clone();
+            distinct_train.sort_unstable();
+            distinct_train.dedup();
+            if test_x.is_empty() || distinct_train.len() < 2 {
+                continue;
+            }
+            let model = SoftmaxModel::fit(&train_x, &train_y, dense_classes, &cfg.train);
+            let preds: Vec<usize> = test_x.iter().map(|x| model.predict(x)).collect();
+            scores.push(macro_f1(&test_y, &preds, dense_classes));
+        }
+        if scores.is_empty() {
+            return None;
+        }
+        let mut sum = 0.0;
+        for s in &scores {
+            sum += s;
+        }
+        Some(sum / scores.len() as f64)
+    }
+
+    /// The per-problem fold loop of [`cross_validate_multilabel`] before
+    /// rounds existed.
+    fn oracle_multilabel(
+        features: &[Vec<f32>],
+        label_sets: &[Vec<usize>],
+        num_classes: usize,
+        cfg: &CrossValConfig,
+    ) -> Option<f64> {
+        let n = features.len();
+        if n < cfg.folds * 2 {
+            return None;
+        }
+        let mut sum = 0.0;
+        for fold in 0..cfg.folds {
+            let (mut train_x, mut train_y, mut test_x, mut test_y) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for i in 0..n {
+                if i % cfg.folds == fold {
+                    test_x.push(features[i].clone());
+                    test_y.push(label_sets[i].clone());
+                } else {
+                    train_x.push(features[i].clone());
+                    train_y.push(label_sets[i].clone());
+                }
+            }
+            let (scaled_train, scaler) = StandardScaler::fit_transform(&train_x);
+            let model = OneVsRestModel::fit(&scaled_train, &train_y, num_classes, &cfg.train);
+            let preds: Vec<Vec<usize>> = test_x
+                .iter()
+                .map(|x| {
+                    TrainedModel::OneVsRest(model.clone()).predict_labels(&scaler.transform(x))
+                })
+                .collect();
+            sum += macro_f1_multilabel(&test_y, &preds, num_classes);
+        }
+        Some(sum / cfg.folds as f64)
+    }
+
+    fn oracle(features: &[Vec<f32>], targets: &Targets, num_classes: usize) -> Option<f64> {
+        let cfg = CrossValConfig::default();
+        match targets {
+            Targets::Single(labels) => oracle_single(features, labels, num_classes, &cfg),
+            Targets::Multi(sets) => oracle_multilabel(features, sets, num_classes, &cfg),
+        }
+    }
+
+    /// Problems whose fold scores are far from 0 and 1, enough of them that
+    /// summing some problem's folds out of order changes its bits; plus every
+    /// way a problem scores `None`.
+    fn single_label_problems() -> Vec<(Vec<Vec<f32>>, Targets)> {
+        let noisy = |n, seed| {
+            let (xs, ys) = blob_dataset(n, &[[0.0, 0.0], [2.0, 2.0], [-2.0, 2.0]], 2.5, seed);
+            (xs, Targets::Single(ys))
+        };
+        let mut out: Vec<_> = (0..24).map(|k| noisy(10 + k, 40 + k as u64)).collect();
+        // Too few labels: no class reaches three instances.
+        out.push((
+            vec![vec![0.0, 1.0], vec![1.0, 0.0]],
+            Targets::Single(vec![0, 1]),
+        ));
+        // Fewer than two kept classes.
+        out.push((vec![vec![0.5, 0.5]; 9], Targets::Single(vec![2; 9])));
+        // No examples at all.
+        out.push((Vec::new(), Targets::Single(Vec::new())));
+        out
+    }
+
+    fn multi_label_problems() -> Vec<(Vec<Vec<f32>>, Targets)> {
+        let mut out: Vec<_> = [24, 31, 40, 55]
+            .into_iter()
+            .enumerate()
+            .map(|(k, n)| {
+                let (mut xs, ls) = quadrant_dataset(n, 70 + k as u64);
+                let mut rng = StdRng::seed_from_u64(80 + k as u64);
+                for x in &mut xs {
+                    x[0] += rng.gen::<f32>() * 3.0 - 1.5;
+                }
+                (xs, Targets::Multi(ls))
+            })
+            .collect();
+        // Fewer than two examples per fold.
+        let (xs, ls) = quadrant_dataset(5, 90);
+        out.push((xs, Targets::Multi(ls)));
+        out
+    }
+
+    /// Checks `cross_validate_round` against the per-problem oracle on
+    /// rounds of 0, 1 and 5 problems drawn in a scrambled order, at 1 and 4
+    /// threads.
+    fn assert_rounds_match_oracle(problems: &[(Vec<Vec<f32>>, Targets)], num_classes: usize) {
+        let expected: Vec<Option<u64>> = problems
+            .iter()
+            .map(|(xs, t)| oracle(xs, t, num_classes).map(f64::to_bits))
+            .collect();
+        assert!(
+            expected.iter().filter(|e| e.is_some()).count() >= 3,
+            "the fixture must hold scorable problems"
+        );
+        let n = problems.len();
+        let rounds: [Vec<usize>; 3] = [
+            Vec::new(),
+            vec![n - 1],
+            (0..5).map(|k| (k * 3 + 2) % n).collect(),
+        ];
+        let _guard = ve_sched::parallel::test_parallelism_guard();
+        for threads in [1, 4] {
+            ve_sched::parallel::set_parallelism(threads);
+            for round in &rounds {
+                let batch: Vec<(&[Vec<f32>], &Targets)> = round
+                    .iter()
+                    .map(|&p| (problems[p].0.as_slice(), &problems[p].1))
+                    .collect();
+                let got: Vec<Option<u64>> =
+                    cross_validate_round(&batch, num_classes, &CrossValConfig::default())
+                        .into_iter()
+                        .map(|s| s.map(f64::to_bits))
+                        .collect();
+                let want: Vec<Option<u64>> = round.iter().map(|&p| expected[p]).collect();
+                assert_eq!(got, want, "round {round:?} at {threads} threads");
+            }
+        }
+        ve_sched::parallel::set_parallelism(0);
+    }
+
+    #[test]
+    fn single_label_round_matches_per_problem_oracle() {
+        let problems = single_label_problems();
+        assert_rounds_match_oracle(&problems, 3);
+        // The one-problem call is the same round.
+        for (xs, t) in &problems {
+            let Targets::Single(ys) = t else {
+                unreachable!()
+            };
+            assert_eq!(
+                cross_validate(xs, ys, 3, &CrossValConfig::default()).map(f64::to_bits),
+                oracle(xs, t, 3).map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn multi_label_round_matches_per_problem_oracle() {
+        let problems = multi_label_problems();
+        assert_rounds_match_oracle(&problems, 2);
+        for (xs, t) in &problems {
+            let Targets::Multi(ls) = t else {
+                unreachable!()
+            };
+            assert_eq!(
+                cross_validate_multilabel(xs, ls, 2, &CrossValConfig::default()).map(f64::to_bits),
+                oracle(xs, t, 2).map(f64::to_bits)
+            );
+        }
+    }
+
+    #[test]
+    fn a_fold_with_one_training_class_is_left_out_of_the_mean() {
+        // Stratified folds always train on every kept class, so the guard is
+        // reached only through a hand-made assignment: class 1 sits entirely
+        // in fold 0, whose training set is then class 0 alone.
+        let (xs, ys) = blob_dataset(6, &[[0.0, 0.0], [2.0, 2.0]], 2.5, 5);
+        let fold = |assign: &dyn Fn(usize, usize) -> usize| FoldAssignment {
+            fold: ys
+                .iter()
+                .enumerate()
+                .map(|(i, &y)| Some(assign(i, y)))
+                .collect(),
+            kept_classes: vec![0, 1],
+        };
+        let cfg = CrossValConfig::default();
+        let partial = fold(&|i, y| if y == 1 { 0 } else { i % 3 });
+        let none = fold(&|_, y| y);
+        for (assignment, scored) in [(partial, true), (none, false)] {
+            let want = oracle_stratified(&xs, &ys, &assignment, 2, &cfg);
+            assert_eq!(want.is_some(), scored);
+            let plan = FoldPlan::stratified(&xs, &ys, assignment, 2);
+            assert_eq!(plan.as_ref().unwrap().fold_score(0, &cfg), None);
+            let got = score_plans(&[plan], &cfg);
+            assert_eq!(got[0].map(f64::to_bits), want.map(f64::to_bits));
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub use block::{
     argmax_chunked, argmax_chunked_filtered, dot_fast, sq_norm, FeatureBlock, FeatureBlockBuilder,
 };
 pub use crossval::{
-    cross_validate, cross_validate_multilabel, stratified_k_fold, CrossValConfig, FoldAssignment,
+    cross_validate, cross_validate_multilabel, cross_validate_round, stratified_k_fold,
+    CrossValConfig, FoldAssignment,
 };
 pub use ewma::Ewma;
 pub use linear::{Classifier, OneVsRestModel, SoftmaxModel, Targets, TrainConfig, TrainedModel};

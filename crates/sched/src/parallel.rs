@@ -1,6 +1,6 @@
 //! Data-parallel helpers for the compute hot paths.
 //!
-//! The acquisition kernels, batch inference, and cross-validation folds are
+//! The acquisition kernels, batch inference, and cross-validation rounds are
 //! embarrassingly parallel scans. This module provides a small
 //! `par_chunks`-style API that fans such scans out across scoped worker
 //! threads — the same worker-count knob the Task Scheduler's executor uses —
@@ -126,38 +126,52 @@ where
 /// Maps `f` over `0..n` with **one task per index**, collecting results in
 /// index order. Unlike [`par_map`] this fans out even for tiny `n` — it is
 /// meant for a handful of coarse-grained tasks where each item is worth a
-/// thread by itself: the cross-validation folds and the fixed-size chunks
-/// of `ve_ml`'s chunked argmax scans. Results are position-ordered, so
-/// output is independent of scheduling.
+/// thread by itself: the (extractor, fold) models of `ve_ml`'s
+/// cross-validation round and the fixed-size chunks of `ve_ml`'s chunked
+/// argmax scans.
+///
+/// At most `parallelism()` workers run, the calling thread among them, so a
+/// fan-out spawns `threads − 1` threads. Workers take the next index from a
+/// shared counter, so a slow item never leaves a worker idle behind a fixed
+/// share. Results are reassembled in index order, so output is independent
+/// of scheduling.
 pub fn par_map_tasks<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = parallelism();
-    if threads <= 1 || n <= 1 {
+    let threads = parallelism().min(n);
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    // Respect the configured worker cap: at most `threads` workers, each
-    // handling a contiguous run of indices sequentially. Results are
-    // reassembled in index order, so output is independent of scheduling.
-    let per_worker = n.div_ceil(threads);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(per_worker)
-            .map(|s| {
-                let e = (s + per_worker).min(n);
-                let f = &f;
-                scope.spawn(move || (s..e).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut place = |done: Vec<(usize, R)>| {
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
+        };
+        place(work());
         for h in handles {
             // ve-lint: allow(panic-in-task-path) -- join only fails if a pool worker already panicked; re-raising preserves the original panic
-            out.extend(h.join().expect("parallel task worker panicked"));
+            place(h.join().expect("parallel task worker panicked"));
         }
-        out
-    })
+    });
+    // The shared counter hands out every index in 0..n exactly once, so
+    // every slot is filled.
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -232,6 +246,51 @@ mod tests {
             "configured cap of 2 workers exceeded: {}",
             peak.load(std::sync::atomic::Ordering::SeqCst)
         );
+    }
+
+    #[test]
+    fn par_map_tasks_runs_a_share_on_the_calling_thread() {
+        // Two items that each wait (up to a timeout) for the other to start
+        // must run on two threads at once; with a cap of two workers and one
+        // spawned thread, the caller is one of them.
+        let _guard = test_parallelism_guard();
+        set_parallelism(2);
+        let started = std::sync::Mutex::new(Vec::new());
+        let ids = par_map_tasks(2, |_| {
+            let id = std::thread::current().id();
+            started.lock().expect("test lock").push(id);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while started.lock().expect("test lock").len() < 2
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            id
+        });
+        set_parallelism(0);
+        assert_ne!(ids[0], ids[1], "the two items must overlap");
+        assert!(ids.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn par_map_tasks_is_identical_at_any_thread_count_under_uneven_work() {
+        // Item costs vary, so the dynamic handout assigns indices to workers
+        // differently from run to run; the output must not change.
+        let run = || {
+            par_map_tasks(23, |i| {
+                std::thread::sleep(std::time::Duration::from_micros((i as u64 * 7919) % 900));
+                (i as f64).sqrt().to_bits()
+            })
+        };
+        let _guard = test_parallelism_guard();
+        set_parallelism(1);
+        let single = run();
+        for threads in [2, 3, 4, 8] {
+            set_parallelism(threads);
+            assert_eq!(run(), single, "{threads} threads");
+        }
+        set_parallelism(0);
+        assert_eq!(par_map_tasks(0, |i| i), Vec::<usize>::new());
     }
 
     #[test]
