@@ -15,11 +15,16 @@
 //! paper-shaped session (`B = 5`, `T_user = 10 s`, bandit feature selection).
 //! The binary asserts the Figure 6 ordering (Serial > VE-partial > VE-full)
 //! on the measured medians before writing the artifact.
+//!
+//! `strategies.<s>.candidate_rows` counts the probability rows the ALM's
+//! prefetch served versus the rows selection scored itself, with their
+//! `served_share`, from an inline twin of each session that samples with
+//! Cluster-Margin from the first call.
 
 use ve_bench::emit::Artifact;
 use ve_obs::json::Json;
 use vocalexplore::prelude::*;
-use vocalexplore::TrainingStats;
+use vocalexplore::{ProbCacheStats, TrainingStats};
 
 struct StrategyRow {
     name: &'static str,
@@ -37,6 +42,9 @@ struct StrategyRow {
     phase_secs: [f64; 4],
     /// Cold fits versus warm fine-tunes (`warm-start/v1`) over the session.
     training: TrainingStats,
+    /// Candidate probability rows served from the ALM's prefetch versus
+    /// scored during selection, in the Cluster-Margin twin of the session.
+    candidate_rows: ProbCacheStats,
 }
 
 /// Sums the timing plane into `[T_s, T_f, T_m, T_i]` seconds: the `select`
@@ -65,6 +73,23 @@ fn phase_breakdown(outcome: &SessionOutcome) -> [f64; 4] {
     ]
 }
 
+/// The prefetch counters plus `served_share`, the fraction of probability
+/// rows served from the prefetch (0 when no selection scored any).
+fn candidate_rows_json(rows: &ProbCacheStats) -> Json {
+    let probed = rows.hit_rows + rows.miss_rows;
+    let served_share = if probed == 0 {
+        0.0
+    } else {
+        rows.hit_rows as f64 / probed as f64
+    };
+    Json::obj([
+        ("hit_rows", Json::u64(rows.hit_rows)),
+        ("miss_rows", Json::u64(rows.miss_rows)),
+        ("invalidations", Json::u64(rows.invalidations)),
+        ("served_share", Json::f64(served_share, 4)),
+    ])
+}
+
 fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
     // The coarser quick-mode time scale widens the wall-clock gap between
     // strategies so the ordering assertion stays robust on loaded CI runners
@@ -90,6 +115,16 @@ fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
         cfg.system.t_user = 4.0;
         cfg.system.train.epochs = 40;
     }
+    // The measured session samples with VE-sample, which the quick profile
+    // never moves off Random, so its selections score no candidates. The
+    // prefetch counters come from the same session with Cluster-Margin from
+    // the first call, run inline: they are deterministic and equal between
+    // `run` and `run_measured`.
+    let mut active = cfg.clone();
+    active.system = active
+        .system
+        .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::ClusterMargin));
+    let candidate_rows = SessionRunner::new(active).run().prob_cache;
     let outcome = SessionRunner::new(cfg).run_measured();
     let measured_median = outcome.median_measured_visible().expect("measured run");
     let total_measured = outcome.total_measured_visible().expect("measured run");
@@ -118,6 +153,7 @@ fn run_strategy(strategy: SchedulerStrategy, quick: bool) -> StrategyRow {
         tasks_failed: outcome.executor.failed,
         phase_secs: phase_breakdown(&outcome),
         training: outcome.training,
+        candidate_rows,
     }
 }
 
@@ -177,10 +213,11 @@ fn main() {
                         ("warm_trains", Json::u64(r.training.warm_trains)),
                     ]),
                 ),
+                ("candidate_rows", candidate_rows_json(&r.candidate_rows)),
             ]),
         )
     }));
-    Artifact::new("vocalexplore/bench_latency/v2", quick)
+    Artifact::new("vocalexplore/bench_latency/v3", quick)
         .field("strategies", strategies)
         .write("BENCH_latency.json");
 }

@@ -134,6 +134,8 @@ pub struct AcquisitionIndex {
     /// `IndexIngest` event, so a session's ledger shows how often selection
     /// lost its row positions.
     epoch: u64,
+    /// See [`Self::rebuilds`].
+    rebuilds: u64,
 }
 
 impl AcquisitionIndex {
@@ -161,12 +163,27 @@ impl AcquisitionIndex {
             sketch: None,
             sketch_builds: 0,
             epoch: 0,
+            rebuilds: 0,
         }
     }
 
     /// Current row-identity epoch (see the `epoch` field docs).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Full rebuilds from the store snapshot over the index's lifetime. A
+    /// rebuild is the only event that can give a kept `(video, window)` row
+    /// new features (a replaced store entry or a dropped extractor); tail
+    /// appends, merge splices and label masks never do. The ALM's
+    /// probability prefetch is valid only while this count is unchanged.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// The extractor whose features the index holds.
+    pub fn extractor(&self) -> ExtractorId {
+        self.extractor
     }
 
     /// Whether the index serves this `(extractor, clip_len)` pair.
@@ -287,6 +304,7 @@ impl AcquisitionIndex {
         self.coverage.clear();
         self.sketch = None;
         self.epoch += 1;
+        self.rebuilds += 1;
         self.needs_rebuild = false;
         self.ingest(vids, fm, corpus, labels);
     }

@@ -10,6 +10,18 @@
 //! 2. **Feature-extractor selection** — a [`ve_bandit::RisingBandit`] over
 //!    the candidate extractors, fed with cross-validated macro F1 after each
 //!    labeling iteration, eliminates extractors until one remains.
+//!
+//! Cluster-Margin and Uncertainty score their candidates with the current
+//! model. Each retrain publishes a new model version, so those rows would
+//! otherwise be scored from scratch inside every visible `Explore` call.
+//! Instead, the deferred work scores the last selection's candidates with
+//! the freshly trained model ([`ActiveLearningManager::prefetch_candidates`],
+//! the *prefetch*), in the labeling window under `VE-partial`/`VE-full`. The
+//! next selection takes those rows by window identity and scores only the
+//! rows the prefetch lacks; every row still comes from
+//! [`ve_ml::TrainedModel::predict_proba_rows`], so the picks are
+//! bit-identical to scoring every row on the spot ([`ProbCacheStats`] counts
+//! where the rows came from).
 
 use crate::acquisition_index::{AcquisitionIndex, AcquisitionIndexStats};
 use crate::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
@@ -25,6 +37,7 @@ use ve_al::{
 };
 use ve_bandit::RisingBandit;
 use ve_features::ExtractorId;
+use ve_ml::FeatureBlock;
 use ve_storage::LabelStore;
 use ve_vidsim::{ClassId, TimeRange, VideoCorpus, VideoId};
 
@@ -48,20 +61,46 @@ pub struct SelectionStats {
     pub coverage_fallback: bool,
 }
 
-/// Probability-row counters under cache names, kept because the
-/// `perfbench` package reads them through
-/// [`ActiveLearningManager::prob_cache_stats`]. Nothing is cached: the
-/// model retrains after every labeled batch, so no two selections score
-/// with the same model version.
+/// Where the candidate probability rows of Cluster-Margin and Uncertainty
+/// selections came from. After each retrain the deferred work scores the
+/// last selection's candidates with the new model
+/// ([`ActiveLearningManager::prefetch_candidates`]); the next selection
+/// serves the rows it finds there and scores only the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbCacheStats {
-    /// Always 0 (nothing is cached).
+    /// Rows served from the prefetch.
     pub hit_rows: u64,
-    /// Probability rows inferred by Cluster-Margin and Uncertainty
-    /// selections so far.
+    /// Rows scored by the selection itself: their window was not
+    /// prefetched, or no valid prefetch existed.
     pub miss_rows: u64,
-    /// Always 0 (nothing is cached).
+    /// Prefetches dropped unused: replaced by a newer prefetch, or found
+    /// stale (another model version, or a rebuilt or replaced index) by the
+    /// selection that would have served them.
     pub invalidations: u64,
+}
+
+/// Window identity of an index row: its video and the bits of its start
+/// time. Index rows and eligible rows are in canonical order (videos
+/// ascending by id, windows in time order) and window starts are
+/// non-negative, so keys of ascending rows ascend too, and a merge-join
+/// finds a window again after merge splices have renumbered the rows.
+type WindowKey = (VideoId, u64);
+
+fn window_key((vid, range): (VideoId, TimeRange)) -> WindowKey {
+    (vid, range.start.to_bits())
+}
+
+/// Probability rows scored ahead of the next selection.
+struct Prefetch {
+    /// Registry version of the model that scored the rows (unique across
+    /// extractors, so it names the extractor too).
+    model_version: u64,
+    /// [`AcquisitionIndex::rebuilds`] when the rows were scored.
+    index_rebuilds: u64,
+    /// Window identity of each row, ascending.
+    keys: Vec<WindowKey>,
+    /// One probability row per key.
+    probs: FeatureBlock,
 }
 
 /// The Active Learning Manager.
@@ -74,8 +113,12 @@ pub struct ActiveLearningManager {
     /// store's change log (`None` until the first active selection; replaced
     /// when the extractor or clip length changes).
     index: Option<AcquisitionIndex>,
-    /// Probability rows inferred by selections so far.
-    inferred_rows: u64,
+    /// Index rows the last Cluster-Margin or Uncertainty selection scored
+    /// (empty after any other selection): what the next prefetch scores.
+    last_scored: Vec<usize>,
+    /// Probability rows scored for the next selection, if any.
+    prefetch: Option<Prefetch>,
+    prob_stats: ProbCacheStats,
     /// Reused allocation for the per-call coreset-coverage copy consumed by
     /// `greedy_k_center` (the call's greedy picks must not leak into the
     /// persistent coverage, but the buffer itself can live across calls).
@@ -120,7 +163,9 @@ impl ActiveLearningManager {
             sampling,
             features,
             index: None,
-            inferred_rows: 0,
+            last_scored: Vec::new(),
+            prefetch: None,
+            prob_stats: ProbCacheStats::default(),
             coverage_scratch: Vec::new(),
             rng,
             obs: None,
@@ -135,11 +180,46 @@ impl ActiveLearningManager {
         self.obs = Some(obs);
     }
 
-    /// Probability rows inferred so far (see [`ProbCacheStats`]).
+    /// Where the probability rows of selections so far came from (see
+    /// [`ProbCacheStats`]).
     pub fn prob_cache_stats(&self) -> ProbCacheStats {
-        ProbCacheStats {
-            miss_rows: self.inferred_rows,
-            ..ProbCacheStats::default()
+        self.prob_stats
+    }
+
+    /// Scores the candidate rows of the last Cluster-Margin or Uncertainty
+    /// selection with the latest model for the current extractor and keeps
+    /// them for the next selection, which serves every row it finds here
+    /// instead of scoring it. The deferred work calls this right after a
+    /// retrain publishes a new model. A no-op when the last selection scored
+    /// nothing, the index serves another extractor, or no model exists. A
+    /// prefetch still unused is replaced (counted as an invalidation).
+    ///
+    /// Nothing here touches the index: the rows are the ones the last
+    /// selection saw, and the next selection matches them by window
+    /// identity after its own sync.
+    pub fn prefetch_candidates(&mut self, mm: &ModelManager) {
+        let extractor = self.current_extractor();
+        let Some(index) = self.index.as_ref() else {
+            return;
+        };
+        if self.last_scored.is_empty() || index.extractor() != extractor {
+            return;
+        }
+        let Some((model_version, fitted)) = mm.latest_versioned(extractor) else {
+            return;
+        };
+        let prefetch = Prefetch {
+            model_version,
+            index_rebuilds: index.rebuilds(),
+            keys: self
+                .last_scored
+                .iter()
+                .map(|&row| window_key(index.meta_at(row)))
+                .collect(),
+            probs: fitted.predict_proba_rows(index.block(), &self.last_scored),
+        };
+        if self.prefetch.replace(prefetch).is_some() {
+            self.prob_stats.invalidations += 1;
         }
     }
 
@@ -226,8 +306,8 @@ impl ActiveLearningManager {
 
     /// The extractors the next feature-evaluation step would score: the
     /// bandit's live arms, or nothing once it has converged (or the policy is
-    /// fixed). The deferred work submits one `T_e` executor task per
-    /// candidate.
+    /// fixed). The deferred work scores them all in one `T_e` executor task
+    /// per round.
     pub fn evaluation_candidates(&self) -> Vec<ExtractorId> {
         match &self.features {
             FeatureState::Fixed(_) => Vec::new(),
@@ -330,6 +410,32 @@ impl ActiveLearningManager {
             .collect()
     }
 
+    /// Makes the index serve `(extractor, clip_len)`, replacing one that
+    /// serves another pair. A replaced index may reuse a window start with
+    /// other features (another clip length, or a store entry replaced since
+    /// the prefetch, which a new index ingests without a rebuild of its own
+    /// to count), so a prefetch scored over the old index is dropped.
+    /// The last selection's row numbers die here either way: the caller
+    /// syncs the index next.
+    fn ensure_index(&mut self, extractor: ExtractorId, clip_len: f64) -> &mut AcquisitionIndex {
+        self.last_scored.clear();
+        if !self
+            .index
+            .as_ref()
+            .is_some_and(|ix| ix.matches(extractor, clip_len))
+        {
+            self.index = Some(AcquisitionIndex::new(
+                extractor,
+                clip_len,
+                self.config.candidate_cap,
+            ));
+            if self.prefetch.take().is_some() {
+                self.prob_stats.invalidations += 1;
+            }
+        }
+        self.index.as_mut().expect("index just ensured")
+    }
+
     /// Active-learning selection over the persistent acquisition index.
     ///
     /// Instead of re-assembling the candidate set from every pooled video on
@@ -351,20 +457,7 @@ impl ActiveLearningManager {
         target_label: Option<ClassId>,
     ) -> (Vec<(VideoId, TimeRange)>, SelectionStats) {
         let extractor = self.current_extractor();
-
-        // (Re)build the index when the extractor or clip length changed,
-        // then catch it up to the store and label state.
-        if !self
-            .index
-            .as_ref()
-            .is_some_and(|ix| ix.matches(extractor, clip_len))
-        {
-            self.index = Some(AcquisitionIndex::new(
-                extractor,
-                clip_len,
-                self.config.candidate_cap,
-            ));
-        }
+        self.ensure_index(extractor, clip_len);
         let rows_before = self
             .index
             .as_ref()
@@ -480,8 +573,14 @@ impl ActiveLearningManager {
                 picks
             }
             AcquisitionKind::ClusterMargin => {
-                let probs = mm.predict_proba_batch(extractor, index.block(), &eligible);
-                self.inferred_rows += probs.rows() as u64;
+                let probs = candidate_probs(
+                    index,
+                    mm,
+                    extractor,
+                    &eligible,
+                    self.prefetch.take(),
+                    &mut self.prob_stats,
+                );
                 cluster_margin_selection(
                     index.block(),
                     &eligible,
@@ -495,8 +594,14 @@ impl ActiveLearningManager {
             }
             AcquisitionKind::Uncertainty => {
                 let class = target_label.expect("uncertainty sampling needs a target label");
-                let probs = mm.predict_proba_batch(extractor, index.block(), &eligible);
-                self.inferred_rows += probs.rows() as u64;
+                let probs = candidate_probs(
+                    index,
+                    mm,
+                    extractor,
+                    &eligible,
+                    self.prefetch.take(),
+                    &mut self.prob_stats,
+                );
                 let (n_pos, n_neg) = labels.positive_negative_counts(class);
                 uncertainty_selection_from_probs(
                     &probs,
@@ -518,6 +623,12 @@ impl ActiveLearningManager {
         };
 
         let picks = indices.into_iter().map(|i| index.meta_at(i)).collect();
+        if matches!(
+            acquisition,
+            AcquisitionKind::ClusterMargin | AcquisitionKind::Uncertainty
+        ) {
+            self.last_scored = eligible;
+        }
         (
             picks,
             SelectionStats {
@@ -529,6 +640,74 @@ impl ActiveLearningManager {
             },
         )
     }
+}
+
+/// Probability rows of the `eligible` rows of `index` under the latest model
+/// for `extractor`, one per entry, in order; an empty block while no model
+/// exists. A `prefetch` scored by that same model version (versions are
+/// unique across extractors) over the same index rows (no rebuild since)
+/// serves every window it holds, found by a merge-join on window identity;
+/// the remaining rows are scored in one
+/// [`FittedModel::predict_proba_rows`](crate::model_manager::FittedModel::predict_proba_rows)
+/// call. Any other prefetch is dropped as an invalidation.
+fn candidate_probs(
+    index: &AcquisitionIndex,
+    mm: &ModelManager,
+    extractor: ExtractorId,
+    eligible: &[usize],
+    prefetch: Option<Prefetch>,
+    stats: &mut ProbCacheStats,
+) -> FeatureBlock {
+    let latest = mm.latest_versioned(extractor);
+    let prefetch = match prefetch {
+        Some(p)
+            if latest.as_ref().map(|(version, _)| *version) == Some(p.model_version)
+                && p.index_rebuilds == index.rebuilds() =>
+        {
+            Some(p)
+        }
+        stale => {
+            stats.invalidations += u64::from(stale.is_some());
+            None
+        }
+    };
+    let Some((_, fitted)) = latest else {
+        return FeatureBlock::empty(0);
+    };
+    let Some(prefetch) = prefetch else {
+        stats.miss_rows += eligible.len() as u64;
+        return fitted.predict_proba_rows(index.block(), eligible);
+    };
+    // For each eligible row, the prefetch row holding its window, if any.
+    let mut served: Vec<Option<usize>> = Vec::with_capacity(eligible.len());
+    let mut misses: Vec<usize> = Vec::new();
+    let mut next = 0;
+    for &row in eligible {
+        let key = window_key(index.meta_at(row));
+        while next < prefetch.keys.len() && prefetch.keys[next] < key {
+            next += 1;
+        }
+        if prefetch.keys.get(next) == Some(&key) {
+            served.push(Some(next));
+            next += 1;
+        } else {
+            served.push(None);
+            misses.push(row);
+        }
+    }
+    stats.hit_rows += (eligible.len() - misses.len()) as u64;
+    stats.miss_rows += misses.len() as u64;
+    let fresh = fitted.predict_proba_rows(index.block(), &misses);
+    let classes = prefetch.probs.dim();
+    let mut data = Vec::with_capacity(eligible.len() * classes);
+    let mut fresh_rows = fresh.iter_rows();
+    for from in served {
+        data.extend_from_slice(match from {
+            Some(r) => prefetch.probs.row(r),
+            None => fresh_rows.next().expect("one scored row per miss"),
+        });
+    }
+    FeatureBlock::from_vec(eligible.len(), classes, data)
 }
 
 /// All unlabeled `(vid, window)` pairs in the corpus.
@@ -552,6 +731,7 @@ fn unlabeled_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FeatureSelectionPolicy, SamplingPolicy};
     use ve_features::FeatureSimulator;
     use ve_storage::{LabelRecord, StorageManager};
     use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind};
@@ -760,6 +940,153 @@ mod tests {
         );
         assert_eq!(stats.acquisition, AcquisitionKind::Uncertainty);
         assert_eq!(picks.len(), 5);
+    }
+
+    fn bits(block: &FeatureBlock) -> Vec<u32> {
+        block.as_slice().iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Syncs the ALM's index the way a selection does, scores its eligible
+    /// rows through `candidate_probs` — the prefetch included — and checks
+    /// every row against a fresh `predict_proba_rows` call bit for bit.
+    /// Returns the rows served from the prefetch.
+    fn served_rows_match_fresh_scoring(
+        alm: &mut ActiveLearningManager,
+        fx: &Fixture,
+        clip_len: f64,
+    ) -> u64 {
+        let extractor = alm.current_extractor();
+        let index = alm.ensure_index(extractor, clip_len);
+        index.sync(&fx.fm, &fx.dataset.train, &fx.labels);
+        let eligible = index.eligible_rows();
+        let index = alm.index.as_ref().expect("index ensured");
+        let hits_before = alm.prob_stats.hit_rows;
+        let served = candidate_probs(
+            index,
+            &fx.mm,
+            extractor,
+            &eligible,
+            alm.prefetch.take(),
+            &mut alm.prob_stats,
+        );
+        let (_, fitted) = fx.mm.latest_versioned(extractor).expect("a model");
+        let fresh = fitted.predict_proba_rows(index.block(), &eligible);
+        assert_eq!(served.rows(), eligible.len());
+        assert_eq!(bits(&served), bits(&fresh), "a served row differs");
+        alm.last_scored = eligible;
+        alm.prob_stats.hit_rows - hits_before
+    }
+
+    #[test]
+    fn every_served_row_equals_fresh_scoring() {
+        let mut fx = fixture(8);
+        let storage = StorageManager::new();
+        fx.fm = FeatureManager::new(
+            FeatureSimulator::new(DatasetName::Deer, 9, 8),
+            storage.clone(),
+        );
+        let extractor = ExtractorId::Mvit;
+        let mut vids: Vec<VideoId> = fx.dataset.train.videos().iter().map(|c| c.id).collect();
+        vids.sort_unstable();
+        let extract = |fx: &Fixture, vids: &[VideoId]| {
+            for &vid in vids {
+                let clip = fx.dataset.train.get(vid).expect("train video");
+                fx.fm.ensure_clip(extractor, clip).unwrap();
+            }
+        };
+        let mut round = 0;
+        let mut train = |fx: &Fixture| {
+            round += 1;
+            let records = fx.labels.records();
+            assert!(fx
+                .mm
+                .train(extractor, &fx.dataset.train, &fx.fm, records, round)
+                .unwrap());
+        };
+        // Replaces a video's store entry with different vectors.
+        let perturb = |vid: VideoId| {
+            let mut vectors =
+                storage.with_features(|f| f.get(extractor, vid).expect("extracted").to_vectors());
+            for v in &mut vectors {
+                v.data.iter_mut().for_each(|x| *x = *x * 1.5 + 0.25);
+            }
+            storage.with_features_mut(|f| f.put(extractor, vid, vectors));
+        };
+        let evens: Vec<VideoId> = vids[..30].iter().step_by(2).copied().collect();
+        extract(&fx, &evens);
+        label_some(&mut fx, 12);
+        let mut alm = ActiveLearningManager::new(
+            fx.config
+                .clone()
+                .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::ClusterMargin))
+                .with_feature_selection(FeatureSelectionPolicy::Fixed(extractor)),
+        );
+        train(&fx);
+        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0), 0);
+
+        // Same model version: every still-eligible row is served.
+        alm.prefetch_candidates(&fx.mm);
+        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0) > 0);
+
+        // Merge splices renumber the rows; window identity still finds them.
+        train(&fx);
+        alm.prefetch_candidates(&fx.mm);
+        let odds: Vec<VideoId> = vids[1..30].iter().step_by(2).copied().collect();
+        extract(&fx, &odds);
+        let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+        for &vid in &odds[..4] {
+            let range = TimeRange::new(1.0, 2.0);
+            fx.labels.add(LabelRecord {
+                vid,
+                range,
+                classes: oracle.label(&fx.dataset.train, vid, &range),
+                iteration: 1,
+            });
+        }
+        let epoch = alm.index.as_ref().expect("built").epoch();
+        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0) > 0);
+        assert!(alm.index.as_ref().expect("built").epoch() > epoch, "merged");
+
+        // A retrain after the prefetch makes it stale.
+        alm.prefetch_candidates(&fx.mm);
+        train(&fx);
+        let stats = alm.prob_cache_stats();
+        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0), 0);
+        assert_eq!(
+            alm.prob_cache_stats().invalidations,
+            stats.invalidations + 1
+        );
+
+        // A replaced index (another clip length) over a replaced store
+        // entry: its single rebuild must not pass for the old index's.
+        alm.prefetch_candidates(&fx.mm);
+        assert_eq!(alm.index.as_ref().expect("built").rebuilds(), 1);
+        perturb(vids[2]);
+        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0), 0);
+        assert_eq!(
+            alm.prob_cache_stats().invalidations,
+            stats.invalidations + 2
+        );
+
+        // A rebuild of the live index (replaced store entry).
+        alm.prefetch_candidates(&fx.mm);
+        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0) > 0);
+        alm.prefetch_candidates(&fx.mm);
+        perturb(vids[4]);
+        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0), 0);
+        assert_eq!(alm.index.as_ref().expect("built").rebuilds(), 2);
+        assert_eq!(
+            alm.prob_cache_stats().invalidations,
+            stats.invalidations + 3
+        );
+
+        // An unused prefetch replaced by a newer one is an invalidation too.
+        alm.prefetch_candidates(&fx.mm);
+        alm.prefetch_candidates(&fx.mm);
+        assert_eq!(
+            alm.prob_cache_stats().invalidations,
+            stats.invalidations + 4
+        );
     }
 
     #[test]

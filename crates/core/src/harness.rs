@@ -42,7 +42,10 @@
 //! 6. `VE-partial`/`VE-full`, except after the last labels: the deferred
 //!    work, in the labeling window — while the bandit has not converged,
 //!    one `T_e` task that cross-validates the round's `k` candidates (it
-//!    sleeps `k · T_e`), then one `T_m` training task.
+//!    sleeps `k · T_e`), then one `T_m` training task, then (on the session
+//!    thread, after a published model) the ALM's prefetch of the next
+//!    selection's candidate probabilities. Under Serial the same work runs
+//!    in step 1, inside the visible window.
 //! 7. Think time (measured mode), the `wait_idle` barrier (work past the
 //!    window is *spill*, never charged to the next call), eager give-ups
 //!    recorded in submission order, then F1.
@@ -53,7 +56,7 @@
 
 #![allow(clippy::disallowed_types)] // HashMap by design: order-exposing uses are policed by ve-lint nondeterministic-iteration
 
-use crate::alm::SelectionStats;
+use crate::alm::{ProbCacheStats, SelectionStats};
 use crate::config::{PreprocessPolicy, VocalExploreConfig};
 use crate::degradation::Degradation;
 use crate::model_manager::{task_targets, FittedModel, TrainingStats};
@@ -224,6 +227,11 @@ pub struct SessionOutcome {
     /// fine-tunes. Deterministic, so equal between [`SessionRunner::run`]
     /// and [`SessionRunner::run_measured`].
     pub training: TrainingStats,
+    /// Where the session's Cluster-Margin and Uncertainty selections got
+    /// their probability rows: served from the prefetch or scored on the
+    /// spot. Deterministic, so equal between [`SessionRunner::run`] and
+    /// [`SessionRunner::run_measured`].
+    pub prob_cache: ProbCacheStats,
     /// Timing plane: one span per executor task (queue wait, run time,
     /// worker), joined to the event plane by label/iteration. Wall-clock
     /// facts only — never part of determinism assertions. Empty for
@@ -545,6 +553,7 @@ impl SessionRunner {
             events: system.obs().canonical_events(),
             executor: executor.stats(),
             training: system.model_manager().training_stats(),
+            prob_cache: system.alm().prob_cache_stats(),
             timings: executor.timing().tasks(),
             phases: executor.timing().phases(),
         }

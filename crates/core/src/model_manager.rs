@@ -133,6 +133,20 @@ pub struct FittedModel {
     pub model: TrainedModel,
 }
 
+impl FittedModel {
+    /// Raw class probabilities of the rows `rows` of `block` (the
+    /// acquisition index's block; selections pass their eligible rows, so
+    /// nothing is copied out first), one probability row per entry of
+    /// `rows`, in that order. Scored with
+    /// [`TrainedModel::predict_proba_rows`], the kernel
+    /// [`ModelManager::predict_batch`] serves with, so each row is
+    /// bit-identical to per-row `Classifier::predict_proba` at any thread
+    /// count and does not depend on which other rows share the call.
+    pub fn predict_proba_rows(&self, block: &FeatureBlock, rows: &[usize]) -> FeatureBlock {
+        FeatureBlock::from_matrix(self.model.predict_proba_rows(&self.scaler, block, rows))
+    }
+}
+
 /// Counters of how training requests were satisfied (exposed for tests and
 /// the training benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -578,7 +592,8 @@ impl ModelManager {
     /// Consults the injector for the batch-probability backend of this
     /// extractor, keyed on the latest published model version (so a retrain
     /// heals a previously failing batch path and vice versa). The ALM calls
-    /// this before [`ModelManager::predict_proba_batch`]. `Ok` when no model
+    /// this before scoring candidates with the model from
+    /// [`ModelManager::latest_versioned`]. `Ok` when no model
     /// exists — there is nothing to infer with.
     pub fn batch_inference_gate(&self, extractor: ExtractorId) -> Result<(), InferenceError> {
         let Some(model_version) = self.registry.read().latest_version(extractor) else {
@@ -595,25 +610,13 @@ impl ModelManager {
         })
     }
 
-    /// Raw class probabilities of the candidate rows `rows` of `block` (the
-    /// acquisition index's block; the acquisition functions pass their
-    /// eligible rows, so nothing is copied out first). Returns one
-    /// probability row per entry of `rows`, in that order, as a contiguous
-    /// block, or an empty block when no model has been trained yet. Scored
-    /// with [`TrainedModel::predict_proba_rows`], the kernel
-    /// [`ModelManager::predict_batch`] serves with, so each row is
-    /// bit-identical to per-row `Classifier::predict_proba` at any thread
-    /// count.
-    pub fn predict_proba_batch(
-        &self,
-        extractor: ExtractorId,
-        block: &FeatureBlock,
-        rows: &[usize],
-    ) -> FeatureBlock {
-        let Some(fitted) = self.registry.read().latest(extractor) else {
-            return FeatureBlock::empty(0);
-        };
-        FeatureBlock::from_matrix(fitted.model.predict_proba_rows(&fitted.scaler, block, rows))
+    /// The latest published model for an extractor with its registry
+    /// version, read under one registry lock. Candidate scoring — the ALM's
+    /// visible selection path and its prefetch alike — goes through this one
+    /// read, so a probability row is always tagged with the version that
+    /// produced it.
+    pub fn latest_versioned(&self, extractor: ExtractorId) -> Option<(u64, Arc<FittedModel>)> {
+        self.registry.read().latest_versioned(extractor)
     }
 
     /// Cross-validated macro-F1 estimates of the candidate extractors'
@@ -792,13 +795,7 @@ mod tests {
             )
             .unwrap()
             .is_empty());
-        assert!(mm
-            .predict_proba_batch(
-                ExtractorId::Mvit,
-                &FeatureBlock::from_nested(&[vec![0.0; 64]]),
-                &[0]
-            )
-            .is_empty());
+        assert!(mm.latest_versioned(ExtractorId::Mvit).is_none());
     }
 
     #[test]

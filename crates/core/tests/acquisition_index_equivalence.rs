@@ -16,8 +16,17 @@
 //! Both must return the same picks and the same selection stats, for
 //! Coreset, Cluster-Margin, and rare-class Uncertainty, with the candidate
 //! cap set low enough that the cluster-sketch reduction is exercised too.
+//!
+//! The prefetch interleavings add the ALM's probability prefetch
+//! (`prefetch_candidates`) at random points, next to the events that must
+//! invalidate it or that it must survive: merge-splicing ingests, label
+//! masks, retrains, failed trains, extractor and clip-length switches, and
+//! index rebuilds. Their oracle is a from-scratch ALM that never
+//! prefetches, so every served probability row must reproduce the picks
+//! bit for bit.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use ve_al::AcquisitionKind;
 use ve_features::{ExtractorId, FeatureSimulator};
 use ve_storage::{LabelRecord, LabelStore, StorageManager};
@@ -27,6 +36,8 @@ use vocalexplore::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreC
 use vocalexplore::feature_manager::FeatureManager;
 use vocalexplore::model_manager::ModelManager;
 use vocalexplore::ProbCacheStats;
+
+use ve_sched::fault::{FaultInjector, FaultPlan, FaultRule, FaultSite};
 
 const EXTRACTOR: ExtractorId = ExtractorId::Mvit;
 const BUDGET: usize = 3;
@@ -415,5 +426,272 @@ fn miss_rows_count_the_eligible_rows_of_each_probability_selection() {
             other.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, None);
         assert_eq!(stats.acquisition, kind);
         assert_eq!(other.prob_cache_stats(), ProbCacheStats::default());
+    }
+}
+
+/// The extractors the prefetch interleavings switch between.
+const SWITCHED: [ExtractorId; 2] = [ExtractorId::Mvit, ExtractorId::R3d];
+
+/// One step of a randomized prefetch session.
+#[derive(Debug, Clone, Copy)]
+enum PrefetchEvent {
+    /// Extract features for the next `n` corpus videos (both extractors).
+    Extract(usize),
+    /// Label one currently unlabeled window (video chosen by `arg`).
+    Label(usize),
+    /// Train the current extractor's model. The fault plan fails about one
+    /// request in three (all attempts), which keeps the previous version
+    /// serving.
+    Train,
+    /// Score the last selection's candidates with the latest model.
+    Prefetch,
+    /// Feed the bandit scores that make the other extractor current.
+    SwitchExtractor,
+    /// Toggle the clip length of later selections between 1 s and 2 s.
+    SwitchClip,
+    /// Replace one extracted video's store entry (current extractor) with
+    /// different vectors, which rebuilds the index.
+    Rebuild(usize),
+    /// Select, and compare against a from-scratch ALM.
+    Explore,
+}
+
+fn decode_prefetch(events: &[(usize, usize)]) -> Vec<PrefetchEvent> {
+    use PrefetchEvent::*;
+    let mut out = vec![Extract(BUDGET + 1), Train, Explore];
+    for &(code, arg) in events {
+        out.push(match code {
+            0 => Extract(1 + arg % 3),
+            1 => Label(arg),
+            2 | 3 => Explore,
+            4 => Train,
+            5 | 6 => Prefetch,
+            7 => SwitchExtractor,
+            8 => SwitchClip,
+            _ => Rebuild(arg),
+        });
+    }
+    out.extend([Train, Prefetch, Explore]);
+    out
+}
+
+/// Runs one prefetch interleaving and returns the ALM's probability-row
+/// counters after each explore. Panics if any explore's picks or stats
+/// diverge from a from-scratch ALM that never prefetches.
+fn run_prefetch_interleaving(
+    kind: AcquisitionKind,
+    target: Option<usize>,
+    events: &[PrefetchEvent],
+) -> Vec<ProbCacheStats> {
+    let dataset = dataset();
+    // The incremental ALM follows the bandit's current extractor; the
+    // oracle is pinned to whichever extractor is current at each explore.
+    let cfg = config(kind).with_feature_selection(FeatureSelectionPolicy::default());
+    let storage = StorageManager::new();
+    let fm = FeatureManager::new(
+        FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
+        storage.clone(),
+    );
+    let mut mm = ModelManager::new(cfg.clone());
+    mm.set_fault_injector(Some(Arc::new(FaultInjector::new(
+        FaultPlan::new(11).with_rule(FaultSite::Training, FaultRule::permanent(0.7)),
+    ))));
+    let mut labels = LabelStore::new();
+    let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+    let mut incremental = ActiveLearningManager::new(cfg.clone());
+    let mut extracted: Vec<VideoId> = Vec::new();
+    let (mut clip_len, mut trains, mut switches) = (CLIP_LEN, 0u32, 0usize);
+    let mut after_explores = Vec::new();
+
+    for &event in events {
+        match event {
+            PrefetchEvent::Extract(n) => {
+                for clip in extraction_plan(dataset, &extracted, n) {
+                    for extractor in SWITCHED {
+                        fm.ensure_clip(extractor, clip).unwrap();
+                    }
+                    extracted.push(clip.id);
+                }
+            }
+            PrefetchEvent::Label(arg) => {
+                let vid = extracted[arg % extracted.len()];
+                let clip = dataset.train.get(vid).expect("extracted from corpus");
+                let window = (0..clip.num_windows(CLIP_LEN))
+                    .map(|w| TimeRange::new(w as f64 * CLIP_LEN, (w + 1) as f64 * CLIP_LEN))
+                    .find(|range| !labels.is_labeled(vid, range));
+                if let Some(range) = window {
+                    labels.add(LabelRecord {
+                        vid,
+                        range,
+                        classes: oracle.label(&dataset.train, vid, &range),
+                        iteration: 0,
+                    });
+                }
+            }
+            PrefetchEvent::Train => {
+                trains += 1;
+                // A failed request publishes nothing: the prefetch it
+                // follows stays valid.
+                let _ = mm.train(
+                    incremental.current_extractor(),
+                    &dataset.train,
+                    &fm,
+                    labels.records(),
+                    trains,
+                );
+            }
+            PrefetchEvent::Prefetch => incremental.prefetch_candidates(&mm),
+            PrefetchEvent::SwitchExtractor => {
+                switches += 1;
+                let (low, high) = if switches % 2 == 1 {
+                    (0.2, 0.8)
+                } else {
+                    (0.8, 0.2)
+                };
+                incremental.observe_feature_scores(&[(SWITCHED[0], low), (SWITCHED[1], high)]);
+            }
+            PrefetchEvent::SwitchClip => {
+                clip_len = if clip_len == CLIP_LEN {
+                    2.0 * CLIP_LEN
+                } else {
+                    CLIP_LEN
+                };
+            }
+            PrefetchEvent::Rebuild(arg) => {
+                let vid = extracted[arg % extracted.len()];
+                let extractor = incremental.current_extractor();
+                let mut vectors = storage.with_features(|f| {
+                    f.get(extractor, vid)
+                        .expect("extracted for both extractors")
+                        .to_vectors()
+                });
+                for v in &mut vectors {
+                    v.data.iter_mut().for_each(|x| *x = -*x + 0.5);
+                }
+                storage.with_features_mut(|f| f.put(extractor, vid, vectors));
+            }
+            PrefetchEvent::Explore => {
+                let current = incremental.current_extractor();
+                let (picks, stats) = incremental.select_segments(
+                    &dataset.train,
+                    &fm,
+                    &mm,
+                    &labels,
+                    BUDGET,
+                    clip_len,
+                    target,
+                );
+                let mut fresh = ActiveLearningManager::new(
+                    cfg.clone()
+                        .with_feature_selection(FeatureSelectionPolicy::Fixed(current)),
+                );
+                let (fresh_picks, fresh_stats) = fresh.select_segments(
+                    &dataset.train,
+                    &fm,
+                    &mm,
+                    &labels,
+                    BUDGET,
+                    clip_len,
+                    target,
+                );
+                assert_eq!(
+                    picks, fresh_picks,
+                    "prefetched selection diverged from a from-scratch ALM ({kind:?}, {current:?}, clip {clip_len})"
+                );
+                assert_eq!(stats, fresh_stats, "selection stats diverged ({kind:?})");
+                assert_eq!(stats.acquisition, kind, "active path must not fall back");
+                assert_eq!(
+                    fresh.prob_cache_stats().hit_rows,
+                    0,
+                    "the oracle never prefetches"
+                );
+                after_explores.push(incremental.prob_cache_stats());
+            }
+        }
+    }
+    after_explores
+}
+
+fn prefetch_event_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec((0usize..10, 0usize..17), 6..22)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn cluster_margin_with_prefetches_matches_from_scratch(events in prefetch_event_strategy()) {
+        let events = decode_prefetch(&events);
+        run_prefetch_interleaving(AcquisitionKind::ClusterMargin, None, &events);
+    }
+
+    #[test]
+    fn uncertainty_with_prefetches_matches_from_scratch(events in prefetch_event_strategy()) {
+        let events = decode_prefetch(&events);
+        run_prefetch_interleaving(AcquisitionKind::Uncertainty, Some(2), &events);
+    }
+}
+
+/// A fixed interleaving that reaches every prefetch outcome: rows served
+/// across merge splices and label masks, a prefetch kept through a failed
+/// train, and prefetches invalidated by a retrain, a clip-length switch, a
+/// rebuild and an extractor switch. Train requests 1 and 4 (MViT) fail
+/// under the fault plan; the others publish.
+#[test]
+fn prefetched_rows_are_served_and_invalidated_as_specified() {
+    use PrefetchEvent::*;
+    let events = [
+        Extract(6),
+        Label(0),
+        Label(1),
+        Label(2),
+        Label(3),
+        Train,
+        Train,
+        Explore,
+        // 1: served across merge splices and label masks.
+        Label(4),
+        Train,
+        Prefetch,
+        Extract(3),
+        Label(5),
+        Explore,
+        // 2: a failed train keeps the prefetch valid.
+        Prefetch,
+        Label(6),
+        Train,
+        Explore,
+        // 3: stale after a retrain.
+        Prefetch,
+        Train,
+        Explore,
+        // 4: dropped with the index at another clip length.
+        Prefetch,
+        SwitchClip,
+        Explore,
+        // 5: stale after a rebuild.
+        Prefetch,
+        Rebuild(2),
+        Explore,
+        // 6: dropped with the index for another extractor.
+        Prefetch,
+        SwitchExtractor,
+        Explore,
+        // 7: served under the new extractor's first model.
+        Label(7),
+        Train,
+        Prefetch,
+        Explore,
+    ];
+    let stats = run_prefetch_interleaving(AcquisitionKind::ClusterMargin, None, &events);
+    assert_eq!(stats.len(), 8);
+    assert_eq!(stats[0].hit_rows, 0, "nothing was prefetched yet");
+    for (step, pair) in stats.windows(2).enumerate() {
+        let (before, after) = (pair[0], pair[1]);
+        let served = after.hit_rows - before.hit_rows;
+        let dropped = after.invalidations - before.invalidations;
+        match step + 1 {
+            1 | 2 | 7 => assert!(served > 0 && dropped == 0, "step {}: {after:?}", step + 1),
+            _ => assert!(served == 0 && dropped == 1, "step {}: {after:?}", step + 1),
+        }
     }
 }

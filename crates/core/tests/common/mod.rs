@@ -5,9 +5,11 @@ use vocalexplore::{IterationRecord, SessionOutcome};
 /// Asserts that two runs of one session config agree on everything that
 /// does not depend on the executor: the label sequence, every record field
 /// except the wall-clock measurements, the final extractor, the canonical
-/// event ledger, the degradation ledger as a sequence, and the cold/warm
+/// event ledger, the degradation ledger as a sequence, the cold/warm
 /// training counts (`warm-start/v1` is a pure function of the training-call
-/// history, so the warm path must replay identically too).
+/// history, so the warm path must replay identically too), and the ALM's
+/// probability-row counters (the prefetch runs on the session thread at
+/// fixed points of the loop, so served and scored rows match too).
 pub fn assert_same_session(reference: &SessionOutcome, other: &SessionOutcome, context: &str) {
     let deterministic = |o: &SessionOutcome| -> Vec<IterationRecord> {
         o.records
@@ -43,5 +45,9 @@ pub fn assert_same_session(reference: &SessionOutcome, other: &SessionOutcome, c
     assert_eq!(
         other.training, reference.training,
         "cold/warm training counts diverged ({context})"
+    );
+    assert_eq!(
+        other.prob_cache, reference.prob_cache,
+        "prefetched/scored probability rows diverged ({context})"
     );
 }

@@ -6,10 +6,11 @@
 //! 1. **Inline/threaded equivalence** — `SessionRunner::run` (every task on
 //!    the session thread) and `SessionRunner::run_measured` (a worker pool,
 //!    modeled costs slept) with the same config produce the same labels,
-//!    records, canonical event ledger, degradation sequence, and cold/warm
-//!    training counts, for every scheduling strategy (and a preprocessing
-//!    baseline) at every tested `executor_workers × compute_threads`; the
-//!    threaded run's timing plane holds one span per submitted task.
+//!    records, canonical event ledger, degradation sequence, cold/warm
+//!    training counts, and prefetched/scored probability rows, for every
+//!    scheduling strategy (and a preprocessing baseline) at every tested
+//!    `executor_workers × compute_threads`; the threaded run's timing plane
+//!    holds one span per submitted task.
 //! 2. **Parallelism invariance** — under faults, the threaded ledger is
 //!    bit-identical across worker/thread counts.
 //! 3. **Chaos reconciliation** — under injected training faults, the event
@@ -121,6 +122,36 @@ fn sync_and_async_ledgers_are_identical_for_a_bandit_session() {
             measured.timings.iter().any(|t| t.label.kind == "eval"),
             "the threaded run must submit eval tasks ({context})"
         );
+    }
+}
+
+#[test]
+fn prefetch_counters_are_identical_for_every_strategy() {
+    // Cluster-Margin from the first call, so every retrain's prefetch is
+    // served by the next selection under each strategy.
+    for strategy in SchedulerStrategy::all() {
+        let mut cfg = base_config(31, 8);
+        cfg.system = cfg
+            .system
+            .with_strategy(strategy)
+            .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::ClusterMargin));
+        let inline = SessionRunner::new(cfg.clone()).run();
+        let rows = inline.prob_cache;
+        assert!(
+            rows.hit_rows > rows.miss_rows,
+            "the prefetch must serve most rows under {strategy}: {rows:?}"
+        );
+        for (workers, threads) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
+            let mut threaded = cfg.clone();
+            threaded.system = threaded
+                .system
+                .with_executor_workers(workers)
+                .with_compute_threads(threads);
+            let measured = SessionRunner::new(threaded).run_measured();
+            let context = format!("{strategy} prefetch at workers={workers} threads={threads}");
+            assert_eq!(measured.prob_cache, rows, "{context}");
+            common::assert_same_session(&inline, &measured, &context);
+        }
     }
 }
 

@@ -60,6 +60,14 @@ impl<M> ModelRegistry<M> {
             .map(|(_, model)| Arc::clone(model))
     }
 
+    /// The most recently published model for an extractor together with its
+    /// version, read in one lookup so the two always belong together.
+    pub fn latest_versioned(&self, extractor: ExtractorId) -> Option<(u64, Arc<M>)> {
+        self.latest
+            .get(&extractor)
+            .map(|(version, model)| (*version, Arc::clone(model)))
+    }
+
     /// Whether any model has been published for the extractor.
     pub fn has_model(&self, extractor: ExtractorId) -> bool {
         self.latest.contains_key(&extractor)
@@ -89,6 +97,17 @@ mod tests {
         assert_eq!(*r.latest(ExtractorId::R3d).unwrap(), DummyModel(2));
         assert_eq!(r.latest_version(ExtractorId::R3d), Some(1));
         assert_eq!(r.total_published(), 2);
+    }
+
+    #[test]
+    fn latest_versioned_pairs_the_model_with_its_version() {
+        let mut r: ModelRegistry<DummyModel> = ModelRegistry::new();
+        assert!(r.latest_versioned(ExtractorId::R3d).is_none());
+        r.publish(ExtractorId::R3d, Arc::new(DummyModel(1)));
+        let v = r.publish(ExtractorId::Clip, Arc::new(DummyModel(2)));
+        let (version, model) = r.latest_versioned(ExtractorId::Clip).unwrap();
+        assert_eq!((version, &*model), (v, &DummyModel(2)));
+        assert_eq!(r.latest_versioned(ExtractorId::R3d).unwrap().0, 0);
     }
 
     #[test]
