@@ -21,6 +21,12 @@
 //! point: once a sweep's assignment repeats the previous one, every later
 //! sweep would repeat it too, so the result equals the one the full
 //! iteration cap would return.
+//!
+//! The margin stage ([`margin_pool`]) depends only on the candidates and
+//! their probabilities; the diversity stages ([`cluster_margin_from_pool`])
+//! only on the pool's rows. [`cluster_margin_selection`] runs them back to
+//! back; a caller that knows the next call's candidates and model can run
+//! the first ahead of time and the second alone inside the call.
 
 use ve_ml::{argmax_chunked, FeatureBlock, FeatureBlockBuilder};
 
@@ -83,39 +89,70 @@ pub fn cluster_margin_selection_with_sweeps(
     budget: usize,
     cfg: &ClusterMarginConfig,
 ) -> (Vec<usize>, usize) {
-    let n = candidates.len();
+    let pool = margin_pool(probs, candidates.len(), budget, cfg);
+    let pool_rows: Vec<usize> = pool.iter().map(|&p| candidates[p]).collect();
+    let (picks, sweeps) = cluster_margin_from_pool(block, &pool_rows, budget, cfg);
+    (picks.into_iter().map(|i| pool[i]).collect(), sweeps)
+}
+
+/// Stage 1 of Cluster-Margin: the positions of the `k_m · budget`
+/// lowest-margin candidates among `n`, ascending by `(margin, position)`.
+/// `probs` is as in [`cluster_margin_selection`]. Empty when `n` or
+/// `budget` is 0.
+///
+/// # Panics
+/// Panics if `probs` is non-empty but has other than `n` rows.
+pub fn margin_pool(
+    probs: &FeatureBlock,
+    n: usize,
+    budget: usize,
+    cfg: &ClusterMarginConfig,
+) -> Vec<usize> {
     if n == 0 || budget == 0 {
-        return (Vec::new(), 0);
+        return Vec::new();
     }
     if !probs.is_empty() {
         assert_eq!(probs.rows(), n, "probability rows must match candidates");
     }
-
-    // Stage 1: margin filtering, in ascending (margin, position) order.
-    let margins = margins_of(probs, n);
     let pool_size = (cfg.margin_pool_multiplier.max(1) * budget).min(n);
-    let pool = lowest_margins(&margins, pool_size);
+    lowest_margins(&margins_of(probs, n), pool_size)
+}
 
+/// Stages 2–3 of Cluster-Margin over a margin pool given as rows of `block`
+/// in [`margin_pool`] order: returns the positions in `pool_rows` of up to
+/// `budget` picks, and the k-means sweeps the diversity stage ran (0 when
+/// nothing was selected).
+pub fn cluster_margin_from_pool(
+    block: &FeatureBlock,
+    pool_rows: &[usize],
+    budget: usize,
+    cfg: &ClusterMarginConfig,
+) -> (Vec<usize>, usize) {
+    if pool_rows.is_empty() || budget == 0 {
+        return (Vec::new(), 0);
+    }
     // Stage 2: cluster the pool for diversity. The pool rows are gathered
     // into their own contiguous block once; every k-means pass then streams
     // that block.
     let k = (cfg.clusters_per_budget.max(1) * budget)
-        .min(pool.len())
+        .min(pool_rows.len())
         .max(1);
-    let pool_rows: Vec<usize> = pool.iter().map(|&p| candidates[p]).collect();
-    let fit = kmeans_fit(&block.gather(&pool_rows), k, cfg.kmeans_iters);
+    let fit = kmeans_fit(&block.gather(pool_rows), k, cfg.kmeans_iters);
 
     // Stage 3: round-robin over clusters, ascending by cluster size, picking
     // the lowest-margin unpicked member of each cluster. Members arrive in
     // pool order, which is already ascending by margin.
     let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (pool_pos, &cand_idx) in pool.iter().enumerate() {
-        clusters[fit.assignment[pool_pos]].push(cand_idx);
+    for (pool_pos, &cluster) in fit.assignment.iter().enumerate() {
+        clusters[cluster].push(pool_pos);
     }
     clusters.retain(|c| !c.is_empty());
     clusters.sort_by_key(|c| c.len());
 
-    (round_robin(&clusters, budget.min(pool.len())), fit.sweeps)
+    (
+        round_robin(&clusters, budget.min(pool_rows.len())),
+        fit.sweeps,
+    )
 }
 
 /// The positions of the `take` smallest margins, ascending by

@@ -18,8 +18,9 @@
 //!
 //! `strategies.<s>.candidate_rows` counts the probability rows the ALM's
 //! prefetch served versus the rows selection scored itself, with their
-//! `served_share`, from an inline twin of each session that samples with
-//! Cluster-Margin from the first call.
+//! `served_share`, and the Cluster-Margin calls that picked from the
+//! prefetch's prepared margin pool (`pools_served`), from an inline twin of
+//! each session that samples with Cluster-Margin from the first call.
 
 use ve_bench::emit::Artifact;
 use ve_obs::json::Json;
@@ -43,7 +44,8 @@ struct StrategyRow {
     /// Cold fits versus warm fine-tunes (`warm-start/v1`) over the session.
     training: TrainingStats,
     /// Candidate probability rows served from the ALM's prefetch versus
-    /// scored during selection, in the Cluster-Margin twin of the session.
+    /// scored during selection, and the calls served a prepared margin pool,
+    /// in the Cluster-Margin twin of the session.
     candidate_rows: ProbCacheStats,
 }
 
@@ -74,7 +76,8 @@ fn phase_breakdown(outcome: &SessionOutcome) -> [f64; 4] {
 }
 
 /// The prefetch counters plus `served_share`, the fraction of probability
-/// rows served from the prefetch (0 when no selection scored any).
+/// rows served from the prefetch (0 when no selection scored any), and
+/// `pools_served`, the calls that picked from a prepared margin pool.
 fn candidate_rows_json(rows: &ProbCacheStats) -> Json {
     let probed = rows.hit_rows + rows.miss_rows;
     let served_share = if probed == 0 {
@@ -87,6 +90,7 @@ fn candidate_rows_json(rows: &ProbCacheStats) -> Json {
         ("miss_rows", Json::u64(rows.miss_rows)),
         ("invalidations", Json::u64(rows.invalidations)),
         ("served_share", Json::f64(served_share, 4)),
+        ("pools_served", Json::u64(rows.pools_served)),
     ])
 }
 
@@ -217,7 +221,7 @@ fn main() {
             ]),
         )
     }));
-    Artifact::new("vocalexplore/bench_latency/v3", quick)
+    Artifact::new("vocalexplore/bench_latency/v4", quick)
         .field("strategies", strategies)
         .write("BENCH_latency.json");
 }

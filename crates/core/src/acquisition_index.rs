@@ -599,23 +599,68 @@ impl AcquisitionIndex {
     /// sketch's structure-aware reduction (building or extending the sketch
     /// on demand).
     pub fn eligible_rows(&mut self) -> Vec<usize> {
-        if self.unmasked == 0 {
-            return Vec::new();
-        }
-        if self.unmasked <= self.candidate_cap {
-            return (0..self.meta.len()).filter(|&r| !self.masked[r]).collect();
-        }
-        match &mut self.sketch {
-            Some(sketch) => sketch.extend(&self.block),
-            None => {
-                self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config));
-                self.sketch_builds += 1;
+        if self.unmasked > self.candidate_cap {
+            match &mut self.sketch {
+                Some(sketch) => sketch.extend(&self.block),
+                None => {
+                    self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config));
+                    self.sketch_builds += 1;
+                }
             }
         }
+        self.eligible_rows_over(&self.masked, self.unmasked)
+            .expect("the sketch covers every row")
+    }
+
+    /// The rows [`Self::eligible_rows`] would return once `rows` are masked
+    /// too, without touching the index: the ALM's prediction of the next
+    /// call's candidates, with the last call's picks labeled. `None` when
+    /// the answer needs a sketch the index has not built or extended yet
+    /// (see [`Self::reduction_ready`]).
+    ///
+    /// # Panics
+    /// Panics if a row is out of range.
+    pub(crate) fn eligible_rows_masking(&self, rows: &[usize]) -> Option<Vec<usize>> {
+        let mut masked = self.masked.clone();
+        let mut unmasked = self.unmasked;
+        for &row in rows {
+            if !std::mem::replace(&mut masked[row], true) {
+                unmasked -= 1;
+            }
+        }
+        self.eligible_rows_over(&masked, unmasked)
+    }
+
+    /// Whether [`Self::eligible_rows`] would only read the index: the pool
+    /// fits under the cap, or the sketch is alive and covers every row.
+    pub(crate) fn reduction_ready(&self) -> bool {
+        self.unmasked <= self.candidate_cap || self.covering_sketch().is_some()
+    }
+
+    /// The clip length the index's windows span.
+    pub(crate) fn clip_len(&self) -> f64 {
+        self.clip_len
+    }
+
+    /// Whether row `row` is labeled (not selectable).
+    pub(crate) fn is_masked(&self, row: usize) -> bool {
+        self.masked[row]
+    }
+
+    /// The sketch, if it is alive and has assigned every row.
+    fn covering_sketch(&self) -> Option<&ClusterSketch> {
         self.sketch
             .as_ref()
-            .expect("sketch just ensured")
-            .reduce(&self.masked, self.candidate_cap)
+            .filter(|s| s.assigned_rows() == self.rows())
+    }
+
+    /// The eligible rows under `masked` (one entry per row, `unmasked` of
+    /// them unset), or `None` when over the cap without a covering sketch.
+    fn eligible_rows_over(&self, masked: &[bool], unmasked: usize) -> Option<Vec<usize>> {
+        if unmasked <= self.candidate_cap {
+            return Some((0..masked.len()).filter(|&r| !masked[r]).collect());
+        }
+        Some(self.covering_sketch()?.reduce(masked, self.candidate_cap))
     }
 }
 

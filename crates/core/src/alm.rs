@@ -12,28 +12,34 @@
 //!    labeling iteration, eliminates extractors until one remains.
 //!
 //! Cluster-Margin and Uncertainty score their candidates with the current
-//! model. Each retrain publishes a new model version, so those rows would
-//! otherwise be scored from scratch inside every visible `Explore` call.
-//! Instead, the deferred work scores the last selection's candidates with
-//! the freshly trained model ([`ActiveLearningManager::prefetch_candidates`],
-//! the *prefetch*), in the labeling window under `VE-partial`/`VE-full`. The
-//! next selection takes those rows by window identity and scores only the
-//! rows the prefetch lacks; every row still comes from
-//! [`ve_ml::TrainedModel::predict_proba_rows`], so the picks are
-//! bit-identical to scoring every row on the spot ([`ProbCacheStats`] counts
-//! where the rows came from).
+//! model. Each retrain publishes a new model version, so that work would
+//! otherwise run from scratch inside every visible `Explore` call. Instead,
+//! the deferred work prepares the next call's candidates with the freshly
+//! trained model ([`ActiveLearningManager::prefetch_candidates`], the
+//! *prefetch*), in the labeling window under `VE-partial`/`VE-full`. It
+//! predicts the next call's eligible rows — the last call's picks are what
+//! the user labels next — scores them, and keeps the margin pool
+//! Cluster-Margin would draw from them, together with a stamp of what the
+//! prediction assumed. When the stamp still holds, the next Cluster-Margin
+//! call only clusters that pool; otherwise the call takes the prefetched
+//! rows by window identity and scores only the rows they lack. Every row
+//! still comes from [`ve_ml::TrainedModel::predict_proba_rows`], so the
+//! picks are bit-identical to scoring every row on the spot
+//! ([`ProbCacheStats`] counts where the rows came from).
 
 use crate::acquisition_index::{AcquisitionIndex, AcquisitionIndexStats};
 use crate::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use crate::feature_manager::FeatureManager;
-use crate::model_manager::ModelManager;
+use crate::model_manager::{FittedModel, ModelManager};
 use crate::observability::{ObsHandle, SessionEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Arc;
 use ve_al::{
-    cluster_margin_selection, greedy_k_center, random_selection, uncertainty_selection_from_probs,
-    AcquisitionKind, ClusterMarginConfig, VeSample,
+    cluster_margin_from_pool, cluster_margin_selection, greedy_k_center, margin_pool,
+    random_selection, uncertainty_selection_from_probs, AcquisitionKind, ClusterMarginConfig,
+    VeSample,
 };
 use ve_bandit::RisingBandit;
 use ve_features::ExtractorId;
@@ -63,13 +69,18 @@ pub struct SelectionStats {
 
 /// Where the candidate probability rows of Cluster-Margin and Uncertainty
 /// selections came from. After each retrain the deferred work scores the
-/// last selection's candidates with the new model
+/// next selection's predicted candidates with the new model
 /// ([`ActiveLearningManager::prefetch_candidates`]); the next selection
 /// serves the rows it finds there and scores only the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbCacheStats {
     /// Rows served from the prefetch.
     pub hit_rows: u64,
+    /// Cluster-Margin calls that picked from the prefetch's prepared margin
+    /// pool, its stamp holding: they skipped the eligible-row reduction,
+    /// the probability join and the margin stage (their rows count as
+    /// served).
+    pub pools_served: u64,
     /// Rows scored by the selection itself: their window was not
     /// prefetched, or no valid prefetch existed.
     pub miss_rows: u64,
@@ -90,17 +101,65 @@ fn window_key((vid, range): (VideoId, TimeRange)) -> WindowKey {
     (vid, range.start.to_bits())
 }
 
-/// Probability rows scored ahead of the next selection.
-struct Prefetch {
+/// What a prefetch assumed about the next selection. While every field
+/// still holds ([`Stamp::holds`]), that selection's eligible rows are the
+/// predicted ones, so their probabilities and margin pool are the ones
+/// prepared.
+#[derive(Debug, Clone)]
+struct Stamp {
     /// Registry version of the model that scored the rows (unique across
-    /// extractors, so it names the extractor too).
+    /// extractors).
     model_version: u64,
+    /// The index's extractor and clip length.
+    extractor: ExtractorId,
+    clip_len: f64,
     /// [`AcquisitionIndex::rebuilds`] when the rows were scored.
-    index_rebuilds: u64,
-    /// Window identity of each row, ascending.
+    rebuilds: u64,
+    /// Index rows then: an ingest or a lazy extension changes the count.
+    rows: usize,
+    /// Unmasked index rows then, the picks among them.
+    unmasked: usize,
+    /// The last selection's pick rows: the windows the user labels next.
+    picks: Vec<usize>,
+    /// The last selection's budget, which sizes the margin pool.
+    budget: usize,
+}
+
+impl Stamp {
+    /// Whether a selection of `budget` under the model `model_version` over
+    /// `index` would see exactly the predicted eligible rows: the same model,
+    /// index and rows, exactly the picks newly masked, the same budget, and
+    /// a reduction that needs no sketch work.
+    fn holds(&self, index: &AcquisitionIndex, model_version: Option<u64>, budget: usize) -> bool {
+        model_version == Some(self.model_version)
+            && index.matches(self.extractor, self.clip_len)
+            && index.rebuilds() == self.rebuilds
+            && index.rows() == self.rows
+            && index.unmasked_rows() + self.picks.len() == self.unmasked
+            && self.picks.iter().all(|&row| index.is_masked(row))
+            && budget == self.budget
+            && index.reduction_ready()
+    }
+}
+
+/// The next selection's candidates, prepared while the user labels.
+struct Prefetch {
+    stamp: Stamp,
+    /// Window identity of each predicted eligible row, ascending.
     keys: Vec<WindowKey>,
     /// One probability row per key.
     probs: FeatureBlock,
+    /// Index rows of the Cluster-Margin margin pool of the predicted rows at
+    /// the stamp's budget, in [`margin_pool`] order.
+    pool: Vec<usize>,
+}
+
+/// The last Cluster-Margin or Uncertainty selection, which the next
+/// prefetch predicts from.
+struct LastSelection {
+    /// Index rows picked.
+    picks: Vec<usize>,
+    budget: usize,
 }
 
 /// The Active Learning Manager.
@@ -113,10 +172,10 @@ pub struct ActiveLearningManager {
     /// store's change log (`None` until the first active selection; replaced
     /// when the extractor or clip length changes).
     index: Option<AcquisitionIndex>,
-    /// Index rows the last Cluster-Margin or Uncertainty selection scored
-    /// (empty after any other selection): what the next prefetch scores.
-    last_scored: Vec<usize>,
-    /// Probability rows scored for the next selection, if any.
+    /// The last Cluster-Margin or Uncertainty selection (`None` after any
+    /// other active selection): what the next prefetch predicts from.
+    last_selection: Option<LastSelection>,
+    /// Candidates prepared for the next selection, if any.
     prefetch: Option<Prefetch>,
     prob_stats: ProbCacheStats,
     /// Reused allocation for the per-call coreset-coverage copy consumed by
@@ -163,7 +222,7 @@ impl ActiveLearningManager {
             sampling,
             features,
             index: None,
-            last_scored: Vec::new(),
+            last_selection: None,
             prefetch: None,
             prob_stats: ProbCacheStats::default(),
             coverage_scratch: Vec::new(),
@@ -186,37 +245,64 @@ impl ActiveLearningManager {
         self.prob_stats
     }
 
-    /// Scores the candidate rows of the last Cluster-Margin or Uncertainty
-    /// selection with the latest model for the current extractor and keeps
-    /// them for the next selection, which serves every row it finds here
-    /// instead of scoring it. The deferred work calls this right after a
-    /// retrain publishes a new model. A no-op when the last selection scored
-    /// nothing, the index serves another extractor, or no model exists. A
-    /// prefetch still unused is replaced (counted as an invalidation).
+    /// Prepares the next selection's candidates with the latest model for
+    /// the current extractor. The deferred work calls this right after a
+    /// retrain publishes a new model. It predicts the next selection's
+    /// eligible rows as the index's own reduction with the last Cluster-Margin
+    /// or Uncertainty selection's picks masked (the windows the user labels
+    /// next), scores them, and keeps the margin pool Cluster-Margin would
+    /// draw from them at the last budget, with a [`Stamp`] of those
+    /// assumptions. A no-op when no such selection preceded, the index
+    /// serves another extractor, no model exists, or nothing would stay
+    /// eligible. A prefetch still unused is replaced (counted as an
+    /// invalidation).
     ///
-    /// Nothing here touches the index: the rows are the ones the last
-    /// selection saw, and the next selection matches them by window
-    /// identity after its own sync.
+    /// Nothing here mutates the index (no sync, no sketch work, no
+    /// events): the next selection checks the stamp after its own sync.
     pub fn prefetch_candidates(&mut self, mm: &ModelManager) {
         let extractor = self.current_extractor();
-        let Some(index) = self.index.as_ref() else {
+        let (Some(index), Some(last)) = (self.index.as_ref(), self.last_selection.as_ref()) else {
             return;
         };
-        if self.last_scored.is_empty() || index.extractor() != extractor {
+        if index.extractor() != extractor {
             return;
         }
         let Some((model_version, fitted)) = mm.latest_versioned(extractor) else {
             return;
         };
+        let Some(eligible) = index
+            .eligible_rows_masking(&last.picks)
+            .filter(|rows| !rows.is_empty())
+        else {
+            return;
+        };
+        let probs = fitted.predict_proba_rows(index.block(), &eligible);
+        let pool = margin_pool(
+            &probs,
+            eligible.len(),
+            last.budget,
+            &ClusterMarginConfig::default(),
+        )
+        .into_iter()
+        .map(|p| eligible[p])
+        .collect();
         let prefetch = Prefetch {
-            model_version,
-            index_rebuilds: index.rebuilds(),
-            keys: self
-                .last_scored
+            stamp: Stamp {
+                model_version,
+                extractor,
+                clip_len: index.clip_len(),
+                rebuilds: index.rebuilds(),
+                rows: index.rows(),
+                unmasked: index.unmasked_rows(),
+                picks: last.picks.clone(),
+                budget: last.budget,
+            },
+            keys: eligible
                 .iter()
                 .map(|&row| window_key(index.meta_at(row)))
                 .collect(),
-            probs: fitted.predict_proba_rows(index.block(), &self.last_scored),
+            probs,
+            pool,
         };
         if self.prefetch.replace(prefetch).is_some() {
             self.prob_stats.invalidations += 1;
@@ -418,7 +504,7 @@ impl ActiveLearningManager {
     /// The last selection's row numbers die here either way: the caller
     /// syncs the index next.
     fn ensure_index(&mut self, extractor: ExtractorId, clip_len: f64) -> &mut AcquisitionIndex {
-        self.last_scored.clear();
+        self.last_selection = None;
         if !self
             .index
             .as_ref()
@@ -559,10 +645,11 @@ impl ActiveLearningManager {
                 .sync_anchors(fm, corpus, labels);
         }
 
-        let eligible = self.index.as_mut().expect("index ensured").eligible_rows();
-        let index = self.index.as_ref().expect("index ensured");
-        let indices: Vec<usize> = match acquisition {
+        let index = self.index.as_mut().expect("index ensured");
+        let cm_config = ClusterMarginConfig::default();
+        let rows: Vec<usize> = match acquisition {
             AcquisitionKind::Coreset => {
+                let eligible = index.eligible_rows();
                 // Scratch coverage: the persistent state tracks labeled
                 // anchors only; this call's own greedy picks must not leak
                 // into the next iteration. The buffer is reused across calls.
@@ -573,31 +660,42 @@ impl ActiveLearningManager {
                 picks
             }
             AcquisitionKind::ClusterMargin => {
-                let probs = candidate_probs(
-                    index,
-                    mm,
-                    extractor,
-                    &eligible,
-                    self.prefetch.take(),
-                    &mut self.prob_stats,
-                );
-                cluster_margin_selection(
-                    index.block(),
-                    &eligible,
-                    &probs,
-                    budget,
-                    &ClusterMarginConfig::default(),
-                )
-                .into_iter()
-                .map(|i| eligible[i])
-                .collect()
+                let latest = mm.latest_versioned(extractor);
+                let version = latest.as_ref().map(|(version, _)| *version);
+                if let Some(prepared) = self
+                    .prefetch
+                    .take_if(|p| p.stamp.holds(index, version, budget))
+                {
+                    // The eligible rows are the predicted ones: only the
+                    // diversity stages run, over the prepared pool.
+                    self.prob_stats.hit_rows += prepared.keys.len() as u64;
+                    self.prob_stats.pools_served += 1;
+                    cluster_margin_from_pool(index.block(), &prepared.pool, budget, &cm_config)
+                        .0
+                        .into_iter()
+                        .map(|i| prepared.pool[i])
+                        .collect()
+                } else {
+                    let eligible = index.eligible_rows();
+                    let probs = candidate_probs(
+                        index,
+                        latest,
+                        &eligible,
+                        self.prefetch.take(),
+                        &mut self.prob_stats,
+                    );
+                    cluster_margin_selection(index.block(), &eligible, &probs, budget, &cm_config)
+                        .into_iter()
+                        .map(|i| eligible[i])
+                        .collect()
+                }
             }
             AcquisitionKind::Uncertainty => {
                 let class = target_label.expect("uncertainty sampling needs a target label");
+                let eligible = index.eligible_rows();
                 let probs = candidate_probs(
                     index,
-                    mm,
-                    extractor,
+                    mm.latest_versioned(extractor),
                     &eligible,
                     self.prefetch.take(),
                     &mut self.prob_stats,
@@ -622,12 +720,15 @@ impl ActiveLearningManager {
             }
         };
 
-        let picks = indices.into_iter().map(|i| index.meta_at(i)).collect();
+        let picks = rows.iter().map(|&row| index.meta_at(row)).collect();
         if matches!(
             acquisition,
             AcquisitionKind::ClusterMargin | AcquisitionKind::Uncertainty
         ) {
-            self.last_scored = eligible;
+            self.last_selection = Some(LastSelection {
+                picks: rows,
+                budget,
+            });
         }
         (
             picks,
@@ -642,27 +743,25 @@ impl ActiveLearningManager {
     }
 }
 
-/// Probability rows of the `eligible` rows of `index` under the latest model
-/// for `extractor`, one per entry, in order; an empty block while no model
-/// exists. A `prefetch` scored by that same model version (versions are
-/// unique across extractors) over the same index rows (no rebuild since)
-/// serves every window it holds, found by a merge-join on window identity;
-/// the remaining rows are scored in one
-/// [`FittedModel::predict_proba_rows`](crate::model_manager::FittedModel::predict_proba_rows)
-/// call. Any other prefetch is dropped as an invalidation.
+/// Probability rows of the `eligible` rows of `index` under `latest`, the
+/// latest model for the index's extractor and its registry version, one row
+/// per entry, in order; an empty block while no model exists. A `prefetch`
+/// scored by that same model version (versions are unique across
+/// extractors) over the same index rows (no rebuild since) serves every
+/// window it holds, found by a merge-join on window identity; the remaining
+/// rows are scored in one [`FittedModel::predict_proba_rows`] call. Any
+/// other prefetch is dropped as an invalidation.
 fn candidate_probs(
     index: &AcquisitionIndex,
-    mm: &ModelManager,
-    extractor: ExtractorId,
+    latest: Option<(u64, Arc<FittedModel>)>,
     eligible: &[usize],
     prefetch: Option<Prefetch>,
     stats: &mut ProbCacheStats,
 ) -> FeatureBlock {
-    let latest = mm.latest_versioned(extractor);
     let prefetch = match prefetch {
         Some(p)
-            if latest.as_ref().map(|(version, _)| *version) == Some(p.model_version)
-                && p.index_rebuilds == index.rebuilds() =>
+            if latest.as_ref().map(|(version, _)| *version) == Some(p.stamp.model_version)
+                && p.stamp.rebuilds == index.rebuilds() =>
         {
             Some(p)
         }
@@ -963,8 +1062,7 @@ mod tests {
         let hits_before = alm.prob_stats.hit_rows;
         let served = candidate_probs(
             index,
-            &fx.mm,
-            extractor,
+            fx.mm.latest_versioned(extractor),
             &eligible,
             alm.prefetch.take(),
             &mut alm.prob_stats,
@@ -973,7 +1071,11 @@ mod tests {
         let fresh = fitted.predict_proba_rows(index.block(), &eligible);
         assert_eq!(served.rows(), eligible.len());
         assert_eq!(bits(&served), bits(&fresh), "a served row differs");
-        alm.last_scored = eligible;
+        // The next prefetch predicts this call's rows: no picks to mask.
+        alm.last_selection = Some(LastSelection {
+            picks: Vec::new(),
+            budget: 5,
+        });
         alm.prob_stats.hit_rows - hits_before
     }
 
@@ -1087,6 +1189,222 @@ mod tests {
             alm.prob_cache_stats().invalidations,
             stats.invalidations + 4
         );
+    }
+
+    const POOL_BUDGET: usize = 5;
+
+    /// Labels `picks` with their ground truth, as the user labels a batch.
+    fn label_picks(fx: &mut Fixture, picks: &[(VideoId, TimeRange)], iteration: u32) {
+        let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+        for &(vid, range) in picks {
+            fx.labels.add(LabelRecord {
+                vid,
+                range,
+                classes: oracle.label(&fx.dataset.train, vid, &range),
+                iteration,
+            });
+        }
+    }
+
+    fn retrain(fx: &Fixture, round: u32) {
+        let records = fx.labels.records();
+        assert!(fx
+            .mm
+            .train(ExtractorId::Mvit, &fx.dataset.train, &fx.fm, records, round)
+            .unwrap());
+    }
+
+    fn pool_config(fx: &Fixture) -> VocalExploreConfig {
+        fx.config
+            .clone()
+            .with_extra_candidates(0)
+            .with_candidate_cap(16)
+            .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::ClusterMargin))
+            .with_feature_selection(FeatureSelectionPolicy::Fixed(ExtractorId::Mvit))
+    }
+
+    /// An ALM over 8 extracted MViT videos, capped at 16 candidates so the
+    /// sketch reduces, after one Cluster-Margin call whose picks the user
+    /// labeled, a retrain and a prefetch: the labeling window of a session.
+    fn prepared_pool(fx: &mut Fixture) -> ActiveLearningManager {
+        for clip in fx.dataset.train.videos().iter().take(8) {
+            fx.fm.ensure_clip(ExtractorId::Mvit, clip).unwrap();
+        }
+        label_some(fx, 4);
+        retrain(fx, 1);
+        let mut alm = ActiveLearningManager::new(pool_config(fx));
+        let (picks, _) = alm.select_segments(
+            &fx.dataset.train,
+            &fx.fm,
+            &fx.mm,
+            &fx.labels,
+            POOL_BUDGET,
+            1.0,
+            None,
+        );
+        assert_eq!(picks.len(), POOL_BUDGET);
+        label_picks(fx, &picks, 1);
+        retrain(fx, 2);
+        alm.prefetch_candidates(&fx.mm);
+        assert!(alm.prefetch.is_some());
+        alm
+    }
+
+    /// Runs the next Cluster-Margin call and checks its picks against an ALM
+    /// that never prefetches; returns the pools served by the call.
+    fn next_call_matches_fresh(alm: &mut ActiveLearningManager, fx: &Fixture) -> u64 {
+        let served = alm.prob_cache_stats().pools_served;
+        let select = |alm: &mut ActiveLearningManager| {
+            alm.select_segments(
+                &fx.dataset.train,
+                &fx.fm,
+                &fx.mm,
+                &fx.labels,
+                POOL_BUDGET,
+                1.0,
+                None,
+            )
+        };
+        let (picks, stats) = select(alm);
+        let (fresh_picks, fresh_stats) = select(&mut ActiveLearningManager::new(pool_config(fx)));
+        assert_eq!(picks, fresh_picks);
+        assert_eq!(stats, fresh_stats);
+        alm.prob_cache_stats().pools_served - served
+    }
+
+    #[test]
+    fn a_prepared_pool_is_served_only_while_every_stamp_field_holds() {
+        let mut fx = fixture(9);
+        let mut alm = prepared_pool(&mut fx);
+        let index = alm.index.as_mut().expect("built");
+        index.sync(&fx.fm, &fx.dataset.train, &fx.labels);
+        assert!(index.unmasked_rows() > 16, "the sketch reduces");
+        let version = fx
+            .mm
+            .latest_versioned(ExtractorId::Mvit)
+            .map(|(version, _)| version);
+        let stamp = alm.prefetch.as_ref().expect("prepared").stamp.clone();
+        let index = alm.index.as_ref().expect("built");
+        assert!(stamp.holds(index, version, POOL_BUDGET));
+
+        let unmasked_row = (0..index.rows())
+            .find(|&row| !index.is_masked(row))
+            .expect("an unmasked row");
+        let broken = [
+            (
+                "model_version",
+                Stamp {
+                    model_version: stamp.model_version + 1,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "extractor",
+                Stamp {
+                    extractor: ExtractorId::R3d,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "clip_len",
+                Stamp {
+                    clip_len: 2.0,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "rebuilds",
+                Stamp {
+                    rebuilds: stamp.rebuilds + 1,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "rows",
+                Stamp {
+                    rows: stamp.rows + 1,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "unmasked",
+                Stamp {
+                    unmasked: stamp.unmasked + 1,
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "picks, one fewer",
+                Stamp {
+                    picks: stamp.picks[1..].to_vec(),
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "picks, one not labeled",
+                Stamp {
+                    picks: [&[unmasked_row], &stamp.picks[1..]].concat(),
+                    ..stamp.clone()
+                },
+            ),
+            (
+                "budget",
+                Stamp {
+                    budget: stamp.budget + 1,
+                    ..stamp.clone()
+                },
+            ),
+        ];
+        for (field, broken) in &broken {
+            assert!(
+                !broken.holds(index, version, POOL_BUDGET),
+                "a broken {field} still holds"
+            );
+        }
+        // The call's own model and budget.
+        assert!(!stamp.holds(index, version.map(|v| v + 1), POOL_BUDGET));
+        assert!(!stamp.holds(index, None, POOL_BUDGET));
+        assert!(!stamp.holds(index, version, POOL_BUDGET + 1));
+
+        let before = alm.prob_cache_stats();
+        assert_eq!(next_call_matches_fresh(&mut alm, &fx), 1);
+        let after = alm.prob_cache_stats();
+        assert_eq!(after.miss_rows, before.miss_rows, "nothing scored");
+        assert_eq!(after.hit_rows - before.hit_rows, 16, "every row served");
+    }
+
+    #[test]
+    fn a_dropped_sketch_refuses_the_pool() {
+        let mut fx = fixture(10);
+        let mut alm = prepared_pool(&mut fx);
+        // A video too short for one window ingests no rows, but a tail
+        // append past an unsaturated fit prefix drops the sketch.
+        let mut short = fx.dataset.train.videos()[0].clone();
+        short.duration = 0.5;
+        short.segments.truncate(1);
+        short.segments[0].range = TimeRange::new(0.0, 0.5);
+        let vid = fx.dataset.train.add(short);
+        let clip = fx.dataset.train.get(vid).expect("just added").clone();
+        fx.fm.ensure_clip(ExtractorId::Mvit, &clip).unwrap();
+        let index = alm.index.as_mut().expect("built");
+        let videos = index.video_count();
+        index.sync(&fx.fm, &fx.dataset.train, &fx.labels);
+        assert_eq!(index.video_count(), videos + 1);
+        assert!(!index.reduction_ready(), "the sketch was dropped");
+        let version = fx
+            .mm
+            .latest_versioned(ExtractorId::Mvit)
+            .map(|(version, _)| version);
+        let stamp = alm.prefetch.as_ref().expect("prepared").stamp.clone();
+        let index = alm.index.as_ref().expect("built");
+        let other_fields_hold = index.rows() == stamp.rows
+            && index.rebuilds() == stamp.rebuilds
+            && index.unmasked_rows() + stamp.picks.len() == stamp.unmasked;
+        assert!(other_fields_hold);
+        assert!(!stamp.holds(index, version, POOL_BUDGET));
+
+        assert_eq!(next_call_matches_fresh(&mut alm, &fx), 0);
+        assert!(alm.index_stats().expect("built").sketch_built);
     }
 
     #[test]

@@ -297,11 +297,12 @@ impl VocalExplore {
     /// its modeled cost at `time_scale` (0 sleeps nothing). A training
     /// request that exhausts the retry budget keeps the previous model
     /// version serving and is recorded as [`Degradation::TrainingFailed`].
-    /// After a published model, the ALM prefetches the next selection's
-    /// candidate probabilities with it
-    /// ([`ActiveLearningManager::prefetch_candidates`]) on the calling
-    /// thread — no task, no modeled cost. Returns the number of `T_e` scores
-    /// produced.
+    /// After a published model, the ALM prepares the next selection's
+    /// candidates with it ([`ActiveLearningManager::prefetch_candidates`]:
+    /// the predicted eligible rows, their probabilities and Cluster-Margin's
+    /// margin pool, stamped with what the prediction assumed) on the calling
+    /// thread — no task, no modeled cost, no index mutation. Returns the
+    /// number of `T_e` scores produced.
     pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
         let labels = self.storage.labels_snapshot();
         if labels.len() < self.config.min_labels_for_predictions {
@@ -351,10 +352,10 @@ impl VocalExplore {
             match training.join_task() {
                 Ok(true) => {
                     self.labels_at_last_training = labels.len();
-                    // Score the next selection's likely candidates with the
-                    // model just published, on this thread: in the labeling
-                    // window under VE-partial/VE-full, inside the call
-                    // under Serial.
+                    // Prepare the next selection's likely candidates with
+                    // the model just published, on this thread: in the
+                    // labeling window under VE-partial/VE-full, inside the
+                    // call under Serial.
                     self.alm.prefetch_candidates(&self.mm);
                 }
                 Ok(false) => {}

@@ -24,6 +24,15 @@
 //! index rebuilds. Their oracle is a from-scratch ALM that never
 //! prefetches, so every served probability row must reproduce the picks
 //! bit for bit.
+//!
+//! The prepared-pool interleavings follow the labeling window of a
+//! session: the user labels the last call's picks, a retrain publishes, and
+//! the prefetch prepares the next Cluster-Margin call's margin pool. Around
+//! that they place every event that must make the next call refuse the
+//! pool: other labels or one pick fewer, ingests, a lazy extension inside
+//! the call, a retrain, rebuilds, clip-length and extractor switches, a
+//! budget change, and a targeted call. The same oracle must agree with
+//! every pick, served from the pool or not.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,7 +40,7 @@ use ve_al::AcquisitionKind;
 use ve_features::{ExtractorId, FeatureSimulator};
 use ve_storage::{LabelRecord, LabelStore, StorageManager};
 use ve_vidsim::{Dataset, DatasetName, GroundTruthOracle, Oracle, TaskKind, TimeRange, VideoId};
-use vocalexplore::alm::ActiveLearningManager;
+use vocalexplore::alm::{ActiveLearningManager, SelectionStats};
 use vocalexplore::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use vocalexplore::feature_manager::FeatureManager;
 use vocalexplore::model_manager::ModelManager;
@@ -694,4 +703,419 @@ fn prefetched_rows_are_served_and_invalidated_as_specified() {
             _ => assert!(served == 0 && dropped == 1, "step {}: {after:?}", step + 1),
         }
     }
+}
+
+/// One step of a prepared-pool session. The prefetch predicts that the user
+/// labels the last call's picks; these events keep or break that guess.
+#[derive(Debug, Clone, Copy)]
+enum PoolEvent {
+    /// Extract features for the next `n` corpus videos (tail appends and
+    /// merge splices).
+    Extract(usize),
+    /// The user labels every pick of the last call.
+    LabelPicks,
+    /// The user labels every pick of the last call but one.
+    LabelPicksButOne,
+    /// The user labels one unlabeled window that was not picked (video
+    /// chosen by `arg`).
+    LabelOther(usize),
+    /// Train the current extractor's model.
+    Train,
+    /// A training request that fails every attempt: the model version stays.
+    FailedTrain,
+    /// Prepare the next call's candidates with the latest model.
+    Prefetch,
+    /// Feed the bandit scores that make the other extractor current.
+    SwitchExtractor,
+    /// Toggle the clip length of later calls between 1 s and 2 s.
+    SwitchClip,
+    /// Replace one extracted video's store entry (current extractor), which
+    /// rebuilds the index.
+    Rebuild(usize),
+    /// Set the budget of later calls.
+    Budget(usize),
+    /// An untargeted Cluster-Margin call, compared against a from-scratch
+    /// ALM.
+    Explore,
+    /// A targeted (Uncertainty) call, compared likewise.
+    Targeted,
+}
+
+/// How a prepared-pool session is set up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PoolSetup {
+    /// Both switched extractors extracted, the bandit picking between them,
+    /// no lazy extension, the low test cap (the sketch reduces).
+    Eager,
+    /// `Eager` without a cap: every unmasked row is eligible, so no sketch
+    /// state can refuse a pool and each stamp field stands alone.
+    Uncapped,
+    /// One extractor, `extra_candidates_x = 8`, and feature extraction that
+    /// fails permanently for about half the videos: calls keep extending
+    /// their pool lazily while fewer than `budget + 8` videos extracted.
+    Lazy,
+}
+
+/// Runs one prepared-pool session and returns the ALM's counters and the
+/// selection stats after each call. Every call's picks must equal those of
+/// a from-scratch ALM that never prefetches, pinned to the current
+/// extractor and extending nothing lazily, over the same store and labels.
+fn run_pool_interleaving(
+    setup: PoolSetup,
+    events: &[PoolEvent],
+) -> Vec<(ProbCacheStats, SelectionStats)> {
+    let dataset = dataset();
+    let kind = AcquisitionKind::ClusterMargin;
+    let base = match setup {
+        PoolSetup::Eager => config(kind),
+        PoolSetup::Uncapped => config(kind).with_candidate_cap(1_000_000),
+        PoolSetup::Lazy => config(kind).with_extra_candidates(8),
+    };
+    let cfg = match setup {
+        PoolSetup::Lazy => base.clone(),
+        _ => base
+            .clone()
+            .with_feature_selection(FeatureSelectionPolicy::default()),
+    };
+    let storage = StorageManager::new();
+    let mut fm = FeatureManager::new(
+        FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
+        storage.clone(),
+    );
+    let extractors: &[ExtractorId] = match setup {
+        PoolSetup::Eager | PoolSetup::Uncapped => &SWITCHED,
+        PoolSetup::Lazy => {
+            fm.set_fault_injector(
+                Some(Arc::new(FaultInjector::new(FaultPlan::new(3).with_rule(
+                    FaultSite::FeatureExtraction,
+                    FaultRule::permanent(0.5),
+                )))),
+                ve_sched::RetryPolicy::none(),
+            );
+            &[EXTRACTOR]
+        }
+    };
+    let mut mm = ModelManager::new(cfg.clone());
+    let mut labels = LabelStore::new();
+    let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+    let mut incremental = ActiveLearningManager::new(cfg.clone());
+    let mut extracted: Vec<VideoId> = Vec::new();
+    let mut last_picks: Vec<(VideoId, TimeRange)> = Vec::new();
+    let (mut clip_len, mut budget, mut trains, mut switches) = (CLIP_LEN, BUDGET, 0u32, 0usize);
+    let mut after_calls = Vec::new();
+    let label = |labels: &mut LabelStore, vid: VideoId, range: TimeRange| {
+        if !labels.is_labeled(vid, &range) {
+            labels.add(LabelRecord {
+                vid,
+                range,
+                classes: oracle.label(&dataset.train, vid, &range),
+                iteration: 0,
+            });
+        }
+    };
+
+    for &event in events {
+        match event {
+            PoolEvent::Extract(n) => {
+                let mut tried: Vec<VideoId> = extracted.clone();
+                let mut added = 0;
+                while added < n {
+                    let Some(clip) = extraction_plan(dataset, &tried, 1).pop() else {
+                        break;
+                    };
+                    tried.push(clip.id);
+                    if extractors.iter().all(|&e| fm.ensure_clip(e, clip).is_ok()) {
+                        extracted.push(clip.id);
+                        added += 1;
+                    }
+                }
+            }
+            PoolEvent::LabelPicks => {
+                for &(vid, range) in &last_picks {
+                    label(&mut labels, vid, range);
+                }
+            }
+            PoolEvent::LabelPicksButOne => {
+                for &(vid, range) in last_picks.iter().skip(1) {
+                    label(&mut labels, vid, range);
+                }
+            }
+            PoolEvent::LabelOther(arg) => {
+                let vid = extracted[arg % extracted.len()];
+                let clip = dataset.train.get(vid).expect("extracted from corpus");
+                let window = (0..clip.num_windows(CLIP_LEN))
+                    .map(|w| TimeRange::new(w as f64 * CLIP_LEN, (w + 1) as f64 * CLIP_LEN))
+                    .find(|range| {
+                        !labels.is_labeled(vid, range)
+                            && !last_picks
+                                .iter()
+                                .any(|(v, r)| *v == vid && r.overlaps(range))
+                    });
+                if let Some(range) = window {
+                    label(&mut labels, vid, range);
+                }
+            }
+            PoolEvent::Train | PoolEvent::FailedTrain => {
+                trains += 1;
+                let failing = matches!(event, PoolEvent::FailedTrain);
+                if failing {
+                    mm.set_fault_injector(Some(Arc::new(FaultInjector::new(
+                        FaultPlan::new(13)
+                            .with_rule(FaultSite::Training, FaultRule::permanent(1.0)),
+                    ))));
+                }
+                let extractor = incremental.current_extractor();
+                let version = mm.latest_versioned(extractor).map(|(v, _)| v);
+                let published = mm
+                    .train(extractor, &dataset.train, &fm, labels.records(), trains)
+                    .unwrap_or(false);
+                let after = mm.latest_versioned(extractor).map(|(v, _)| v);
+                if failing {
+                    mm.set_fault_injector(None);
+                    assert!(!published && after == version, "a failed train publishes");
+                }
+            }
+            PoolEvent::Prefetch => incremental.prefetch_candidates(&mm),
+            PoolEvent::SwitchExtractor => {
+                switches += 1;
+                let (low, high) = if switches % 2 == 1 {
+                    (0.2, 0.8)
+                } else {
+                    (0.8, 0.2)
+                };
+                incremental.observe_feature_scores(&[(SWITCHED[0], low), (SWITCHED[1], high)]);
+            }
+            PoolEvent::SwitchClip => {
+                clip_len = if clip_len == CLIP_LEN {
+                    2.0 * CLIP_LEN
+                } else {
+                    CLIP_LEN
+                };
+            }
+            PoolEvent::Rebuild(arg) => {
+                let vid = extracted[arg % extracted.len()];
+                let extractor = incremental.current_extractor();
+                let mut vectors = storage.with_features(|f| {
+                    f.get(extractor, vid)
+                        .expect("extracted for every extractor")
+                        .to_vectors()
+                });
+                for v in &mut vectors {
+                    v.data.iter_mut().for_each(|x| *x = -*x + 0.5);
+                }
+                storage.with_features_mut(|f| f.put(extractor, vid, vectors));
+            }
+            PoolEvent::Budget(b) => budget = b,
+            PoolEvent::Explore | PoolEvent::Targeted => {
+                let target = matches!(event, PoolEvent::Targeted).then_some(2);
+                let current = incremental.current_extractor();
+                let (picks, stats) = incremental.select_segments(
+                    &dataset.train,
+                    &fm,
+                    &mm,
+                    &labels,
+                    budget,
+                    clip_len,
+                    target,
+                );
+                let mut fresh = ActiveLearningManager::new(
+                    base.clone()
+                        .with_extra_candidates(0)
+                        .with_feature_selection(FeatureSelectionPolicy::Fixed(current)),
+                );
+                let (fresh_picks, fresh_stats) = fresh.select_segments(
+                    &dataset.train,
+                    &fm,
+                    &mm,
+                    &labels,
+                    budget,
+                    clip_len,
+                    target,
+                );
+                assert_eq!(
+                    picks, fresh_picks,
+                    "prepared-pool selection diverged from a from-scratch ALM ({event:?}, {current:?}, clip {clip_len}, budget {budget})"
+                );
+                assert_eq!(stats.acquisition, fresh_stats.acquisition);
+                assert_eq!(stats.coverage_fallback, fresh_stats.coverage_fallback);
+                if setup != PoolSetup::Lazy {
+                    assert_eq!(stats, fresh_stats, "selection stats diverged");
+                }
+                assert_eq!(
+                    fresh.prob_cache_stats().hit_rows,
+                    0,
+                    "the oracle never prefetches"
+                );
+                last_picks = picks;
+                after_calls.push((incremental.prob_cache_stats(), stats));
+            }
+        }
+    }
+    after_calls
+}
+
+fn decode_pool(events: &[(usize, usize)]) -> Vec<PoolEvent> {
+    use PoolEvent::*;
+    let mut out = vec![Extract(6), LabelOther(0), LabelOther(1), Train, Explore];
+    for &(code, arg) in events {
+        match code {
+            0 => out.push(Extract(1 + arg % 2)),
+            // The labeling window of a session.
+            1..=3 => out.extend([LabelPicks, Train, Prefetch]),
+            4 => out.push(LabelPicksButOne),
+            5 => out.push(LabelOther(arg)),
+            6 => out.push(FailedTrain),
+            7 => out.push(SwitchExtractor),
+            8 => out.push(SwitchClip),
+            9 => out.push(Rebuild(arg)),
+            10 => out.push(Budget(2 + arg % 3)),
+            11 => out.push(Targeted),
+            12 => out.push(Prefetch),
+            13 => out.push(Train),
+            _ => out.push(Explore),
+        }
+    }
+    out.extend([LabelPicks, Train, Prefetch, Explore]);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn prepared_pools_match_from_scratch(
+        events in proptest::collection::vec((0usize..17, 0usize..17), 6..24)
+    ) {
+        run_pool_interleaving(PoolSetup::Eager, &decode_pool(&events));
+    }
+
+    #[test]
+    fn uncapped_prepared_pools_match_from_scratch(
+        events in proptest::collection::vec((0usize..17, 0usize..17), 6..24)
+    ) {
+        run_pool_interleaving(PoolSetup::Uncapped, &decode_pool(&events));
+    }
+}
+
+/// Each way the labeling window can keep or break the prefetch's guess,
+/// with the counters each call must move: a pool served only where the
+/// stamp holds, rows served by window identity where only the pool's
+/// assumptions broke, and a dropped prefetch where the model or the index
+/// changed.
+#[test]
+fn prepared_pools_are_served_only_where_the_stamp_holds() {
+    use PoolEvent::*;
+    let window = [LabelPicks, Train, Prefetch];
+    let steps: Vec<(&str, Vec<PoolEvent>)> = vec![
+        ("the user labels the picks", vec![Explore]),
+        (
+            "one pick fewer",
+            vec![LabelPicksButOne, Train, Prefetch, Explore],
+        ),
+        (
+            "one pick fewer, another window instead",
+            vec![LabelPicksButOne, LabelOther(3), Train, Prefetch, Explore],
+        ),
+        (
+            "as many other windows instead",
+            vec![
+                LabelOther(5),
+                LabelOther(6),
+                LabelOther(7),
+                Train,
+                Prefetch,
+                Explore,
+            ],
+        ),
+        (
+            "the picks and another window",
+            vec![LabelPicks, LabelOther(4), Train, Prefetch, Explore],
+        ),
+        ("an ingest after the window", vec![Extract(2), Explore]),
+        ("a retrain after the window", vec![Train, Explore]),
+        ("a failed train", vec![FailedTrain, Explore]),
+        ("a rebuild", vec![Rebuild(2), Explore]),
+        ("a clip-length switch", vec![SwitchClip, Explore]),
+        ("the picks at the new clip length", vec![Explore]),
+        ("a budget change", vec![Budget(4), Explore]),
+        ("a targeted call", vec![Targeted]),
+        ("a bandit extractor switch", vec![SwitchExtractor, Explore]),
+        ("the new extractor's first pool", vec![Explore]),
+    ];
+    let mut events = vec![
+        Extract(12),
+        LabelOther(0),
+        LabelOther(1),
+        LabelOther(2),
+        Train,
+        Explore,
+    ];
+    for (_, step) in &steps {
+        if !matches!(step[0], LabelPicksButOne | LabelOther(_) | LabelPicks) {
+            events.extend(window);
+        }
+        events.extend(step.iter().copied());
+    }
+    for setup in [PoolSetup::Eager, PoolSetup::Uncapped] {
+        let stats: Vec<ProbCacheStats> = run_pool_interleaving(setup, &events)
+            .into_iter()
+            .map(|(counters, _)| counters)
+            .collect();
+        assert_eq!(stats.len(), steps.len() + 1);
+        for ((name, _), pair) in steps.iter().zip(stats.windows(2)) {
+            let (before, after) = (pair[0], pair[1]);
+            let pools = after.pools_served - before.pools_served;
+            let served = after.hit_rows - before.hit_rows;
+            let dropped = after.invalidations - before.invalidations;
+            let expected = match *name {
+                "the user labels the picks"
+                | "a failed train"
+                | "the picks at the new clip length"
+                | "the new extractor's first pool" => (1, true, 0),
+                "a retrain after the window"
+                | "a rebuild"
+                | "a clip-length switch"
+                | "a bandit extractor switch" => (0, false, 1),
+                _ => (0, true, 0),
+            };
+            assert_eq!(
+                (pools, served > 0, dropped),
+                expected,
+                "{setup:?}, {name}: {after:?}"
+            );
+        }
+    }
+}
+
+/// A lazy extension inside the call adds rows the prediction did not see,
+/// so the call must not pick from the prepared pool, yet its picks match a
+/// from-scratch ALM over the store the extension left.
+#[test]
+fn a_lazy_extension_inside_the_call_refuses_the_pool() {
+    use PoolEvent::*;
+    let mut events = vec![
+        Extract(4),
+        LabelOther(0),
+        LabelOther(1),
+        LabelOther(2),
+        Train,
+        Explore,
+    ];
+    for _ in 0..4 {
+        events.extend([LabelPicks, Train, Prefetch, Explore]);
+    }
+    let calls = run_pool_interleaving(PoolSetup::Lazy, &events);
+    let mut extended = 0;
+    for (step, pair) in calls.windows(2).enumerate() {
+        let ((before, _), (after, stats)) = (pair[0], pair[1]);
+        if stats.videos_extracted_for_call > 0 {
+            extended += 1;
+            assert_eq!(
+                after.pools_served,
+                before.pools_served,
+                "call {}: {calls:?}",
+                step + 1
+            );
+        }
+    }
+    assert!(extended > 0, "no call after a prefetch extended: {calls:?}");
 }

@@ -48,6 +48,6 @@ pub fn assert_same_session(reference: &SessionOutcome, other: &SessionOutcome, c
     );
     assert_eq!(
         other.prob_cache, reference.prob_cache,
-        "prefetched/scored probability rows diverged ({context})"
+        "prefetched/scored probability rows or served pools diverged ({context})"
     );
 }

@@ -23,9 +23,40 @@
 //! chunked at fixed boundaries and each chunk writes a disjoint output
 //! region. Selection tie-breaks in `ve-al` (always "first index wins") are
 //! therefore stable across machines and configurations.
+//!
+//! The distance kernels fan out by work, not by row count: a scan under
+//! `MIN_PARALLEL_WORK` multiply-adds runs on the calling thread whatever
+//! the configured thread count, since opening a thread scope would cost
+//! more than it saves. That moves no output either.
 
 use crate::tensor::Matrix;
 use ve_sched::parallel::{par_chunks_mut, par_map, par_map_tasks};
+
+/// Multiply-adds a distance scan must reach before it fans out. On a
+/// 2-vCPU host a one-vs-all scan over 64-dim rows took 9.9 µs inline at
+/// 65k multiply-adds against 73 µs fanned out over two threads, broke even
+/// near 1M (210 against 222 µs) and gained from 2M on (501 against 432 µs).
+const MIN_PARALLEL_WORK: usize = 1 << 21;
+
+/// Whether a scan of `items` items costing `item_work` multiply-adds each
+/// fans out.
+fn fans_out(items: usize, item_work: usize) -> bool {
+    items.saturating_mul(item_work) >= MIN_PARALLEL_WORK
+}
+
+/// [`par_chunks_mut`] for a scan whose items cost `item_work` multiply-adds
+/// each: inline below [`MIN_PARALLEL_WORK`] in total.
+fn chunks_by_work<T, F>(out: &mut [T], item_work: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if fans_out(out.len(), item_work) {
+        par_chunks_mut(out, f);
+    } else {
+        f(0, out);
+    }
+}
 
 /// A contiguous, row-major block of feature vectors with cached squared
 /// norms.
@@ -180,7 +211,7 @@ impl FeatureBlock {
         assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         assert_eq!(out.len(), self.rows(), "output length mismatch");
         let q_sq = sq_norm(q);
-        par_chunks_mut(out, |start, piece| {
+        chunks_by_work(out, self.dim(), |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let dot_rq = dot_fast(self.row(r), q);
@@ -198,7 +229,7 @@ impl FeatureBlock {
         assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         assert_eq!(min_dist.len(), self.rows(), "output length mismatch");
         let q_sq = sq_norm(q);
-        par_chunks_mut(min_dist, |start, piece| {
+        chunks_by_work(min_dist, self.dim(), |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let nd = (self.sq_norms[r] + q_sq - 2.0 * dot_fast(self.row(r), q)).max(0.0);
@@ -220,7 +251,7 @@ impl FeatureBlock {
         if others.is_empty() {
             return out;
         }
-        par_chunks_mut(&mut out, |start, piece| {
+        chunks_by_work(&mut out, others.rows() * self.dim(), |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let row = self.row(r);
@@ -252,7 +283,7 @@ impl FeatureBlock {
         // no per-row allocations and no second copy into the Matrix.
         let mut data = vec![0.0f32; n * m];
         if m > 0 {
-            par_chunks_mut(&mut data, |start, piece| {
+            chunks_by_work(&mut data, self.dim(), |start, piece| {
                 for (k, d) in piece.iter_mut().enumerate() {
                     let idx = start + k;
                     let (i, j) = (idx / m, idx % m);
@@ -273,7 +304,7 @@ impl FeatureBlock {
     pub fn nearest_rows(&self, centroids: &FeatureBlock) -> Vec<usize> {
         assert_eq!(self.dim(), centroids.dim(), "dimension mismatch");
         assert!(!centroids.is_empty(), "need at least one centroid");
-        par_map(self.rows(), |r| {
+        let nearest = |r: usize| {
             let row = self.row(r);
             let r_sq = self.sq_norms[r];
             let mut best = 0usize;
@@ -287,7 +318,12 @@ impl FeatureBlock {
                 }
             }
             best
-        })
+        };
+        if fans_out(self.rows(), centroids.rows() * self.dim()) {
+            par_map(self.rows(), nearest)
+        } else {
+            (0..self.rows()).map(nearest).collect()
+        }
     }
 }
 
@@ -663,6 +699,65 @@ mod tests {
             single.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             multi.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// Every distance kernel, run on `block` against `others` (same dim).
+    fn kernel_bits(block: &FeatureBlock, others: &FeatureBlock) -> Vec<Vec<u32>> {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let q = others.row(0);
+        let mut dists = vec![0.0f32; block.rows()];
+        block.sq_distances_to(q, &mut dists);
+        let mut mins = vec![f32::INFINITY; block.rows()];
+        block.min_sq_distances_update(q, &mut mins);
+        block.min_sq_distances_update(others.row(1), &mut mins);
+        vec![
+            bits(&dists),
+            bits(&mins),
+            bits(&block.min_sq_distances_to_block(others)),
+            bits(block.pairwise_sq_distances(others).as_slice()),
+            block
+                .nearest_rows(others)
+                .into_iter()
+                .map(|c| c as u32)
+                .collect(),
+        ]
+    }
+
+    #[test]
+    fn fan_out_starts_at_the_work_threshold() {
+        assert!(!fans_out(MIN_PARALLEL_WORK / 64 - 1, 64));
+        assert!(fans_out(MIN_PARALLEL_WORK / 64, 64));
+        assert!(!fans_out(MIN_PARALLEL_WORK - 1, 1));
+        assert!(fans_out(1, MIN_PARALLEL_WORK));
+        assert!(fans_out(usize::MAX, 2), "saturates instead of wrapping");
+        assert!(!fans_out(0, usize::MAX));
+    }
+
+    /// Scans just under and at the fan-out threshold give the same bits at
+    /// one thread (always inline) and at four (inline below, fanned out at
+    /// and above).
+    #[test]
+    fn kernels_identical_at_the_work_threshold_edges() {
+        let dim = 64;
+        // 32 centroids: a nearest-row scan costs 32 · 64 per row.
+        let (_, others) = random_block(32, dim, 21);
+        let per_row = others.rows() * dim;
+        let at = MIN_PARALLEL_WORK / per_row;
+        for rows in [
+            at - 1,
+            at,
+            MIN_PARALLEL_WORK / dim - 1,
+            MIN_PARALLEL_WORK / dim,
+        ] {
+            let (_, block) = random_block(rows, dim, rows as u64);
+            let _guard = ve_sched::parallel::test_parallelism_guard();
+            ve_sched::parallel::set_parallelism(1);
+            let single = kernel_bits(&block, &others);
+            ve_sched::parallel::set_parallelism(4);
+            let multi = kernel_bits(&block, &others);
+            ve_sched::parallel::set_parallelism(0);
+            assert!(single == multi, "kernels differ at {rows} rows");
+        }
     }
 
     #[test]

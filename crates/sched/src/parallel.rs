@@ -14,6 +14,7 @@
 //! single-threaded determinism audits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Configured worker count; 0 means "use the host's available parallelism".
 static PARALLELISM: AtomicUsize = AtomicUsize::new(0);
@@ -36,12 +37,20 @@ pub fn test_parallelism_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The effective worker count data-parallel helpers will use.
+/// The host's available parallelism, read on first use. Asking the OS
+/// again on every helper call is not free: on Linux
+/// `std::thread::available_parallelism` reads cgroup files each time.
+static HOST_PARALLELISM: OnceLock<usize> = OnceLock::new();
+
+/// The effective worker count data-parallel helpers will use: the
+/// configured count, or the host's (read once) while it is 0.
 pub fn parallelism() -> usize {
     match PARALLELISM.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        0 => *HOST_PARALLELISM.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        }),
         n => n,
     }
 }
@@ -291,6 +300,22 @@ mod tests {
         }
         set_parallelism(0);
         assert_eq!(par_map_tasks(0, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn host_parallelism_is_read_once_and_overridable() {
+        let _guard = test_parallelism_guard();
+        set_parallelism(0);
+        let host = parallelism();
+        assert_eq!(HOST_PARALLELISM.get(), Some(&host), "cached on first use");
+        let fresh = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        assert_eq!(host, fresh);
+        set_parallelism(3);
+        assert_eq!(parallelism(), 3, "an explicit setting overrides the host");
+        set_parallelism(0);
+        assert_eq!(parallelism(), host);
     }
 
     #[test]
