@@ -22,11 +22,10 @@
 //! sweep would repeat it too, so the result equals the one the full
 //! iteration cap would return.
 //!
-//! The margin stage ([`margin_pool`]) depends only on the candidates and
-//! their probabilities; the diversity stages ([`cluster_margin_from_pool`])
-//! only on the pool's rows. [`cluster_margin_selection`] runs them back to
-//! back; a caller that knows the next call's candidates and model can run
-//! the first ahead of time and the second alone inside the call.
+//! The selection draws no randomness: its picks are a function of the
+//! candidates' rows and probabilities alone, so a caller that knows the
+//! next call's candidates and model can select ahead of time and serve the
+//! picks inside the call.
 
 use ve_ml::{argmax_chunked, FeatureBlock, FeatureBlockBuilder};
 
@@ -89,70 +88,38 @@ pub fn cluster_margin_selection_with_sweeps(
     budget: usize,
     cfg: &ClusterMarginConfig,
 ) -> (Vec<usize>, usize) {
-    let pool = margin_pool(probs, candidates.len(), budget, cfg);
-    let pool_rows: Vec<usize> = pool.iter().map(|&p| candidates[p]).collect();
-    let (picks, sweeps) = cluster_margin_from_pool(block, &pool_rows, budget, cfg);
-    (picks.into_iter().map(|i| pool[i]).collect(), sweeps)
-}
-
-/// Stage 1 of Cluster-Margin: the positions of the `k_m · budget`
-/// lowest-margin candidates among `n`, ascending by `(margin, position)`.
-/// `probs` is as in [`cluster_margin_selection`]. Empty when `n` or
-/// `budget` is 0.
-///
-/// # Panics
-/// Panics if `probs` is non-empty but has other than `n` rows.
-pub fn margin_pool(
-    probs: &FeatureBlock,
-    n: usize,
-    budget: usize,
-    cfg: &ClusterMarginConfig,
-) -> Vec<usize> {
+    let n = candidates.len();
     if n == 0 || budget == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     if !probs.is_empty() {
         assert_eq!(probs.rows(), n, "probability rows must match candidates");
     }
+    // Stage 1: the positions of the `k_m · budget` lowest-margin
+    // candidates, ascending by `(margin, position)`.
     let pool_size = (cfg.margin_pool_multiplier.max(1) * budget).min(n);
-    lowest_margins(&margins_of(probs, n), pool_size)
-}
+    let pool = lowest_margins(&margins_of(probs, n), pool_size);
 
-/// Stages 2–3 of Cluster-Margin over a margin pool given as rows of `block`
-/// in [`margin_pool`] order: returns the positions in `pool_rows` of up to
-/// `budget` picks, and the k-means sweeps the diversity stage ran (0 when
-/// nothing was selected).
-pub fn cluster_margin_from_pool(
-    block: &FeatureBlock,
-    pool_rows: &[usize],
-    budget: usize,
-    cfg: &ClusterMarginConfig,
-) -> (Vec<usize>, usize) {
-    if pool_rows.is_empty() || budget == 0 {
-        return (Vec::new(), 0);
-    }
     // Stage 2: cluster the pool for diversity. The pool rows are gathered
     // into their own contiguous block once; every k-means pass then streams
     // that block.
+    let pool_rows: Vec<usize> = pool.iter().map(|&p| candidates[p]).collect();
     let k = (cfg.clusters_per_budget.max(1) * budget)
-        .min(pool_rows.len())
+        .min(pool.len())
         .max(1);
-    let fit = kmeans_fit(&block.gather(pool_rows), k, cfg.kmeans_iters);
+    let fit = kmeans_fit(&block.gather(&pool_rows), k, cfg.kmeans_iters);
 
     // Stage 3: round-robin over clusters, ascending by cluster size, picking
     // the lowest-margin unpicked member of each cluster. Members arrive in
     // pool order, which is already ascending by margin.
     let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (pool_pos, &cluster) in fit.assignment.iter().enumerate() {
-        clusters[cluster].push(pool_pos);
+    for (&candidate, &cluster) in pool.iter().zip(&fit.assignment) {
+        clusters[cluster].push(candidate);
     }
     clusters.retain(|c| !c.is_empty());
     clusters.sort_by_key(|c| c.len());
 
-    (
-        round_robin(&clusters, budget.min(pool_rows.len())),
-        fit.sweeps,
-    )
+    (round_robin(&clusters, budget.min(pool.len())), fit.sweeps)
 }
 
 /// The positions of the `take` smallest margins, ascending by

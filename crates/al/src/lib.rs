@@ -10,10 +10,8 @@
 //!   (Sener & Savarese 2018), a density/diversity-based function,
 //! * [`cluster_margin_selection`] — Cluster-Margin (Citovsky et al. 2021),
 //!   combining margin-based uncertainty with cluster-based diversity; the
-//!   prototype's default active-learning function; its margin stage
-//!   ([`margin_pool`]) and its diversity stages
-//!   ([`cluster_margin_from_pool`]) also run apart, so a caller can prepare
-//!   the pool ahead of the call that picks from it,
+//!   prototype's default active-learning function; it draws no randomness,
+//!   so a caller can select ahead of the call that uses the picks,
 //! * [`uncertainty_selection`] — the rare-category sampler of Mullapudi et
 //!   al. 2021 used for `Explore(label=a)` calls: most-confident positives
 //!   while the class is rare, most-uncertain once it is common,
@@ -33,8 +31,8 @@ pub mod uncertainty;
 pub mod ve_sample;
 
 pub use cluster_margin::{
-    cluster_margin_from_pool, cluster_margin_selection, cluster_margin_selection_with_sweeps,
-    kmeans_fit, margin_pool, ClusterMarginConfig, KMeansFit,
+    cluster_margin_selection, cluster_margin_selection_with_sweeps, kmeans_fit,
+    ClusterMarginConfig, KMeansFit,
 };
 pub use coreset::{coreset_selection, greedy_k_center};
 pub use random::random_selection;

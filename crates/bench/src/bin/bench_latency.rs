@@ -18,9 +18,10 @@
 //!
 //! `strategies.<s>.candidate_rows` counts the probability rows the ALM's
 //! prefetch served versus the rows selection scored itself, with their
-//! `served_share`, and the Cluster-Margin calls that picked from the
-//! prefetch's prepared margin pool (`pools_served`), from an inline twin of
-//! each session that samples with Cluster-Margin from the first call.
+//! `served_share`, and the Cluster-Margin calls that returned the
+//! prefetch's prepared picks (`pools_served`, a name kept from when the
+//! prefetch prepared only the margin pool), from an inline twin of each
+//! session that samples with Cluster-Margin from the first call.
 
 use ve_bench::emit::Artifact;
 use ve_obs::json::Json;
@@ -44,8 +45,8 @@ struct StrategyRow {
     /// Cold fits versus warm fine-tunes (`warm-start/v1`) over the session.
     training: TrainingStats,
     /// Candidate probability rows served from the ALM's prefetch versus
-    /// scored during selection, and the calls served a prepared margin pool,
-    /// in the Cluster-Margin twin of the session.
+    /// scored during selection, and the calls that returned the prepared
+    /// picks, in the Cluster-Margin twin of the session.
     candidate_rows: ProbCacheStats,
 }
 
@@ -77,7 +78,7 @@ fn phase_breakdown(outcome: &SessionOutcome) -> [f64; 4] {
 
 /// The prefetch counters plus `served_share`, the fraction of probability
 /// rows served from the prefetch (0 when no selection scored any), and
-/// `pools_served`, the calls that picked from a prepared margin pool.
+/// `pools_served`, the calls that returned the prefetch's prepared picks.
 fn candidate_rows_json(rows: &ProbCacheStats) -> Json {
     let probed = rows.hit_rows + rows.miss_rows;
     let served_share = if probed == 0 {

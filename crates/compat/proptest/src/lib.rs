@@ -151,7 +151,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a half-open range.
+    /// Length specification for [`vec()`]: an exact size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange(std::ops::Range<usize>);
 

@@ -45,8 +45,8 @@
 //!    sleeps `k · T_e`), then one `T_m` training task, then (on the session
 //!    thread, after a published model) the ALM's prefetch: the next
 //!    selection's predicted candidates, their probabilities and
-//!    Cluster-Margin's margin pool, which the next call serves when the
-//!    user labeled the picks and nothing else moved. Under Serial the same
+//!    Cluster-Margin's picks among them, which the next call returns when
+//!    the user labeled the last picks and nothing else moved. Under Serial the same
 //!    work runs in step 1, inside the visible window.
 //! 7. Think time (measured mode), the `wait_idle` barrier (work past the
 //!    window is *spill*, never charged to the next call), eager give-ups
@@ -231,8 +231,9 @@ pub struct SessionOutcome {
     pub training: TrainingStats,
     /// Where the session's Cluster-Margin and Uncertainty selections got
     /// their probability rows: served from the prefetch or scored on the
-    /// spot, and how many calls picked from a prepared margin pool. Deterministic, so equal between [`SessionRunner::run`] and
-    /// [`SessionRunner::run_measured`].
+    /// spot, and how many Cluster-Margin calls returned the prefetch's
+    /// prepared picks (`pools_served`). Deterministic, so equal between
+    /// [`SessionRunner::run`] and [`SessionRunner::run_measured`].
     pub prob_cache: ProbCacheStats,
     /// Timing plane: one span per executor task (queue wait, run time,
     /// worker), joined to the event plane by label/iteration. Wall-clock

@@ -300,9 +300,9 @@ impl VocalExplore {
     /// After a published model, the ALM prepares the next selection's
     /// candidates with it ([`ActiveLearningManager::prefetch_candidates`]:
     /// the predicted eligible rows, their probabilities and Cluster-Margin's
-    /// margin pool, stamped with what the prediction assumed) on the calling
-    /// thread — no task, no modeled cost, no index mutation. Returns the
-    /// number of `T_e` scores produced.
+    /// picks among them, stamped with what the prediction assumed) on the
+    /// calling thread — no task, no modeled cost, no index mutation. Returns
+    /// the number of `T_e` scores produced.
     pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
         let labels = self.storage.labels_snapshot();
         if labels.len() < self.config.min_labels_for_predictions {

@@ -490,7 +490,7 @@ impl TrainedModel {
     ///
     /// This is the batched inference path for candidate scoring and picks.
     /// The class-major weights are transposed once per call into the
-    /// lane-blocked layout, and [`ROWS`] rows share each sweep over them.
+    /// lane-blocked layout, and `ROWS` rows share each sweep over them.
     /// Row ranges fan out over the data-parallel workers from 512 rows on;
     /// every row is scored independently, so the result is identical at any
     /// thread count.

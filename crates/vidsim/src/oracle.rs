@@ -1,6 +1,6 @@
 //! Oracle labelers.
 //!
-//! The paper's evaluation "simulate[s] a labeling task by creating an oracle
+//! The paper's evaluation "simulate\[s\] a labeling task by creating an oracle
 //! 'user' that labels video segments with their ground-truth labels"
 //! (Section 5). [`GroundTruthOracle`] implements that user; [`NoisyOracle`]
 //! randomly corrupts a configurable fraction of labels for the Section 5.5
