@@ -27,7 +27,7 @@
 //! next call's candidates and model can select ahead of time and serve the
 //! picks inside the call.
 
-use ve_ml::{argmax_chunked, FeatureBlock, FeatureBlockBuilder};
+use ve_ml::{max_index, FeatureBlock, FeatureBlockBuilder};
 
 /// Configuration for Cluster-Margin.
 #[derive(Debug, Clone, Copy)]
@@ -240,14 +240,14 @@ pub fn kmeans_fit(pool: &FeatureBlock, k: usize, max_iters: usize) -> KMeansFit 
 
     // Farthest-point initialization: maintain, for every row, its squared
     // distance to the nearest chosen centroid; each step adds the first row
-    // attaining the maximum (chunk-parallel argmax, first index wins). One
+    // attaining the maximum (ascending argmax, first index wins). One
     // parallel distance pass per chosen centroid instead of the seed's
     // O(centroids · pool²) rescans.
     let mut centroid_rows = vec![0usize];
     let mut init_min = vec![0.0f32; n];
     pool.sq_distances_to(pool.row(0), &mut init_min);
     while centroid_rows.len() < k {
-        let best = argmax_chunked(&init_min).unwrap_or(0);
+        let best = max_index(&init_min).unwrap_or(0);
         if centroid_rows.contains(&best) {
             break;
         }
@@ -512,7 +512,7 @@ mod tests {
         let mut init_min = vec![0.0f32; n];
         pool.sq_distances_to(pool.row(0), &mut init_min);
         while centroid_rows.len() < k {
-            let best = argmax_chunked(&init_min).unwrap_or(0);
+            let best = max_index(&init_min).unwrap_or(0);
             if centroid_rows.contains(&best) {
                 break;
             }

@@ -13,7 +13,7 @@
 //! selection step is one parallel `‖x_i − pick‖²` pass using cached squared
 //! norms, so a 20k-window pool stays well under the interactivity budget.
 
-use ve_ml::{argmax_chunked_filtered, FeatureBlock};
+use ve_ml::{max_index_filtered, FeatureBlock};
 
 /// Selects `budget` candidate indices with the greedy k-center rule.
 ///
@@ -112,8 +112,8 @@ pub fn greedy_k_center(
     let mut picked = vec![false; candidates.rows()];
     for _ in 0..take {
         // Pick the first eligible candidate with the largest distance to the
-        // covered set (chunk-parallel ascending scan, first index wins ties).
-        let Some(best) = argmax_chunked_filtered(coverage, eligible, &picked) else {
+        // covered set (ascending scan, first index wins ties).
+        let Some(best) = max_index_filtered(coverage, eligible, &picked) else {
             break;
         };
         selected.push(best);

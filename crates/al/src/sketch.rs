@@ -372,7 +372,9 @@ mod tests {
 
     #[test]
     fn identical_across_thread_counts() {
-        let block = blobs(400); // 1200 rows, large enough to fan out
+        // 36,000 rows: assigning the rows past the prefix to 16 centroids
+        // of 2 dims reaches the fan-out threshold.
+        let block = blobs(12_000);
         let masked: Vec<bool> = (0..block.rows()).map(|r| r % 11 == 0).collect();
         let _guard = ve_sched::parallel::test_parallelism_guard();
         ve_sched::parallel::set_parallelism(1);

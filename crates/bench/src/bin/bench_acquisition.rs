@@ -13,7 +13,8 @@
 //! The `inference` section times candidate probability inference at the
 //! Cluster-Margin shape (2,000 rows × 512 dims, 9 and 20 classes): the
 //! per-row path (`scaler.transform` + `Classifier::predict_proba` per row,
-//! rows fanned out with `par_map`) against the batched
+//! rows written through `par_chunks_mut` with the same work estimate)
+//! against the batched
 //! `TrainedModel::predict_proba_rows`, with their ratio as `speedup`. Both
 //! outputs are checked bit-identical before timing.
 //!
@@ -114,14 +115,16 @@ fn inference_timings(block: &FeatureBlock, classes: usize, runs: usize) -> Json 
     // Unsorted, as the acquisition index's eligible rows are after masking.
     let rows: Vec<usize> = (0..block.rows()).map(|i| (i * 7) % block.rows()).collect();
     let per_row = || {
-        let probs = ve_sched::parallel::par_map(rows.len(), |i| {
-            model.predict_proba(&scaler.transform(block.row(rows[i])))
+        let mut out = vec![0.0f32; rows.len() * classes];
+        let mut out_rows: Vec<&mut [f32]> = out.chunks_mut(classes).collect();
+        let work = rows.len() * block.dim() * classes;
+        ve_sched::parallel::par_chunks_mut(&mut out_rows, work, |start, piece| {
+            for (k, p) in piece.iter_mut().enumerate() {
+                let x = scaler.transform(block.row(rows[start + k]));
+                p.copy_from_slice(&model.predict_proba(&x));
+            }
         });
-        let mut out = FeatureBlockBuilder::with_capacity(rows.len(), classes);
-        for p in &probs {
-            out.push_row(p);
-        }
-        out.build()
+        FeatureBlock::from_vec(rows.len(), classes, out)
     };
     let batched = || FeatureBlock::from_matrix(model.predict_proba_rows(&scaler, block, &rows));
     let bits =

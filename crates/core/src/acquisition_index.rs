@@ -565,23 +565,16 @@ impl AcquisitionIndex {
         self.anchors_ingested = records.len();
     }
 
-    /// The coverage vector a selection call should consume: a scratch copy of
-    /// the persistent anchor coverage (the call's own greedy picks must not
-    /// leak into cross-iteration state), or the centroid seeding when no
-    /// anchor exists yet (matching [`ve_al::coreset_selection`] with an empty
-    /// labeled block).
+    /// Writes into `out` the coverage vector a selection call should
+    /// consume: a scratch copy of the persistent anchor coverage (the call's
+    /// own greedy picks must not leak into cross-iteration state), or the
+    /// centroid seeding when no anchor exists yet (matching
+    /// [`ve_al::coreset_selection`] with an empty labeled block). The buffer
+    /// is caller-owned, so the ALM reuses one scratch allocation across
+    /// `select_segments` calls.
     ///
     /// # Panics
     /// Panics on an empty index.
-    pub fn coverage_for_call(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.coverage_for_call_into(&mut out);
-        out
-    }
-
-    /// [`Self::coverage_for_call`] writing into a caller-owned buffer, so the
-    /// ALM can reuse one scratch allocation across `select_segments` calls
-    /// instead of allocating a fresh coverage copy per call.
     pub fn coverage_for_call_into(&self, out: &mut Vec<f32>) {
         if self.anchors.rows() == 0 {
             let centroid = self.block.centroid().expect("non-empty index");

@@ -27,12 +27,13 @@
 //!
 //! The prepared-pool interleavings follow the labeling window of a
 //! session: the user labels the last call's picks, a retrain publishes, and
-//! the prefetch prepares the next Cluster-Margin call's margin pool. Around
-//! that they place every event that must make the next call refuse the
-//! pool: other labels or one pick fewer, ingests, a lazy extension inside
-//! the call, a retrain, rebuilds, clip-length and extractor switches, a
-//! budget change, and a targeted call. The same oracle must agree with
-//! every pick, served from the pool or not.
+//! the prefetch runs the next Cluster-Margin call ahead of time, keeping
+//! its picks. Around that they place every event that must make the next
+//! call refuse the prepared picks: other labels or one pick fewer,
+//! ingests, a lazy extension inside the call, a retrain, rebuilds,
+//! clip-length and extractor switches, a budget change, and a targeted
+//! call. The same oracle must agree with every pick, served prepared or
+//! not.
 
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -19,44 +19,17 @@
 //! # Determinism contract
 //!
 //! Every kernel here produces bit-identical output regardless of the
-//! configured thread count (`ve_sched::parallel::set_parallelism`): work is
-//! chunked at fixed boundaries and each chunk writes a disjoint output
-//! region. Selection tie-breaks in `ve-al` (always "first index wins") are
-//! therefore stable across machines and configurations.
+//! configured thread count (`ve_sched::parallel::set_parallelism`): each
+//! chunk writes a disjoint output region, and no per-element result depends
+//! on where a chunk ends. Selection tie-breaks in `ve-al` (always "first
+//! index wins") are therefore stable across machines and configurations.
 //!
-//! The distance kernels fan out by work, not by row count: a scan under
-//! `MIN_PARALLEL_WORK` multiply-adds runs on the calling thread whatever
-//! the configured thread count, since opening a thread scope would cost
-//! more than it saves. That moves no output either.
+//! Each kernel states its work to `ve-sched` — rows times multiply-adds
+//! per row — and `ve_sched::parallel` alone decides whether it runs inline
+//! or fans out. That moves no output either.
 
 use crate::tensor::Matrix;
-use ve_sched::parallel::{par_chunks_mut, par_map, par_map_tasks};
-
-/// Multiply-adds a distance scan must reach before it fans out. On a
-/// 2-vCPU host a one-vs-all scan over 64-dim rows took 9.9 µs inline at
-/// 65k multiply-adds against 73 µs fanned out over two threads, broke even
-/// near 1M (210 against 222 µs) and gained from 2M on (501 against 432 µs).
-const MIN_PARALLEL_WORK: usize = 1 << 21;
-
-/// Whether a scan of `items` items costing `item_work` multiply-adds each
-/// fans out.
-fn fans_out(items: usize, item_work: usize) -> bool {
-    items.saturating_mul(item_work) >= MIN_PARALLEL_WORK
-}
-
-/// [`par_chunks_mut`] for a scan whose items cost `item_work` multiply-adds
-/// each: inline below [`MIN_PARALLEL_WORK`] in total.
-fn chunks_by_work<T, F>(out: &mut [T], item_work: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if fans_out(out.len(), item_work) {
-        par_chunks_mut(out, f);
-    } else {
-        f(0, out);
-    }
-}
+use ve_sched::parallel::par_chunks_mut;
 
 /// A contiguous, row-major block of feature vectors with cached squared
 /// norms.
@@ -211,7 +184,8 @@ impl FeatureBlock {
         assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         assert_eq!(out.len(), self.rows(), "output length mismatch");
         let q_sq = sq_norm(q);
-        chunks_by_work(out, self.dim(), |start, piece| {
+        let work = out.len().saturating_mul(self.dim());
+        par_chunks_mut(out, work, |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let dot_rq = dot_fast(self.row(r), q);
@@ -229,7 +203,8 @@ impl FeatureBlock {
         assert_eq!(q.len(), self.dim(), "query dimension mismatch");
         assert_eq!(min_dist.len(), self.rows(), "output length mismatch");
         let q_sq = sq_norm(q);
-        chunks_by_work(min_dist, self.dim(), |start, piece| {
+        let work = min_dist.len().saturating_mul(self.dim());
+        par_chunks_mut(min_dist, work, |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let nd = (self.sq_norms[r] + q_sq - 2.0 * dot_fast(self.row(r), q)).max(0.0);
@@ -251,7 +226,8 @@ impl FeatureBlock {
         if others.is_empty() {
             return out;
         }
-        chunks_by_work(&mut out, others.rows() * self.dim(), |start, piece| {
+        let work = self.rows().saturating_mul(others.rows() * self.dim());
+        par_chunks_mut(&mut out, work, |start, piece| {
             for (k, d) in piece.iter_mut().enumerate() {
                 let r = start + k;
                 let row = self.row(r);
@@ -283,7 +259,8 @@ impl FeatureBlock {
         // no per-row allocations and no second copy into the Matrix.
         let mut data = vec![0.0f32; n * m];
         if m > 0 {
-            chunks_by_work(&mut data, self.dim(), |start, piece| {
+            let work = data.len().saturating_mul(self.dim());
+            par_chunks_mut(&mut data, work, |start, piece| {
                 for (k, d) in piece.iter_mut().enumerate() {
                     let idx = start + k;
                     let (i, j) = (idx / m, idx % m);
@@ -304,26 +281,25 @@ impl FeatureBlock {
     pub fn nearest_rows(&self, centroids: &FeatureBlock) -> Vec<usize> {
         assert_eq!(self.dim(), centroids.dim(), "dimension mismatch");
         assert!(!centroids.is_empty(), "need at least one centroid");
-        let nearest = |r: usize| {
-            let row = self.row(r);
-            let r_sq = self.sq_norms[r];
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for c in 0..centroids.rows() {
-                let d =
-                    (r_sq + centroids.sq_norms[c] - 2.0 * dot_fast(row, centroids.row(c))).max(0.0);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+        let mut out = vec![0usize; self.rows()];
+        let work = self.rows().saturating_mul(centroids.rows() * self.dim());
+        par_chunks_mut(&mut out, work, |start, piece| {
+            for (k, best) in piece.iter_mut().enumerate() {
+                let r = start + k;
+                let row = self.row(r);
+                let r_sq = self.sq_norms[r];
+                let mut best_d = f32::INFINITY;
+                for c in 0..centroids.rows() {
+                    let d = (r_sq + centroids.sq_norms[c] - 2.0 * dot_fast(row, centroids.row(c)))
+                        .max(0.0);
+                    if d < best_d {
+                        best_d = d;
+                        *best = c;
+                    }
                 }
             }
-            best
-        };
-        if fans_out(self.rows(), centroids.rows() * self.dim()) {
-            par_map(self.rows(), nearest)
-        } else {
-            (0..self.rows()).map(nearest).collect()
-        }
+        });
+        out
     }
 }
 
@@ -391,121 +367,49 @@ impl Default for FeatureBlockBuilder {
     }
 }
 
-/// Items per argmax chunk. The boundaries are **fixed** (independent of the
-/// configured thread count): each chunk reports its local first-index-wins
-/// maximum and the chunk results are combined in ascending chunk order with a
-/// strict `>`, so the global winner is identical to a sequential ascending
-/// scan at any parallelism setting.
-const ARGMAX_CHUNK: usize = 4096;
-
 /// First-index-wins argmax over `values` (`None` when empty or when every
-/// value is `-∞`), chunk-parallel for large inputs.
+/// value is `-∞`): an ascending scan with strict `>` replacement.
 ///
 /// This is the per-step selection scan of the greedy acquisition kernels
-/// (coreset's farthest-point step, k-means++ seeding): a sequential ascending
-/// scan with strict `>` replacement, fanned out over fixed-size chunks so a
-/// 20k-candidate pool uses the worker threads without changing the result.
-pub fn argmax_chunked(values: &[f32]) -> Option<usize> {
-    let scan = |start: usize, end: usize| {
-        let mut best = None;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in values[start..end].iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = Some(start + i);
-            }
+/// (coreset's farthest-point step, k-means++ seeding). One compare per value
+/// stays far below `ve_sched`'s fan-out threshold for any pool this system
+/// builds, so it always runs on the calling thread.
+pub fn max_index(values: &[f32]) -> Option<usize> {
+    let mut best = None;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if v > best_v {
+            best_v = v;
+            best = Some(i);
         }
-        best.map(|i| (i, best_v))
-    };
-    let num_chunks = values.len().div_ceil(ARGMAX_CHUNK);
-    if num_chunks <= 1 {
-        // One chunk: skip the fan-out bookkeeping entirely (identical
-        // result — a single chunk is already a plain ascending scan).
-        return scan(0, values.len()).map(|(i, _)| i);
     }
-    let bests = par_map_tasks(num_chunks, |c| {
-        let start = c * ARGMAX_CHUNK;
-        scan(start, (start + ARGMAX_CHUNK).min(values.len()))
-    });
-    combine_chunk_maxima(bests)
+    best
 }
 
-/// [`argmax_chunked`] restricted to the `eligible` positions (ascending
-/// unique indices into `values`), skipping positions where `excluded` is
-/// set. Returns the winning *value index*, honoring first-eligible-wins
-/// ties.
+/// [`max_index`] restricted to the `eligible` positions (ascending unique
+/// indices into `values`), skipping positions where `excluded` is set.
+/// Returns the winning *value index*, honoring first-eligible-wins ties.
 ///
 /// # Panics
 /// Panics if an eligible index is out of range of `values` or `excluded`.
-pub fn argmax_chunked_filtered(
-    values: &[f32],
-    eligible: &[usize],
-    excluded: &[bool],
-) -> Option<usize> {
+pub fn max_index_filtered(values: &[f32], eligible: &[usize], excluded: &[bool]) -> Option<usize> {
+    let mut best = None;
+    let mut best_v = f32::NEG_INFINITY;
+    let mut consider = |i: usize| {
+        if !excluded[i] && values[i] > best_v {
+            best_v = values[i];
+            best = Some(i);
+        }
+    };
     if eligible.len() == values.len() {
         // `eligible` holds ascending unique indices into `values`, so a full
-        // count means it is exactly 0..n: scan the value slice directly and
-        // skip the index indirection (the common case for from-scratch
-        // callers like `coreset_selection`).
-        let scan = |start: usize, end: usize| {
-            let mut best = None;
-            let mut best_v = f32::NEG_INFINITY;
-            for (k, &v) in values[start..end].iter().enumerate() {
-                if !excluded[start + k] && v > best_v {
-                    best_v = v;
-                    best = Some(start + k);
-                }
-            }
-            best.map(|i| (i, best_v))
-        };
-        let num_chunks = values.len().div_ceil(ARGMAX_CHUNK);
-        if num_chunks <= 1 {
-            return scan(0, values.len()).map(|(i, _)| i);
-        }
-        let bests = par_map_tasks(num_chunks, |c| {
-            let start = c * ARGMAX_CHUNK;
-            scan(start, (start + ARGMAX_CHUNK).min(values.len()))
-        });
-        return combine_chunk_maxima(bests);
+        // count means it is exactly 0..n: skip the index indirection (the
+        // common case for from-scratch callers like `coreset_selection`).
+        (0..values.len()).for_each(&mut consider);
+    } else {
+        eligible.iter().for_each(|&i| consider(i));
     }
-    let scan = |start: usize, end: usize| {
-        let mut best = None;
-        let mut best_v = f32::NEG_INFINITY;
-        for &i in &eligible[start..end] {
-            if excluded[i] {
-                continue;
-            }
-            let v = values[i];
-            if v > best_v {
-                best_v = v;
-                best = Some(i);
-            }
-        }
-        best.map(|i| (i, best_v))
-    };
-    let num_chunks = eligible.len().div_ceil(ARGMAX_CHUNK);
-    if num_chunks <= 1 {
-        return scan(0, eligible.len()).map(|(i, _)| i);
-    }
-    let bests = par_map_tasks(num_chunks, |c| {
-        let start = c * ARGMAX_CHUNK;
-        scan(start, (start + ARGMAX_CHUNK).min(eligible.len()))
-    });
-    combine_chunk_maxima(bests)
-}
-
-/// Combines per-chunk `(index, value)` maxima in ascending chunk order with a
-/// strict `>`, preserving the first-index-wins tie-break.
-fn combine_chunk_maxima(bests: Vec<Option<(usize, f32)>>) -> Option<usize> {
-    let mut winner = None;
-    let mut winner_v = f32::NEG_INFINITY;
-    for (i, v) in bests.into_iter().flatten() {
-        if v > winner_v {
-            winner_v = v;
-            winner = Some(i);
-        }
-    }
-    winner
+    best
 }
 
 /// Chunked dot product: eight independent accumulators let the compiler keep
@@ -685,10 +589,12 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        let (_, block) = random_block(2_000, 32, 10);
+        // Enough rows that the scan reaches the fan-out threshold.
+        let rows = ve_sched::parallel::MIN_PARALLEL_WORK / 32;
+        let (_, block) = random_block(rows, 32, 10);
         let q: Vec<f32> = (0..32).map(|i| i as f32 * 0.1).collect();
-        let mut single = vec![0.0f32; 2_000];
-        let mut multi = vec![0.0f32; 2_000];
+        let mut single = vec![0.0f32; rows];
+        let mut multi = vec![0.0f32; rows];
         let _guard = ve_sched::parallel::test_parallelism_guard();
         ve_sched::parallel::set_parallelism(1);
         block.sq_distances_to(&q, &mut single);
@@ -723,21 +629,12 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn fan_out_starts_at_the_work_threshold() {
-        assert!(!fans_out(MIN_PARALLEL_WORK / 64 - 1, 64));
-        assert!(fans_out(MIN_PARALLEL_WORK / 64, 64));
-        assert!(!fans_out(MIN_PARALLEL_WORK - 1, 1));
-        assert!(fans_out(1, MIN_PARALLEL_WORK));
-        assert!(fans_out(usize::MAX, 2), "saturates instead of wrapping");
-        assert!(!fans_out(0, usize::MAX));
-    }
-
     /// Scans just under and at the fan-out threshold give the same bits at
     /// one thread (always inline) and at four (inline below, fanned out at
     /// and above).
     #[test]
     fn kernels_identical_at_the_work_threshold_edges() {
+        use ve_sched::parallel::MIN_PARALLEL_WORK;
         let dim = 64;
         // 32 centroids: a nearest-row scan costs 32 · 64 per row.
         let (_, others) = random_block(32, dim, 21);
@@ -782,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn argmax_chunked_matches_sequential_scan() {
+    fn max_index_matches_sequential_scan() {
         let (_, block) = random_block(1, 9_001, 12);
         let values = block.row(0);
         let seq = values
@@ -796,12 +693,12 @@ mod tests {
                 }
             })
             .0;
-        assert_eq!(argmax_chunked(values), seq);
-        assert_eq!(argmax_chunked(&[]), None);
-        assert_eq!(argmax_chunked(&[f32::NEG_INFINITY]), None);
-        // Ties pick the first index, also across chunk boundaries.
+        assert_eq!(max_index(values), seq);
+        assert_eq!(max_index(&[]), None);
+        assert_eq!(max_index(&[f32::NEG_INFINITY]), None);
+        // Ties pick the first index.
         let tied = vec![7.0f32; 10_000];
-        assert_eq!(argmax_chunked(&tied), Some(0));
+        assert_eq!(max_index(&tied), Some(0));
     }
 
     #[test]
@@ -809,15 +706,15 @@ mod tests {
         let values = [1.0f32, 9.0, 3.0, 9.0, 2.0];
         let all: Vec<usize> = (0..5).collect();
         let mut excluded = vec![false; 5];
-        assert_eq!(argmax_chunked_filtered(&values, &all, &excluded), Some(1));
+        assert_eq!(max_index_filtered(&values, &all, &excluded), Some(1));
         excluded[1] = true;
-        assert_eq!(argmax_chunked_filtered(&values, &all, &excluded), Some(3));
+        assert_eq!(max_index_filtered(&values, &all, &excluded), Some(3));
         // Restricting eligibility skips the global maximum.
         assert_eq!(
-            argmax_chunked_filtered(&values, &[0, 2, 4], &[false; 5]),
+            max_index_filtered(&values, &[0, 2, 4], &[false; 5]),
             Some(2)
         );
-        assert_eq!(argmax_chunked_filtered(&values, &[], &excluded), None);
+        assert_eq!(max_index_filtered(&values, &[], &excluded), None);
     }
 
     #[test]
@@ -829,13 +726,13 @@ mod tests {
         let _guard = ve_sched::parallel::test_parallelism_guard();
         ve_sched::parallel::set_parallelism(1);
         let single = (
-            argmax_chunked(values),
-            argmax_chunked_filtered(values, &eligible, &excluded),
+            max_index(values),
+            max_index_filtered(values, &eligible, &excluded),
         );
         ve_sched::parallel::set_parallelism(8);
         let multi = (
-            argmax_chunked(values),
-            argmax_chunked_filtered(values, &eligible, &excluded),
+            max_index(values),
+            max_index_filtered(values, &eligible, &excluded),
         );
         ve_sched::parallel::set_parallelism(0);
         assert_eq!(single, multi);

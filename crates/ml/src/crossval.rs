@@ -13,10 +13,11 @@
 //!
 //! The bandit scores every surviving extractor on each round, so the unit of
 //! work is a *round*: [`cross_validate_round`] takes one problem per
-//! candidate feature and fits all of their fold models in one fan-out over
-//! the compute threads. [`cross_validate`] and [`cross_validate_multilabel`]
-//! are its one-problem calls, and every estimate is bit-identical to
-//! scoring its problem alone, at any thread count.
+//! candidate feature and fits all of their fold models in one call that may
+//! fan out over the compute threads. [`cross_validate`] and
+//! [`cross_validate_multilabel`] are its one-problem calls, and every
+//! estimate is bit-identical to scoring its problem alone, at any thread
+//! count.
 
 use crate::linear::{Classifier, OneVsRestModel, SoftmaxModel, Targets, TrainConfig, TrainedModel};
 use crate::metrics::{macro_f1, macro_f1_multilabel};
@@ -140,13 +141,14 @@ fn only_score(scores: Vec<Option<f64>>) -> Option<f64> {
 /// pair per candidate feature — and returns one estimate per problem, in
 /// problem order.
 ///
-/// Every (problem, fold) model is independent, so all of them fan out
-/// through **one** `ve-sched` [`par_map_tasks`](ve_sched::parallel::par_map_tasks)
-/// call: a compute thread that finishes one fold takes the next, whichever
-/// problem it belongs to. Each problem's fold scores are then averaged in
-/// fold order, and every fold model seeds its own RNG from the config, so
-/// each estimate is bit-identical to cross-validating that problem alone, at
-/// any thread count.
+/// Every (problem, fold) model is independent, so all of them go through
+/// **one** `ve-sched` [`par_map_tasks`](ve_sched::parallel::par_map_tasks)
+/// call, weighed by the round's training work (fold-train rows × epochs ×
+/// dim × classes, summed). When it fans out, a compute thread that finishes
+/// one fold takes the next, whichever problem it belongs to. Each problem's
+/// fold scores are then averaged in fold order, and every fold model seeds
+/// its own RNG from the config, so each estimate is bit-identical to
+/// cross-validating that problem alone, at any thread count.
 ///
 /// Single-label problems use [`stratified_k_fold`] over classes with at
 /// least `min_instances_per_class` examples, remapped to a dense class
@@ -252,6 +254,22 @@ impl<'a> FoldPlan<'a> {
         })
     }
 
+    /// Multiply-adds of fitting every fold model: the fold-train rows
+    /// summed over the folds × epochs × dim × classes.
+    fn work(&self, cfg: &CrossValConfig) -> usize {
+        let (kept, classes) = match &self.folds {
+            Folds::Stratified { assignment, .. } => (
+                assignment.fold.iter().flatten().count(),
+                assignment.kept_classes.len(),
+            ),
+            Folds::RoundRobin { num_classes, .. } => (self.features.len(), *num_classes),
+        };
+        let dim = self.features.first().map_or(0, Vec::len);
+        [cfg.folds - 1, kept, cfg.train.epochs, dim, classes]
+            .into_iter()
+            .fold(1, usize::saturating_mul)
+    }
+
     /// Fits fold `f`'s model on the other folds and returns its macro F1 on
     /// fold `f`. A stratified fold scores `None` when its test set is empty
     /// or its training set holds fewer than two classes.
@@ -334,7 +352,12 @@ fn score_plans(plans: &[Option<FoldPlan>], cfg: &CrossValConfig) -> Vec<Option<f
         .flatten()
         .flat_map(|plan| (0..cfg.folds).map(move |f| (plan, f)))
         .collect();
-    let mut fold_scores = ve_sched::parallel::par_map_tasks(jobs.len(), |j| {
+    let work = plans
+        .iter()
+        .flatten()
+        .map(|plan| plan.work(cfg))
+        .fold(0, usize::saturating_add);
+    let mut fold_scores = ve_sched::parallel::par_map_tasks(jobs.len(), work, |j| {
         let (plan, f) = jobs[j];
         plan.fold_score(f, cfg)
     })
@@ -462,17 +485,26 @@ mod tests {
 
     #[test]
     fn parallel_folds_match_single_threaded_score() {
-        let (xs, ys) = blob_dataset(25, &[[0.0, 0.0], [4.0, 4.0], [-4.0, 4.0]], 0.9, 23);
         let cfg = CrossValConfig::default();
-        let _guard = ve_sched::parallel::test_parallelism_guard();
-        ve_sched::parallel::set_parallelism(1);
-        let single = cross_validate(&xs, &ys, 3, &cfg).unwrap();
-        for threads in [2, 4] {
-            ve_sched::parallel::set_parallelism(threads);
-            let multi = cross_validate(&xs, &ys, 3, &cfg).unwrap();
-            assert_eq!(single.to_bits(), multi.to_bits(), "{threads} threads");
+        // 75 examples run inline at any thread count; 1,500 fan out.
+        for per_class in [25, 500] {
+            let (xs, ys) = blob_dataset(per_class, &[[0.0, 0.0], [4.0, 4.0], [-4.0, 4.0]], 0.9, 23);
+            let targets = Targets::Single(ys.clone());
+            let plan = FoldPlan::new(&xs, &targets, 3, &cfg).unwrap();
+            assert_eq!(
+                plan.work(&cfg) >= ve_sched::parallel::MIN_PARALLEL_WORK,
+                per_class == 500
+            );
+            let _guard = ve_sched::parallel::test_parallelism_guard();
+            ve_sched::parallel::set_parallelism(1);
+            let single = cross_validate(&xs, &ys, 3, &cfg).unwrap();
+            for threads in [2, 4] {
+                ve_sched::parallel::set_parallelism(threads);
+                let multi = cross_validate(&xs, &ys, 3, &cfg).unwrap();
+                assert_eq!(single.to_bits(), multi.to_bits(), "{threads} threads");
+            }
+            ve_sched::parallel::set_parallelism(0);
         }
-        ve_sched::parallel::set_parallelism(0);
     }
 
     /// Label 0 when x > 0, label 1 when y > 0.
@@ -665,8 +697,9 @@ mod tests {
     }
 
     /// Checks `cross_validate_round` against the per-problem oracle on
-    /// rounds of 0, 1 and 5 problems drawn in a scrambled order, at 1 and 4
-    /// threads.
+    /// rounds of 0, 1, 5 and `8 · n` problems drawn in a scrambled order, at
+    /// 1 and 4 threads. The last round holds every problem eight times, so
+    /// its training work reaches the fan-out threshold.
     fn assert_rounds_match_oracle(problems: &[(Vec<Vec<f32>>, Targets)], num_classes: usize) {
         let expected: Vec<Option<u64>> = problems
             .iter()
@@ -677,11 +710,19 @@ mod tests {
             "the fixture must hold scorable problems"
         );
         let n = problems.len();
-        let rounds: [Vec<usize>; 3] = [
+        let rounds: [Vec<usize>; 4] = [
             Vec::new(),
             vec![n - 1],
             (0..5).map(|k| (k * 3 + 2) % n).collect(),
+            (0..8 * n).map(|k| (k * 7 + 1) % n).collect(),
         ];
+        let cfg = CrossValConfig::default();
+        let work: usize = rounds[3]
+            .iter()
+            .filter_map(|&p| FoldPlan::new(&problems[p].0, &problems[p].1, num_classes, &cfg))
+            .map(|plan| plan.work(&cfg))
+            .sum();
+        assert!(work >= ve_sched::parallel::MIN_PARALLEL_WORK, "{work}");
         let _guard = ve_sched::parallel::test_parallelism_guard();
         for threads in [1, 4] {
             ve_sched::parallel::set_parallelism(threads);
@@ -690,11 +731,10 @@ mod tests {
                     .iter()
                     .map(|&p| (problems[p].0.as_slice(), &problems[p].1))
                     .collect();
-                let got: Vec<Option<u64>> =
-                    cross_validate_round(&batch, num_classes, &CrossValConfig::default())
-                        .into_iter()
-                        .map(|s| s.map(f64::to_bits))
-                        .collect();
+                let got: Vec<Option<u64>> = cross_validate_round(&batch, num_classes, &cfg)
+                    .into_iter()
+                    .map(|s| s.map(f64::to_bits))
+                    .collect();
                 let want: Vec<Option<u64>> = round.iter().map(|&p| expected[p]).collect();
                 assert_eq!(got, want, "round {round:?} at {threads} threads");
             }

@@ -30,7 +30,7 @@ pub mod scaler;
 pub mod tensor;
 
 pub use block::{
-    argmax_chunked, argmax_chunked_filtered, dot_fast, sq_norm, FeatureBlock, FeatureBlockBuilder,
+    dot_fast, max_index, max_index_filtered, sq_norm, FeatureBlock, FeatureBlockBuilder,
 };
 pub use crossval::{
     cross_validate, cross_validate_multilabel, cross_validate_round, stratified_k_fold,

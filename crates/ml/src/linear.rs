@@ -491,9 +491,10 @@ impl TrainedModel {
     /// This is the batched inference path for candidate scoring and picks.
     /// The class-major weights are transposed once per call into the
     /// lane-blocked layout, and `ROWS` rows share each sweep over them.
-    /// Row ranges fan out over the data-parallel workers from 512 rows on;
-    /// every row is scored independently, so the result is identical at any
-    /// thread count.
+    /// The call states its work to `ve_sched::parallel::par_chunks_mut` as
+    /// rows × dim × classes multiply-adds, which decides whether row ranges
+    /// fan out; every row is scored independently, so the result is
+    /// identical at any thread count.
     ///
     /// # Panics
     /// Panics if the scaler or the block does not match the model's
@@ -514,7 +515,8 @@ impl TrainedModel {
         let lanes = LaneMatrix::from_matrix(weights);
         let mut out = vec![0.0f32; rows.len() * classes];
         let mut out_rows: Vec<&mut [f32]> = out.chunks_mut(classes.max(1)).collect();
-        ve_sched::parallel::par_chunks_mut(&mut out_rows, |start, piece| {
+        let work = rows.len().saturating_mul(dim * classes);
+        ve_sched::parallel::par_chunks_mut(&mut out_rows, work, |start, piece| {
             let mut xs = vec![0.0f32; ROWS * dim];
             let mut z = vec![Lane::default(); ROWS * lanes.lanes()];
             let ids = &rows[start..start + piece.len()];
@@ -961,9 +963,10 @@ mod tests {
     /// `predict_proba(&scaler.transform(row))`, bit for bit: softmax and
     /// one-vs-rest heads, 1..=40 classes (one to three lane blocks of the
     /// batched sweep, with remainders), every row-group remainder, both
-    /// sides of the 512-row fan-out threshold, repeated and unsorted row
-    /// indices, `±0.0` features and zero-variance scaler dimensions, at one
-    /// and at four workers.
+    /// sides of the fan-out work threshold (511, 512 and 513 rows of 512
+    /// dims and 4 classes straddle 2²⁰ multiply-adds), repeated and
+    /// unsorted row indices, `±0.0` features and zero-variance scaler
+    /// dimensions, at one and at four workers.
     #[test]
     fn predict_proba_rows_matches_per_row_predict_proba_bit_for_bit() {
         const BLOCK_ROWS: usize = 97;
@@ -1042,9 +1045,11 @@ mod tests {
                     check(classes, dim, &SHORT);
                 }
             }
-            // The long lists cross the fan-out threshold; one, two and
-            // three lane blocks with a remainder block each.
-            for (classes, dim) in [(1, 131), (9, 512), (13, 64), (40, 3)] {
+            // One, two and three lane blocks with a remainder block each;
+            // (9, 512) and (13, 64) at 2,000 rows fan out, and (4, 512)
+            // crosses the fan-out threshold at 512 rows.
+            assert_eq!(512 * 512 * 4, ve_sched::parallel::MIN_PARALLEL_WORK);
+            for (classes, dim) in [(1, 131), (9, 512), (13, 64), (40, 3), (4, 512)] {
                 check(classes, dim, &LONG);
             }
         }

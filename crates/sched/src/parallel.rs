@@ -1,17 +1,22 @@
 //! Data-parallel helpers for the compute hot paths.
 //!
 //! The acquisition kernels, batch inference, and cross-validation rounds are
-//! embarrassingly parallel scans. This module provides a small
-//! `par_chunks`-style API that fans such scans out across scoped worker
-//! threads — the same worker-count knob the Task Scheduler's executor uses —
-//! while guaranteeing **bit-identical results regardless of thread count**:
-//! every helper computes per-item outputs independently (no reduction ever
-//! crosses a chunk edge) and collects them in item order on the calling
-//! thread.
+//! embarrassingly parallel scans. This module provides two entry points that
+//! fan such scans out across scoped worker threads — the same worker-count
+//! knob the Task Scheduler's executor uses: [`par_chunks_mut`] for a scan
+//! writing one output slot per item, and [`par_map_tasks`] for a few coarse
+//! tasks.
 //!
-//! Setting the parallelism to 1 (`set_parallelism(1)`) therefore changes
-//! scheduling, not output, and is the supported configuration for
-//! single-threaded determinism audits.
+//! **One rule decides inline against fan-out.** Every call states its total
+//! work in multiply-adds, and it fans out only when more than one worker is
+//! configured and that work reaches [`MIN_PARALLEL_WORK`]. Callers estimate
+//! their work; none of them decides.
+//!
+//! Results are **bit-identical regardless of thread count**: every helper
+//! computes per-item outputs independently (no reduction ever crosses a
+//! chunk edge) and collects them in item order. Setting the parallelism to
+//! 1 (`set_parallelism(1)`) therefore changes scheduling, not output, and
+//! is the supported configuration for single-threaded determinism audits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -55,35 +60,46 @@ pub fn parallelism() -> usize {
     }
 }
 
-/// Minimum number of items per chunk before fan-out is worthwhile; scans
-/// smaller than `2 * MIN_CHUNK` run inline on the caller.
-const MIN_CHUNK: usize = 256;
+/// Multiply-adds a call must reach before it fans out; below it the call
+/// runs inline, since opening a thread scope would cost more than it saves.
+/// The constant sits in the break-even band measured on a shared 2-vCPU
+/// host (release build; medians of 301 alternating runs, inline against two
+/// threads, ranges over five probe runs):
+///
+/// * one-vs-all scan over 64-dim rows: at 2¹⁹ multiply-adds 90–145 µs
+///   inline against 107–147 µs fanned; at 2²⁰ 189–304 against 186–247 µs;
+///   at 2²¹ 437–592 against 347–547 µs (fan-out won four runs of five);
+/// * `TrainedModel::predict_proba_rows` (rows × dim × classes): at
+///   600 × 64 × 20 (768k) 143–209 µs inline against 119–267 µs fanned
+///   (each side won some runs); at 2,000 × 64 × 9 (1.15M) 285–402 against
+///   231–404 µs and at 512 × 512 × 4 (2²⁰) 182–295 against 166–251 µs
+///   (fan-out won four of five).
+///
+/// A 20k-value argmax (one compare per value) took 27–28 µs as a plain
+/// scan against 41–48 µs split into five chunks over two threads.
+pub const MIN_PARALLEL_WORK: usize = 1 << 20;
 
-/// Chunk size for helpers whose per-element outputs are independent of chunk
-/// boundaries ([`par_chunks_mut`], [`par_map`]): one chunk per worker, so a
-/// scan costs at most `threads` thread spawns. Unlike [`chunk_size`] this may
-/// vary with the configured parallelism — that is safe here because no
-/// reduction crosses chunk edges, so results are identical regardless.
-fn spread_chunk_size(n: usize, threads: usize) -> usize {
-    n.div_ceil(threads.max(1)).max(MIN_CHUNK)
+/// Whether a call costing `work` multiply-adds in total fans out.
+fn fans_out(work: usize) -> bool {
+    parallelism() > 1 && work >= MIN_PARALLEL_WORK
 }
 
 /// Runs `f` over disjoint consecutive chunks of `out`, passing each chunk its
-/// starting index. Chunks run in parallel when the scan is large enough and
-/// more than one worker is configured; output is deterministic either way
-/// because every invocation writes only its own chunk.
-pub fn par_chunks_mut<T, F>(out: &mut [T], f: F)
+/// starting index. `work` is the call's total multiply-adds: below
+/// [`MIN_PARALLEL_WORK`] (or with one worker) `f` runs once, inline, over
+/// all of `out`; otherwise `out` splits into one chunk per worker, each on
+/// its own thread. Output is identical either way because every invocation
+/// writes only its own chunk.
+pub fn par_chunks_mut<T, F>(out: &mut [T], work: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = out.len();
-    let threads = parallelism();
-    if threads <= 1 || n < 2 * MIN_CHUNK {
+    if out.is_empty() || !fans_out(work) {
         f(0, out);
         return;
     }
-    let chunk = spread_chunk_size(n, threads);
+    let chunk = out.len().div_ceil(parallelism());
     std::thread::scope(|scope| {
         let mut offset = 0;
         for piece in out.chunks_mut(chunk) {
@@ -95,62 +111,24 @@ where
     });
 }
 
-/// Maps `f` over `0..n`, collecting results in index order. Parallel for
-/// large `n`, inline otherwise; the result vector is identical in both cases.
-pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = parallelism();
-    if threads <= 1 || n < 2 * MIN_CHUNK {
-        return (0..n).map(f).collect();
-    }
-    let chunk = spread_chunk_size(n, threads);
-    let bounds: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(n)))
-        .collect();
-    let mut pieces: Vec<Vec<R>> = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(s, e)| {
-                let f = &f;
-                scope.spawn(move || (s..e).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            // ve-lint: allow(panic-in-task-path) -- join only fails if a pool worker already panicked; re-raising preserves the original panic
-            pieces.push(h.join().expect("parallel map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in pieces {
-        out.extend(p);
-    }
-    out
-}
-
 /// Maps `f` over `0..n` with **one task per index**, collecting results in
-/// index order. Unlike [`par_map`] this fans out even for tiny `n` — it is
-/// meant for a handful of coarse-grained tasks where each item is worth a
-/// thread by itself: the (extractor, fold) models of `ve_ml`'s
-/// cross-validation round and the fixed-size chunks of `ve_ml`'s chunked
-/// argmax scans.
+/// index order. It is meant for a handful of coarse-grained tasks, such as
+/// the (extractor, fold) models of `ve_ml`'s cross-validation round. `work`
+/// is the call's total multiply-adds: below [`MIN_PARALLEL_WORK`] (or with
+/// one worker) every task runs inline, in index order.
 ///
-/// At most `parallelism()` workers run, the calling thread among them, so a
-/// fan-out spawns `threads − 1` threads. Workers take the next index from a
-/// shared counter, so a slow item never leaves a worker idle behind a fixed
-/// share. Results are reassembled in index order, so output is independent
-/// of scheduling.
-pub fn par_map_tasks<R, F>(n: usize, f: F) -> Vec<R>
+/// Otherwise at most `parallelism()` workers run, the calling thread among
+/// them, so a fan-out spawns `threads − 1` threads. Workers take the next
+/// index from a shared counter, so a slow item never leaves a worker idle
+/// behind a fixed share. Results are reassembled in index order, so output
+/// is independent of scheduling.
+pub fn par_map_tasks<R, F>(n: usize, work: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let threads = parallelism().min(n);
-    if threads <= 1 {
+    if threads <= 1 || !fans_out(work) {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -188,22 +166,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_matches_sequential() {
-        let n = 10_000;
-        let expected: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(31)).collect();
-        let got = par_map(n, |i| (i as u64).wrapping_mul(31));
-        assert_eq!(got, expected);
+    fn fan_out_starts_at_the_work_threshold() {
+        let _guard = test_parallelism_guard();
+        set_parallelism(4);
+        assert!(!fans_out(MIN_PARALLEL_WORK - 1));
+        assert!(fans_out(MIN_PARALLEL_WORK));
+        assert!(
+            fans_out(usize::MAX.saturating_mul(2)),
+            "a saturated estimate fans out"
+        );
+        assert!(!fans_out(0));
+        set_parallelism(1);
+        assert!(!fans_out(usize::MAX), "one worker never fans out");
+        set_parallelism(0);
     }
 
     #[test]
     fn par_chunks_mut_writes_every_slot() {
-        let mut out = vec![0usize; 5_000];
-        par_chunks_mut(&mut out, |start, piece| {
-            for (k, v) in piece.iter_mut().enumerate() {
-                *v = start + k;
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
+        let _guard = test_parallelism_guard();
+        set_parallelism(4);
+        for work in [0, MIN_PARALLEL_WORK] {
+            let mut out = vec![0usize; 5_000];
+            par_chunks_mut(&mut out, work, |start, piece| {
+                for (k, v) in piece.iter_mut().enumerate() {
+                    *v = start + k;
+                }
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i), "work {work}");
+        }
+        set_parallelism(0);
     }
 
     #[test]
@@ -211,8 +202,15 @@ mod tests {
         // Per-element outputs are computed independently, so the collected
         // vector must be bit-identical for 1 vs many threads even for
         // floating-point work.
-        let n = 40_000;
-        let run = || par_map(n, |i| (i as f32).sin());
+        let run = || {
+            let mut out = vec![0.0f32; 40_000];
+            par_chunks_mut(&mut out, MIN_PARALLEL_WORK, |start, piece| {
+                for (k, v) in piece.iter_mut().enumerate() {
+                    *v = ((start + k) as f32).sin();
+                }
+            });
+            out
+        };
         let _guard = test_parallelism_guard();
         set_parallelism(1);
         let single = run();
@@ -227,8 +225,15 @@ mod tests {
     fn small_inputs_run_inline() {
         let _guard = test_parallelism_guard();
         set_parallelism(4);
-        let out = par_map(10, |i| i * 2);
-        assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        let caller = std::thread::current().id();
+        let below = MIN_PARALLEL_WORK - 1;
+        let mut ids = vec![None; 5_000];
+        par_chunks_mut(&mut ids, below, |_, piece| {
+            piece.fill(Some(std::thread::current().id()));
+        });
+        assert!(ids.iter().all(|&id| id == Some(caller)));
+        let ids = par_map_tasks(10, below, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
         set_parallelism(0);
     }
 
@@ -240,7 +245,7 @@ mod tests {
         let live = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let out = {
             let (peak, live) = (peak.clone(), live.clone());
-            par_map_tasks(10, move |i| {
+            par_map_tasks(10, MIN_PARALLEL_WORK, move |i| {
                 let now = live.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
                 peak.fetch_max(now, std::sync::atomic::Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -265,7 +270,7 @@ mod tests {
         let _guard = test_parallelism_guard();
         set_parallelism(2);
         let started = std::sync::Mutex::new(Vec::new());
-        let ids = par_map_tasks(2, |_| {
+        let ids = par_map_tasks(2, MIN_PARALLEL_WORK, |_| {
             let id = std::thread::current().id();
             started.lock().expect("test lock").push(id);
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -286,7 +291,7 @@ mod tests {
         // Item costs vary, so the dynamic handout assigns indices to workers
         // differently from run to run; the output must not change.
         let run = || {
-            par_map_tasks(23, |i| {
+            par_map_tasks(23, MIN_PARALLEL_WORK, |i| {
                 std::thread::sleep(std::time::Duration::from_micros((i as u64 * 7919) % 900));
                 (i as f64).sqrt().to_bits()
             })
@@ -299,7 +304,10 @@ mod tests {
             assert_eq!(run(), single, "{threads} threads");
         }
         set_parallelism(0);
-        assert_eq!(par_map_tasks(0, |i| i), Vec::<usize>::new());
+        assert_eq!(
+            par_map_tasks(0, MIN_PARALLEL_WORK, |i| i),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

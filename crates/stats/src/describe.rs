@@ -49,48 +49,6 @@ pub fn iqr(xs: &[f64]) -> (f64, f64) {
     (percentile(xs, 25.0), percentile(xs, 75.0))
 }
 
-/// Five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Builds a summary of `xs`.
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn of(xs: &[f64]) -> Self {
-        assert!(!xs.is_empty(), "Summary of empty slice");
-        let (p25, p75) = iqr(xs);
-        Self {
-            count: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            p25,
-            median: median(xs),
-            p75,
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +92,11 @@ mod tests {
     #[test]
     fn summary_fields_consistent() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert!(s.p25 <= s.median && s.median <= s.p75);
+        let (p25, p75) = iqr(&xs);
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 100.0), 5.0);
+        assert_eq!(median(&xs), 3.0);
+        assert!(p25 <= median(&xs) && median(&xs) <= p75);
     }
 
     #[test]

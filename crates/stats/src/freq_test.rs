@@ -41,46 +41,6 @@ pub fn frequency_test_p_value(counts: &[u64], m: f64) -> f64 {
     (k as f64 * binomial_cdf(min_count, n, p)).min(1.0)
 }
 
-/// Stateful wrapper with a fixed threshold, mirroring how the ALM holds one
-/// configured test per exploration session.
-#[derive(Debug, Clone, Copy)]
-pub struct FrequencyTest {
-    /// Multiplicative threshold `m` (lower bound on the imbalance ratio).
-    pub m: f64,
-    /// Significance level below which the distribution is declared skewed.
-    pub alpha: f64,
-}
-
-impl Default for FrequencyTest {
-    fn default() -> Self {
-        // The paper's default configuration uses m = 1 and the same strict
-        // significance level as the Anderson–Darling test.
-        Self {
-            m: 1.0,
-            alpha: 0.001,
-        }
-    }
-}
-
-impl FrequencyTest {
-    /// Creates a test with threshold `m` and significance level `alpha`.
-    pub fn new(m: f64, alpha: f64) -> Self {
-        assert!(m >= 1.0, "m must be >= 1");
-        assert!((0.0..1.0).contains(&alpha), "alpha must be in (0, 1)");
-        Self { m, alpha }
-    }
-
-    /// Returns the p-value bound for the observed counts.
-    pub fn p_value(&self, counts: &[u64]) -> f64 {
-        frequency_test_p_value(counts, self.m)
-    }
-
-    /// Returns `true` when the observed counts are declared skewed.
-    pub fn is_skewed(&self, counts: &[u64]) -> bool {
-        self.p_value(counts) <= self.alpha
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,21 +49,21 @@ mod tests {
     fn balanced_counts_are_not_skewed() {
         let counts = vec![50, 50, 50, 50];
         assert!(frequency_test_p_value(&counts, 1.0) > 0.05);
-        assert!(!FrequencyTest::default().is_skewed(&counts));
+        assert!(frequency_test_p_value(&counts, 1.0) > 0.001);
     }
 
     #[test]
     fn missing_class_with_many_labels_is_skewed() {
         // 300 labels, one class never observed: strong evidence of imbalance.
         let counts = vec![150, 100, 50, 0];
-        assert!(FrequencyTest::default().is_skewed(&counts));
+        assert!(frequency_test_p_value(&counts, 1.0) <= 0.001);
     }
 
     #[test]
     fn missing_class_with_few_labels_is_not_skewed() {
         // Only 6 labels over 4 classes: a zero count is expected by chance.
         let counts = vec![3, 2, 1, 0];
-        assert!(!FrequencyTest::default().is_skewed(&counts));
+        assert!(frequency_test_p_value(&counts, 1.0) > 0.001);
     }
 
     #[test]

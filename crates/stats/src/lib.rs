@@ -25,8 +25,8 @@ pub mod numeric;
 pub mod skew;
 
 pub use anderson_darling::{k_sample_anderson_darling, AndersonDarlingResult};
-pub use describe::{iqr, mean, median, percentile, std_dev, Summary};
+pub use describe::{iqr, mean, median, percentile, std_dev};
 pub use distributions::{zipf_frequencies, BoxMuller, Zipf};
-pub use freq_test::{frequency_test_p_value, FrequencyTest};
+pub use freq_test::frequency_test_p_value;
 pub use numeric::{binomial_cdf, binomial_pmf, ln_beta, ln_gamma, regularized_incomplete_beta};
 pub use skew::{s_max, SkewDetector, SkewTest};
