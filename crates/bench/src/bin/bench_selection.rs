@@ -8,8 +8,9 @@
 //!   candidate rows, label masks, coreset coverage, and the cluster sketch
 //!   across iterations (this is what the system runs); versus
 //! * **from-scratch** — a fresh ALM constructed at every iteration, whose
-//!   first selection rebuilds all of that state from the store snapshot
-//!   (what every `Explore` call used to pay before the index existed).
+//!   first selection builds all of that state by replaying the feature
+//!   store's whole change log (what every `Explore` call used to pay
+//!   before the index existed).
 //!
 //! Both paths must produce identical pick sequences (asserted before any
 //! timing is reported) — the benchmark doubles as a large-scale check of the
@@ -112,8 +113,8 @@ fn fixture(pool: &Pool, kind: AcquisitionKind) -> Fixture {
 
 /// Runs one labeling session, timing only the selection calls.
 /// `incremental = false` constructs a fresh ALM inside the timed region of
-/// every iteration, so the from-scratch variant pays its index rebuild where
-/// the old per-call assembly used to happen.
+/// every iteration, so the from-scratch variant pays its index construction
+/// where the old per-call assembly used to happen.
 fn run_session(fx: &Fixture, iterations: usize, incremental: bool) -> SessionResult {
     let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
     let mut labels = fx.seed.clone();

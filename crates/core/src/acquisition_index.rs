@@ -35,14 +35,17 @@
 //! Every piece of index state is a pure function of *(store contents for the
 //! index's extractor, corpus membership, the label list, clip length)* — not
 //! of the call history that produced it. Incrementally grown state is
-//! bit-identical to a from-scratch rebuild at the same inputs, at any
+//! bit-identical to a freshly constructed index at the same inputs, at any
 //! `compute_threads` setting; the property tests in
 //! `tests/acquisition_index_equivalence.rs` drive randomized
-//! extract/label/explore interleavings to pin this. The invalidation rules
-//! that keep the contract cheap to uphold:
+//! extract/label/explore interleavings to pin this. The feature store is
+//! insert-only, so a row, once ingested, never changes its features: a
+//! fresh index replays the store's whole change log through the same
+//! ingest that later syncs use, and no store event can make ingested state
+//! stale. The rules that keep the contract cheap to uphold:
 //!
-//! * a changed extractor or clip length, a replaced store entry, or a
-//!   dropped extractor ⇒ full rebuild from the store snapshot;
+//! * an index serves one `(extractor, clip length)` pair; the ALM constructs
+//!   a new one when either changes;
 //! * store entries whose video is not (yet) in the corpus stay pending and
 //!   are retried every sync;
 //! * the sketch survives an ingest (tail append or merge splice) whose
@@ -61,7 +64,7 @@ use std::collections::HashMap;
 use ve_al::{ClusterSketch, ClusterSketchConfig};
 use ve_features::ExtractorId;
 use ve_ml::{FeatureBlock, FeatureBlockBuilder};
-use ve_storage::{FeatureStoreChange, LabelStore};
+use ve_storage::LabelStore;
 use ve_vidsim::{TimeRange, VideoCorpus, VideoId};
 
 /// Diagnostic counters of the index (exposed through the ALM for tests and
@@ -106,7 +109,6 @@ pub struct AcquisitionIndex {
     labels_masked: usize,
     /// Label records already ingested as coverage anchors.
     anchors_ingested: usize,
-    needs_rebuild: bool,
     /// Window metadata, parallel to the block's rows.
     meta: Vec<(VideoId, TimeRange)>,
     /// Candidate embeddings, one row per window, canonical order.
@@ -128,19 +130,18 @@ pub struct AcquisitionIndex {
     sketch: Option<ClusterSketch>,
     /// See [`AcquisitionIndexStats::sketch_builds`].
     sketch_builds: u64,
-    /// Row-identity epoch: counts the times existing rows moved or changed
-    /// — [`Self::rebuild`] and the [`Self::merge`] splice — but *not* tail
-    /// appends, which leave every earlier row in place. Reported by the
-    /// `IndexIngest` event, so a session's ledger shows how often selection
-    /// lost its row positions.
+    /// Row-identity epoch: 1 for the layout the index is constructed with,
+    /// plus one per [`Self::merge`] splice, which moves existing rows. Tail
+    /// appends leave every earlier row in place and do not count. Reported
+    /// by the `IndexIngest` event, so a session's ledger shows how often
+    /// selection lost its row positions.
     epoch: u64,
-    /// See [`Self::rebuilds`].
-    rebuilds: u64,
 }
 
 impl AcquisitionIndex {
     /// An empty index for one `(extractor, clip_len)` pair; the first
-    /// [`AcquisitionIndex::sync`] populates it from the store snapshot.
+    /// [`AcquisitionIndex::sync`] populates it by replaying the store's
+    /// whole change log.
     pub fn new(extractor: ExtractorId, clip_len: f64, candidate_cap: usize) -> Self {
         Self {
             extractor,
@@ -150,7 +151,6 @@ impl AcquisitionIndex {
             store_gen: 0,
             labels_masked: 0,
             anchors_ingested: 0,
-            needs_rebuild: true,
             meta: Vec::new(),
             block: FeatureBlock::empty(0),
             masked: Vec::new(),
@@ -162,23 +162,13 @@ impl AcquisitionIndex {
             coverage: Vec::new(),
             sketch: None,
             sketch_builds: 0,
-            epoch: 0,
-            rebuilds: 0,
+            epoch: 1,
         }
     }
 
     /// Current row-identity epoch (see the `epoch` field docs).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Full rebuilds from the store snapshot over the index's lifetime. A
-    /// rebuild is the only event that can give a kept `(video, window)` row
-    /// new features (a replaced store entry or a dropped extractor); tail
-    /// appends, merge splices and label masks never do. The ALM's
-    /// probability prefetch is valid only while this count is unchanged.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
     }
 
     /// The extractor whose features the index holds.
@@ -235,85 +225,34 @@ impl AcquisitionIndex {
     }
 
     /// Catches the index up to the store's change log and the label list:
-    /// ingests newly extracted videos (O(Δ) appends in the common case),
-    /// retries corpus-pending entries, rebuilds on invalidation events, and
-    /// masks freshly labeled windows.
+    /// ingests the videos extracted for its extractor since the last sync
+    /// (O(Δ) appends in the common case), retries corpus-pending entries,
+    /// and masks freshly labeled windows.
     pub fn sync(
         &mut self,
         fm: &FeatureManager,
         corpus: &VideoCorpus,
         labels: &LabelStore,
     ) -> &mut Self {
-        let mut fresh: Vec<VideoId> = Vec::new();
-        if !self.needs_rebuild {
-            let (gen, changes) = fm.store_changes_since(self.store_gen);
-            for change in changes {
-                match change {
-                    FeatureStoreChange::Upsert {
-                        extractor,
-                        vid,
-                        replaced,
-                    } if extractor == self.extractor => {
-                        if self.video_rows.contains_key(&vid) {
-                            if replaced {
-                                // Rows we already ingested were overwritten:
-                                // everything derived from them is stale.
-                                self.needs_rebuild = true;
-                            }
-                        } else {
-                            fresh.push(vid);
-                        }
-                    }
-                    FeatureStoreChange::DropExtractor { extractor }
-                        if extractor == self.extractor =>
-                    {
-                        self.needs_rebuild = true;
-                    }
-                    _ => {}
-                }
-            }
-            self.store_gen = gen;
-        }
-        if self.needs_rebuild {
-            self.rebuild(fm, corpus, labels);
-        } else {
-            let mut queue = std::mem::take(&mut self.pending_corpus);
-            queue.extend(fresh);
-            self.ingest(queue, fm, corpus, labels);
-        }
+        let (gen, changes) = fm.store_changes_since(self.store_gen);
+        self.store_gen = gen;
+        let mut queue = std::mem::take(&mut self.pending_corpus);
+        queue.extend(
+            changes
+                .into_iter()
+                .filter(|&(extractor, _)| extractor == self.extractor)
+                .map(|(_, vid)| vid),
+        );
+        self.ingest(queue, fm, corpus, labels);
         self.sync_masks(labels);
         self
     }
 
-    /// Full reconstruction from the current store snapshot. The result is
-    /// identical to what incremental syncs over the same final state produce
-    /// — this is the "from scratch" side of the determinism contract.
-    fn rebuild(&mut self, fm: &FeatureManager, corpus: &VideoCorpus, labels: &LabelStore) {
-        let (gen, vids) = fm.store_state_for(self.extractor);
-        self.store_gen = gen;
-        self.labels_masked = 0;
-        self.anchors_ingested = 0;
-        self.meta.clear();
-        self.block = FeatureBlock::empty(0);
-        self.masked.clear();
-        self.unmasked = 0;
-        self.video_rows.clear();
-        self.video_order.clear();
-        self.pending_corpus.clear();
-        self.anchors = FeatureBlock::empty(0);
-        self.coverage.clear();
-        self.sketch = None;
-        self.epoch += 1;
-        self.rebuilds += 1;
-        self.needs_rebuild = false;
-        self.ingest(vids, fm, corpus, labels);
-    }
-
     /// Collects one video's windows from the store (the entry exists: ingest
-    /// feeds come from the change log or the store snapshot, so this is a
-    /// cache hit). Window enumeration and labeled-window handling replicate
-    /// the old per-call assembly exactly, except labeled windows are kept
-    /// with their mask set instead of skipped.
+    /// feeds come from the change log, so this is a cache hit). Window
+    /// enumeration and labeled-window handling replicate the old per-call
+    /// assembly exactly, except labeled windows are kept with their mask set
+    /// instead of skipped.
     fn collect_video(
         &self,
         fm: &FeatureManager,

@@ -87,9 +87,10 @@ pub struct ProbCacheStats {
     /// Rows scored by the selection itself: their window was not
     /// prefetched, or no valid prefetch existed.
     pub miss_rows: u64,
-    /// Prefetches dropped unused: replaced by a newer prefetch, or found
-    /// stale (another model version, or a rebuilt or replaced index) by the
-    /// selection that would have served them.
+    /// Prefetches dropped unused: replaced by a newer prefetch, dropped with
+    /// an index replaced for another extractor or clip length, or found
+    /// stale (another model version) by the selection that would have
+    /// served them.
     pub invalidations: u64,
 }
 
@@ -116,8 +117,6 @@ struct Stamp {
     /// The index's extractor and clip length.
     extractor: ExtractorId,
     clip_len: f64,
-    /// [`AcquisitionIndex::rebuilds`] when the rows were scored.
-    rebuilds: u64,
     /// Index rows then: an ingest or a lazy extension changes the count.
     rows: usize,
     /// Unmasked index rows then, the picks among them.
@@ -136,7 +135,6 @@ impl Stamp {
     fn holds(&self, index: &AcquisitionIndex, model_version: Option<u64>, budget: usize) -> bool {
         model_version == Some(self.model_version)
             && index.matches(self.extractor, self.clip_len)
-            && index.rebuilds() == self.rebuilds
             && index.rows() == self.rows
             && index.unmasked_rows() + self.picks.len() == self.unmasked
             && self.picks.iter().all(|&row| index.is_masked(row))
@@ -295,7 +293,6 @@ impl ActiveLearningManager {
                 model_version,
                 extractor,
                 clip_len: index.clip_len(),
-                rebuilds: index.rebuilds(),
                 rows: index.rows(),
                 unmasked: index.unmasked_rows(),
                 picks: last.picks.clone(),
@@ -500,11 +497,10 @@ impl ActiveLearningManager {
             .collect()
     }
 
-    /// Makes the index serve `(extractor, clip_len)`, replacing one that
-    /// serves another pair. A replaced index may reuse a window start with
-    /// other features (another clip length, or a store entry replaced since
-    /// the prefetch, which a new index ingests without a rebuild of its own
-    /// to count), so a prefetch scored over the old index is dropped.
+    /// Makes the index serve `(extractor, clip_len)`, constructing a new one
+    /// when the current one serves another pair. The new index may reuse a
+    /// window start with other features (another clip length cuts other
+    /// windows), so a prefetch scored over the old index is dropped.
     /// The last selection's row numbers die here either way: the caller
     /// syncs the index next.
     fn ensure_index(&mut self, extractor: ExtractorId, clip_len: f64) -> &mut AcquisitionIndex {
@@ -752,10 +748,12 @@ impl ActiveLearningManager {
 /// latest model for the index's extractor and its registry version, one row
 /// per entry, in order; an empty block while no model exists. A `prefetch`
 /// scored by that same model version (versions are unique across
-/// extractors) over the same index rows (no rebuild since) serves every
-/// window it holds, found by a merge-join on window identity; the remaining
-/// rows are scored in one [`FittedModel::predict_proba_rows`] call. Any
-/// other prefetch is dropped as an invalidation.
+/// extractors) serves every window it holds, found by a merge-join on
+/// window identity: the feature store is insert-only, so a window's
+/// features never change, and `ensure_index` drops the prefetch with its
+/// index. The remaining rows are scored in one
+/// [`FittedModel::predict_proba_rows`] call. Any other prefetch is dropped
+/// as an invalidation.
 fn candidate_probs(
     index: &AcquisitionIndex,
     latest: Option<(u64, Arc<FittedModel>)>,
@@ -764,10 +762,7 @@ fn candidate_probs(
     stats: &mut ProbCacheStats,
 ) -> FeatureBlock {
     let prefetch = match prefetch {
-        Some(p)
-            if latest.as_ref().map(|(version, _)| *version) == Some(p.stamp.model_version)
-                && p.stamp.rebuilds == index.rebuilds() =>
-        {
+        Some(p) if latest.as_ref().map(|(version, _)| *version) == Some(p.stamp.model_version) => {
             Some(p)
         }
         stale => {
@@ -1087,11 +1082,6 @@ mod tests {
     #[test]
     fn every_served_row_equals_fresh_scoring() {
         let mut fx = fixture(8);
-        let storage = StorageManager::new();
-        fx.fm = FeatureManager::new(
-            FeatureSimulator::new(DatasetName::Deer, 9, 8),
-            storage.clone(),
-        );
         let extractor = ExtractorId::Mvit;
         let mut vids: Vec<VideoId> = fx.dataset.train.videos().iter().map(|c| c.id).collect();
         vids.sort_unstable();
@@ -1109,15 +1099,6 @@ mod tests {
                 .mm
                 .train(extractor, &fx.dataset.train, &fx.fm, records, round)
                 .unwrap());
-        };
-        // Replaces a video's store entry with different vectors.
-        let perturb = |vid: VideoId| {
-            let mut vectors =
-                storage.with_features(|f| f.get(extractor, vid).expect("extracted").to_vectors());
-            for v in &mut vectors {
-                v.data.iter_mut().for_each(|x| *x = *x * 1.5 + 0.25);
-            }
-            storage.with_features_mut(|f| f.put(extractor, vid, vectors));
         };
         let evens: Vec<VideoId> = vids[..30].iter().step_by(2).copied().collect();
         extract(&fx, &evens);
@@ -1164,35 +1145,25 @@ mod tests {
             stats.invalidations + 1
         );
 
-        // A replaced index (another clip length) over a replaced store
-        // entry: its single rebuild must not pass for the old index's.
+        // A replaced index (another clip length) drops the prefetch: its
+        // window starts may name other windows.
         alm.prefetch_candidates(&fx.mm);
-        assert_eq!(alm.index.as_ref().expect("built").rebuilds(), 1);
-        perturb(vids[2]);
         assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0), 0);
         assert_eq!(
             alm.prob_cache_stats().invalidations,
             stats.invalidations + 2
         );
 
-        // A rebuild of the live index (replaced store entry).
+        // The new index's own prefetch is served.
         alm.prefetch_candidates(&fx.mm);
         assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0) > 0);
-        alm.prefetch_candidates(&fx.mm);
-        perturb(vids[4]);
-        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0), 0);
-        assert_eq!(alm.index.as_ref().expect("built").rebuilds(), 2);
-        assert_eq!(
-            alm.prob_cache_stats().invalidations,
-            stats.invalidations + 3
-        );
 
         // An unused prefetch replaced by a newer one is an invalidation too.
         alm.prefetch_candidates(&fx.mm);
         alm.prefetch_candidates(&fx.mm);
         assert_eq!(
             alm.prob_cache_stats().invalidations,
-            stats.invalidations + 4
+            stats.invalidations + 3
         );
     }
 
@@ -1314,13 +1285,6 @@ mod tests {
                 "clip_len",
                 Stamp {
                     clip_len: 2.0,
-                    ..stamp.clone()
-                },
-            ),
-            (
-                "rebuilds",
-                Stamp {
-                    rebuilds: stamp.rebuilds + 1,
                     ..stamp.clone()
                 },
             ),
@@ -1466,7 +1430,6 @@ mod tests {
         let stamp = alm.prefetch.as_ref().expect("prepared").stamp.clone();
         let index = alm.index.as_ref().expect("built");
         let other_fields_hold = index.rows() == stamp.rows
-            && index.rebuilds() == stamp.rebuilds
             && index.unmasked_rows() + stamp.picks.len() == stamp.unmasked;
         assert!(other_fields_hold);
         assert!(!stamp.holds(index, version, POOL_BUDGET));

@@ -124,21 +124,13 @@ impl FeatureManager {
     }
 
     /// Atomic snapshot of the feature store's change log: the current
-    /// generation plus every mutation applied since `gen`, read under one
-    /// lock acquisition so a consumer can catch up without missing (or
-    /// double-seeing) concurrent extractions. This is the ALM's
+    /// generation plus every `(extractor, video)` key inserted since `gen`,
+    /// read under one lock acquisition so a consumer can catch up without
+    /// missing (or double-seeing) concurrent extractions. This is the ALM's
     /// `AcquisitionIndex` ingest feed.
-    pub fn store_changes_since(&self, gen: u64) -> (u64, Vec<ve_storage::FeatureStoreChange>) {
+    pub fn store_changes_since(&self, gen: u64) -> (u64, Vec<(ExtractorId, VideoId)>) {
         self.storage
             .with_features(|f| (f.generation(), f.changes_since(gen).to_vec()))
-    }
-
-    /// Atomic snapshot of one extractor's covered videos (sorted) together
-    /// with the store generation the snapshot corresponds to — the
-    /// from-scratch rebuild feed of the `AcquisitionIndex`.
-    pub fn store_state_for(&self, extractor: ExtractorId) -> (u64, Vec<VideoId>) {
-        self.storage
-            .with_features(|f| (f.generation(), f.videos_with_features(extractor)))
     }
 
     /// Videos with cached features for the given extractor.
@@ -201,14 +193,9 @@ impl FeatureManager {
             // measured session run can measure it.
             std::thread::sleep(std::time::Duration::from_secs_f64(cost * scale));
         }
-        let inserted = self.storage.with_features_mut(|f| {
-            if f.contains(extractor, clip.id) {
-                false
-            } else {
-                f.put(extractor, clip.id, vectors);
-                true
-            }
-        });
+        let inserted = self
+            .storage
+            .with_features_mut(|f| f.insert(extractor, clip.id, &vectors));
         if !inserted {
             return Ok(0.0);
         }
@@ -265,24 +252,6 @@ impl FeatureManager {
         // *is* the degradation contract.
         let _ = self.ensure_clip(extractor, clip);
         self.storage.with_features(|s| s.get(extractor, vid).map(f))
-    }
-
-    /// All cached vectors of a video for an extractor (extracting on demand).
-    pub fn clip_features(
-        &self,
-        extractor: ExtractorId,
-        corpus: &VideoCorpus,
-        vid: VideoId,
-    ) -> Vec<FeatureVector> {
-        let Some(clip) = corpus.get(vid) else {
-            return Vec::new();
-        };
-        let _ = self.ensure_clip(extractor, clip);
-        self.storage.with_features(|f| {
-            f.get(extractor, vid)
-                .map(|v| v.to_vectors())
-                .unwrap_or_default()
-        })
     }
 
     /// The per-clip extraction cost for an extractor (used by the scheduler's
@@ -344,15 +313,6 @@ mod tests {
                 &TimeRange::new(0.0, 1.0)
             )
             .is_none());
-    }
-
-    #[test]
-    fn clip_features_extracts_all_windows() {
-        let (ds, fm) = setup();
-        let clip = &ds.train.videos()[1];
-        let vectors = fm.clip_features(ExtractorId::Clip, &ds.train, clip.id);
-        assert_eq!(vectors.len(), clip.segments.len());
-        assert_eq!(fm.videos_with_features(ExtractorId::Clip), vec![clip.id]);
     }
 
     #[test]
@@ -441,9 +401,6 @@ mod tests {
                 &TimeRange::new(0.0, 1.0)
             )
             .is_none());
-        assert!(fm
-            .clip_features(ExtractorId::R3d, &ds.train, clip.id)
-            .is_empty());
         // Retrying replays the identical decision: still failing.
         assert!(fm.ensure_clip(ExtractorId::R3d, clip).is_err());
     }

@@ -75,7 +75,7 @@ use ve_sched::{
     iteration_latency, Executor, ExecutorStats, IterationCosts, IterationLatency, Priority,
     SchedulerStrategy,
 };
-use ve_stats::s_max;
+use ve_stats::{median, s_max};
 use ve_storage::LabelRecord;
 use ve_vidsim::{
     Dataset, DatasetName, GroundTruthOracle, NoisyOracle, Oracle, TaskKind, TimeRange, VideoClip,
@@ -250,10 +250,9 @@ fn micros(d: Duration) -> u64 {
     d.as_micros() as u64
 }
 
-fn median(values: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let mut values: Vec<f64> = values.into_iter().collect();
-    values.sort_by(f64::total_cmp);
-    values.get(values.len() / 2).copied()
+/// [`median`], or `None` for no values.
+fn median_or_none(values: &[f64]) -> Option<f64> {
+    (!values.is_empty()).then(|| median(values))
 }
 
 impl SessionOutcome {
@@ -308,16 +307,23 @@ impl SessionOutcome {
         self.records.last().map(|r| r.s_max).unwrap_or(0.0)
     }
 
-    /// Median modeled visible latency per iteration (virtual seconds).
+    /// Median modeled visible latency per iteration (virtual seconds; the
+    /// mean of the two middle values for an even count); 0 without records.
     pub fn median_modeled_visible(&self) -> f64 {
-        median(self.records.iter().map(|r| r.visible_latency_secs)).unwrap_or(0.0)
+        let modeled: Vec<f64> = self
+            .records
+            .iter()
+            .map(|r| r.visible_latency_secs)
+            .collect();
+        median_or_none(&modeled).unwrap_or(0.0)
     }
 
-    /// Median measured visible latency per iteration (virtual seconds);
-    /// `None` unless the session ran measured.
+    /// Median measured visible latency per iteration (virtual seconds; the
+    /// mean of the two middle values for an even count); `None` unless the
+    /// session ran measured.
     pub fn median_measured_visible(&self) -> Option<f64> {
         let measured = self.records.iter().map(|r| r.measured_visible_secs);
-        median(measured.collect::<Option<Vec<_>>>()?)
+        median_or_none(&measured.collect::<Option<Vec<_>>>()?)
     }
 
     /// Total measured visible latency (virtual seconds); `None` unless the
@@ -777,6 +783,23 @@ mod tests {
         assert!(outcome.mean_f1_last(3) >= 0.0);
         assert!(outcome.final_s_max() > 0.0);
         assert_eq!(outcome.final_extractor, ExtractorId::R3d);
+    }
+
+    #[test]
+    fn visible_latency_medians_average_the_two_middle_values() {
+        let mut outcome = SessionRunner::new(quick_session(DatasetName::Bears, 6)).run();
+        outcome.records.truncate(4);
+        for (record, secs) in outcome.records.iter_mut().zip([4.0, 1.0, 3.0, 2.0]) {
+            record.visible_latency_secs = secs;
+            record.measured_visible_secs = Some(10.0 * secs);
+        }
+        assert_eq!(outcome.median_modeled_visible(), 2.5);
+        assert_eq!(outcome.median_measured_visible(), Some(25.0));
+        outcome.records[0].measured_visible_secs = None;
+        assert_eq!(outcome.median_measured_visible(), None);
+        outcome.records.clear();
+        assert_eq!(outcome.median_modeled_visible(), 0.0);
+        assert_eq!(outcome.median_measured_visible(), None);
     }
 
     fn measured_config(strategy: SchedulerStrategy, seed: u64, time_scale: f64) -> SessionConfig {

@@ -169,8 +169,8 @@ const REPLAY_CAP: usize = 64;
 /// accumulated usable training set, its running scaler moments, and the last
 /// trained weights to fine-tune from.
 struct WarmState {
-    /// Feature dimensionality the state was seeded with (a mismatch — e.g. a
-    /// replaced store entry with different geometry — forces a cold restart).
+    /// Feature dimensionality the state was seeded with (a mismatch forces a
+    /// cold restart).
     dim: usize,
     /// Every usable training row consumed so far, unscaled, in label-record
     /// order.

@@ -2,16 +2,17 @@
 //!
 //! The ALM's persistent candidate index promises that incremental syncing
 //! (change-log ingest, in-place label masking, Δ-anchor coverage updates,
-//! sketch reuse) produces **bit-identical selections** to a from-scratch
-//! rebuild at the same store/label state, at any `compute_threads` setting.
+//! sketch reuse) produces **bit-identical selections** to a freshly
+//! constructed index at the same store/label state, at any
+//! `compute_threads` setting.
 //! These property tests drive randomized interleavings of *extract*, *label*,
 //! *train*, and *explore* events against two managers:
 //!
 //! * the **incremental** ALM lives across the whole interleaving, growing its
 //!   index call over call;
 //! * the **from-scratch** oracle is a brand-new ALM constructed at every
-//!   explore event, whose first selection rebuilds the candidate state from
-//!   the full store snapshot and label list.
+//!   explore event, whose first selection builds the candidate state from
+//!   the store's whole change log and the full label list.
 //!
 //! Both must return the same picks and the same selection stats, for
 //! Coreset, Cluster-Margin, and rare-class Uncertainty, with the candidate
@@ -20,20 +21,18 @@
 //! The prefetch interleavings add the ALM's probability prefetch
 //! (`prefetch_candidates`) at random points, next to the events that must
 //! invalidate it or that it must survive: merge-splicing ingests, label
-//! masks, retrains, failed trains, extractor and clip-length switches, and
-//! index rebuilds. Their oracle is a from-scratch ALM that never
-//! prefetches, so every served probability row must reproduce the picks
-//! bit for bit.
+//! masks, retrains, failed trains, and extractor and clip-length switches.
+//! Their oracle is a from-scratch ALM that never prefetches, so every
+//! served probability row must reproduce the picks bit for bit.
 //!
 //! The prepared-pool interleavings follow the labeling window of a
 //! session: the user labels the last call's picks, a retrain publishes, and
 //! the prefetch runs the next Cluster-Margin call ahead of time, keeping
 //! its picks. Around that they place every event that must make the next
 //! call refuse the prepared picks: other labels or one pick fewer,
-//! ingests, a lazy extension inside the call, a retrain, rebuilds,
-//! clip-length and extractor switches, a budget change, and a targeted
-//! call. The same oracle must agree with every pick, served prepared or
-//! not.
+//! ingests, a lazy extension inside the call, a retrain, clip-length and
+//! extractor switches, a budget change, and a targeted call. The same
+//! oracle must agree with every pick, served prepared or not.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -210,8 +209,8 @@ fn run_interleaving(
                     CLIP_LEN,
                     target,
                 );
-                // From-scratch oracle: a new ALM whose index rebuilds from
-                // the current store snapshot and full label list.
+                // From-scratch oracle: a new ALM whose index replays the
+                // store's whole change log and the full label list.
                 let mut fresh = ActiveLearningManager::new(cfg.clone());
                 let (fresh_picks, fresh_stats) = fresh.select_segments(
                     &dataset.train,
@@ -224,7 +223,7 @@ fn run_interleaving(
                 );
                 assert_eq!(
                     picks, fresh_picks,
-                    "incremental selection diverged from a from-scratch rebuild ({kind:?})"
+                    "incremental selection diverged from a from-scratch ALM ({kind:?})"
                 );
                 assert_eq!(stats, fresh_stats, "selection stats diverged ({kind:?})");
                 assert_eq!(stats.acquisition, kind, "active path must not fall back");
@@ -281,82 +280,57 @@ proptest! {
     }
 }
 
-/// The invalidation rules the property interleavings cannot reach: a
-/// *replaced* store entry and a dropped extractor must both rebuild the
-/// index, and the rebuilt state must still match a from-scratch ALM.
+/// The interleavings above keep every kernel call under
+/// `ve_sched::parallel::MIN_PARALLEL_WORK`, so they run inline at any thread
+/// count. This Cluster-Margin call scores enough eligible rows that its
+/// batched inference states at least that much work and fans out at four
+/// workers; its picks must equal the inline call's.
 #[test]
-fn replaced_entries_and_extractor_drops_rebuild_to_from_scratch_state() {
-    let dataset = dataset();
-    let cfg = config(AcquisitionKind::Coreset);
-    let storage = StorageManager::new();
+fn cluster_margin_picks_identical_across_compute_threads_past_the_work_threshold() {
+    use ve_sched::parallel::{set_parallelism, test_parallelism_guard, MIN_PARALLEL_WORK};
+    let _guard = test_parallelism_guard();
+    let dataset = Dataset::scaled(DatasetName::Deer, 0.25, 5);
+    // Every unmasked row is eligible: no sketch reduction caps the pool.
+    let cfg = config(AcquisitionKind::ClusterMargin).with_candidate_cap(1_000_000);
     let fm = FeatureManager::new(
         FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
-        storage.clone(),
+        StorageManager::new(),
     );
-    let mm = ModelManager::new(cfg.clone());
     let mut labels = LabelStore::new();
     let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
-    let mut incremental = ActiveLearningManager::new(cfg.clone());
-
-    let compare = |incremental: &mut ActiveLearningManager, labels: &LabelStore| {
+    for (i, clip) in dataset.train.videos().iter().enumerate() {
+        fm.ensure_clip(EXTRACTOR, clip).unwrap();
+        if i % 8 == 0 {
+            let range = TimeRange::new(0.0, CLIP_LEN);
+            labels.add(LabelRecord {
+                vid: clip.id,
+                range,
+                classes: oracle.label(&dataset.train, clip.id, &range),
+                iteration: 0,
+            });
+        }
+    }
+    let mm = ModelManager::new(cfg.clone());
+    assert!(mm
+        .train(EXTRACTOR, &dataset.train, &fm, labels.records(), 0)
+        .unwrap());
+    let select = |threads: usize| {
+        set_parallelism(threads);
+        let mut alm = ActiveLearningManager::new(cfg.clone());
         let (picks, stats) =
-            incremental.select_segments(&dataset.train, &fm, &mm, labels, BUDGET, CLIP_LEN, None);
-        let mut fresh = ActiveLearningManager::new(cfg.clone());
-        let (fresh_picks, fresh_stats) =
-            fresh.select_segments(&dataset.train, &fm, &mm, labels, BUDGET, CLIP_LEN, None);
-        assert_eq!(picks, fresh_picks, "picks diverged after invalidation");
-        assert_eq!(stats, fresh_stats);
-        picks
+            alm.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, None);
+        assert_eq!(stats.acquisition, AcquisitionKind::ClusterMargin);
+        (picks, alm.index_stats().expect("index built").unmasked_rows)
     };
-
-    // Seed an out-of-order pool, some labels, and a first selection.
-    let mut extracted: Vec<VideoId> = Vec::new();
-    for clip in extraction_plan(dataset, &extracted, 6) {
-        fm.ensure_clip(EXTRACTOR, clip).unwrap();
-        extracted.push(clip.id);
-    }
-    for &vid in extracted.iter().take(2) {
-        let range = TimeRange::new(0.0, CLIP_LEN);
-        labels.add(LabelRecord {
-            vid,
-            range,
-            classes: oracle.label(&dataset.train, vid, &range),
-            iteration: 0,
-        });
-    }
-    compare(&mut incremental, &labels);
-
-    // Replaced upsert: overwrite an ingested entry with identical vectors.
-    // The change log records `replaced == true`, which must invalidate the
-    // incremental index even though the bytes are unchanged.
-    let victim = extracted[3];
-    let vectors = storage.with_features(|f| {
-        f.get(EXTRACTOR, victim)
-            .expect("victim was extracted")
-            .to_vectors()
-    });
-    storage.with_features_mut(|f| f.put(EXTRACTOR, victim, vectors));
-    compare(&mut incremental, &labels);
-
-    // Dropped extractor: the whole pool vanishes; re-extract a smaller pool
-    // before selecting again (an empty pool would route both managers
-    // through RNG-driven lazy extension, which is out of scope here). The
-    // labeled videos must be part of it: coreset anchor lookups extract
-    // labeled videos on demand mid-call, and that store mutation would put
-    // the from-scratch oracle — which runs *after* the incremental call — at
-    // a different store state than the call under test.
-    storage.with_features_mut(|f| f.drop_extractor(EXTRACTOR));
-    let survivors: Vec<VideoId> = extracted.iter().take(4).copied().collect();
-    for &vid in &survivors {
-        let clip = dataset.train.get(vid).expect("from corpus");
-        fm.ensure_clip(EXTRACTOR, clip).unwrap();
-    }
-    let picks = compare(&mut incremental, &labels);
-    let survivor_set: std::collections::HashSet<VideoId> = survivors.into_iter().collect();
+    let (single, eligible) = select(1);
+    let work = eligible * fm.simulator().dim(EXTRACTOR) * cfg.num_classes;
     assert!(
-        picks.iter().all(|(vid, _)| survivor_set.contains(vid)),
-        "picks must come from the re-extracted pool: {picks:?}"
+        work >= MIN_PARALLEL_WORK,
+        "{eligible} eligible rows state {work} multiply-adds, under the fan-out threshold"
     );
+    let (multi, _) = select(4);
+    set_parallelism(0);
+    assert_eq!(single, multi, "thread count changed Cluster-Margin picks");
 }
 
 /// The probability-row counter behind `prob_cache_stats`: with a model,
@@ -459,9 +433,6 @@ enum PrefetchEvent {
     SwitchExtractor,
     /// Toggle the clip length of later selections between 1 s and 2 s.
     SwitchClip,
-    /// Replace one extracted video's store entry (current extractor) with
-    /// different vectors, which rebuilds the index.
-    Rebuild(usize),
     /// Select, and compare against a from-scratch ALM.
     Explore,
 }
@@ -477,8 +448,7 @@ fn decode_prefetch(events: &[(usize, usize)]) -> Vec<PrefetchEvent> {
             4 => Train,
             5 | 6 => Prefetch,
             7 => SwitchExtractor,
-            8 => SwitchClip,
-            _ => Rebuild(arg),
+            _ => SwitchClip,
         });
     }
     out.extend([Train, Prefetch, Explore]);
@@ -497,10 +467,9 @@ fn run_prefetch_interleaving(
     // The incremental ALM follows the bandit's current extractor; the
     // oracle is pinned to whichever extractor is current at each explore.
     let cfg = config(kind).with_feature_selection(FeatureSelectionPolicy::default());
-    let storage = StorageManager::new();
     let fm = FeatureManager::new(
         FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
-        storage.clone(),
+        StorageManager::new(),
     );
     let mut mm = ModelManager::new(cfg.clone());
     mm.set_fault_injector(Some(Arc::new(FaultInjector::new(
@@ -567,19 +536,6 @@ fn run_prefetch_interleaving(
                     CLIP_LEN
                 };
             }
-            PrefetchEvent::Rebuild(arg) => {
-                let vid = extracted[arg % extracted.len()];
-                let extractor = incremental.current_extractor();
-                let mut vectors = storage.with_features(|f| {
-                    f.get(extractor, vid)
-                        .expect("extracted for both extractors")
-                        .to_vectors()
-                });
-                for v in &mut vectors {
-                    v.data.iter_mut().for_each(|x| *x = -*x + 0.5);
-                }
-                storage.with_features_mut(|f| f.put(extractor, vid, vectors));
-            }
             PrefetchEvent::Explore => {
                 let current = incremental.current_extractor();
                 let (picks, stats) = incremental.select_segments(
@@ -623,7 +579,7 @@ fn run_prefetch_interleaving(
 }
 
 fn prefetch_event_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    proptest::collection::vec((0usize..10, 0usize..17), 6..22)
+    proptest::collection::vec((0usize..9, 0usize..17), 6..22)
 }
 
 proptest! {
@@ -643,8 +599,8 @@ proptest! {
 
 /// A fixed interleaving that reaches every prefetch outcome: rows served
 /// across merge splices and label masks, a prefetch kept through a failed
-/// train, and prefetches invalidated by a retrain, a clip-length switch, a
-/// rebuild and an extractor switch. Train requests 1 and 4 (MViT) fail
+/// train, and prefetches invalidated by a retrain, a clip-length switch and
+/// an extractor switch. Train requests 1 and 4 (MViT) fail
 /// under the fault plan; the others publish.
 #[test]
 fn prefetched_rows_are_served_and_invalidated_as_specified() {
@@ -678,29 +634,25 @@ fn prefetched_rows_are_served_and_invalidated_as_specified() {
         Prefetch,
         SwitchClip,
         Explore,
-        // 5: stale after a rebuild.
-        Prefetch,
-        Rebuild(2),
-        Explore,
-        // 6: dropped with the index for another extractor.
+        // 5: dropped with the index for another extractor.
         Prefetch,
         SwitchExtractor,
         Explore,
-        // 7: served under the new extractor's first model.
+        // 6: served under the new extractor's first model.
         Label(7),
         Train,
         Prefetch,
         Explore,
     ];
     let stats = run_prefetch_interleaving(AcquisitionKind::ClusterMargin, None, &events);
-    assert_eq!(stats.len(), 8);
+    assert_eq!(stats.len(), 7);
     assert_eq!(stats[0].hit_rows, 0, "nothing was prefetched yet");
     for (step, pair) in stats.windows(2).enumerate() {
         let (before, after) = (pair[0], pair[1]);
         let served = after.hit_rows - before.hit_rows;
         let dropped = after.invalidations - before.invalidations;
         match step + 1 {
-            1 | 2 | 7 => assert!(served > 0 && dropped == 0, "step {}: {after:?}", step + 1),
+            1 | 2 | 6 => assert!(served > 0 && dropped == 0, "step {}: {after:?}", step + 1),
             _ => assert!(served == 0 && dropped == 1, "step {}: {after:?}", step + 1),
         }
     }
@@ -730,9 +682,6 @@ enum PoolEvent {
     SwitchExtractor,
     /// Toggle the clip length of later calls between 1 s and 2 s.
     SwitchClip,
-    /// Replace one extracted video's store entry (current extractor), which
-    /// rebuilds the index.
-    Rebuild(usize),
     /// Set the budget of later calls.
     Budget(usize),
     /// An untargeted Cluster-Margin call, compared against a from-scratch
@@ -778,10 +727,9 @@ fn run_pool_interleaving(
             .clone()
             .with_feature_selection(FeatureSelectionPolicy::default()),
     };
-    let storage = StorageManager::new();
     let mut fm = FeatureManager::new(
         FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
-        storage.clone(),
+        StorageManager::new(),
     );
     let extractors: &[ExtractorId] = match setup {
         PoolSetup::Eager | PoolSetup::Uncapped => &SWITCHED,
@@ -893,19 +841,6 @@ fn run_pool_interleaving(
                     CLIP_LEN
                 };
             }
-            PoolEvent::Rebuild(arg) => {
-                let vid = extracted[arg % extracted.len()];
-                let extractor = incremental.current_extractor();
-                let mut vectors = storage.with_features(|f| {
-                    f.get(extractor, vid)
-                        .expect("extracted for every extractor")
-                        .to_vectors()
-                });
-                for v in &mut vectors {
-                    v.data.iter_mut().for_each(|x| *x = -*x + 0.5);
-                }
-                storage.with_features_mut(|f| f.put(extractor, vid, vectors));
-            }
             PoolEvent::Budget(b) => budget = b,
             PoolEvent::Explore | PoolEvent::Targeted => {
                 let target = matches!(event, PoolEvent::Targeted).then_some(2);
@@ -968,11 +903,10 @@ fn decode_pool(events: &[(usize, usize)]) -> Vec<PoolEvent> {
             6 => out.push(FailedTrain),
             7 => out.push(SwitchExtractor),
             8 => out.push(SwitchClip),
-            9 => out.push(Rebuild(arg)),
-            10 => out.push(Budget(2 + arg % 3)),
-            11 => out.push(Targeted),
-            12 => out.push(Prefetch),
-            13 => out.push(Train),
+            9 => out.push(Budget(2 + arg % 3)),
+            10 => out.push(Targeted),
+            11 => out.push(Prefetch),
+            12 => out.push(Train),
             _ => out.push(Explore),
         }
     }
@@ -984,14 +918,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn prepared_pools_match_from_scratch(
-        events in proptest::collection::vec((0usize..17, 0usize..17), 6..24)
+        events in proptest::collection::vec((0usize..16, 0usize..17), 6..24)
     ) {
         run_pool_interleaving(PoolSetup::Eager, &decode_pool(&events));
     }
 
     #[test]
     fn uncapped_prepared_pools_match_from_scratch(
-        events in proptest::collection::vec((0usize..17, 0usize..17), 6..24)
+        events in proptest::collection::vec((0usize..16, 0usize..17), 6..24)
     ) {
         run_pool_interleaving(PoolSetup::Uncapped, &decode_pool(&events));
     }
@@ -1034,7 +968,6 @@ fn prepared_pools_are_served_only_where_the_stamp_holds() {
         ("an ingest after the window", vec![Extract(2), Explore]),
         ("a retrain after the window", vec![Train, Explore]),
         ("a failed train", vec![FailedTrain, Explore]),
-        ("a rebuild", vec![Rebuild(2), Explore]),
         ("a clip-length switch", vec![SwitchClip, Explore]),
         ("the picks at the new clip length", vec![Explore]),
         ("a budget change", vec![Budget(4), Explore]),
@@ -1073,7 +1006,6 @@ fn prepared_pools_are_served_only_where_the_stamp_holds() {
                 | "the picks at the new clip length"
                 | "the new extractor's first pool" => (1, true, 0),
                 "a retrain after the window"
-                | "a rebuild"
                 | "a clip-length switch"
                 | "a bandit extractor switch" => (0, false, 1),
                 _ => (0, true, 0),

@@ -11,6 +11,7 @@
 
 #![allow(clippy::disallowed_types)] // HashMap by design: order-exposing uses are policed by ve-lint nondeterministic-iteration
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use ve_features::{ExtractorId, FeatureVector};
 use ve_ml::{FeatureBlock, FeatureBlockBuilder};
@@ -89,61 +90,20 @@ impl VideoFeatures {
             .position(|r| r.overlaps(range))
             .or(Some(self.ranges.len() - 1))
     }
-
-    /// Reconstructs the legacy owned representation (used by snapshot
-    /// encoding and tests).
-    pub fn to_vectors(&self) -> Vec<FeatureVector> {
-        (0..self.len())
-            .map(|i| FeatureVector {
-                extractor: self.extractor,
-                vid: self.vid,
-                range: self.ranges[i],
-                data: self.row(i).to_vec(),
-            })
-            .collect()
-    }
-
-    /// Bytes of embedding payload held by this entry.
-    pub fn payload_bytes(&self) -> usize {
-        std::mem::size_of_val(self.block.as_slice())
-    }
 }
 
-/// One mutation of the [`FeatureStore`], as recorded in its change log.
+/// In-memory, insert-only feature-vector store with a change log.
 ///
-/// Consumers that maintain derived state over the store (the ALM's
-/// `AcquisitionIndex`) replay these events instead of re-scanning every
-/// entry: an `Upsert` with `replaced == false` is a pure addition that can be
-/// ingested incrementally, while a replacement or an extractor drop
-/// invalidates whatever was derived from the overwritten rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureStoreChange {
-    /// `(extractor, vid)` was inserted (`replaced == false`) or overwritten
-    /// (`replaced == true`).
-    Upsert {
-        /// Extractor whose entry changed.
-        extractor: ExtractorId,
-        /// Video whose entry changed.
-        vid: VideoId,
-        /// Whether an existing entry was overwritten.
-        replaced: bool,
-    },
-    /// Every entry of one extractor was removed.
-    DropExtractor {
-        /// The dropped extractor.
-        extractor: ExtractorId,
-    },
-}
-
-/// In-memory feature-vector store with a change log.
-///
-/// The store's *generation* is the number of mutations applied so far; the
-/// change log records each one. [`FeatureStore::changes_since`] lets derived
-/// indexes catch up in O(Δ) instead of re-scanning the whole store.
+/// The paper's Feature Manager extracts a video's features once and caches
+/// them for every later use, so an entry, once inserted, is never overwritten
+/// or removed. The change log is the insertion order of the keys; the store's
+/// *generation* is its length. [`FeatureStore::changes_since`] lets derived
+/// indexes catch up in O(Δ) instead of re-scanning the whole store, and
+/// nothing they derived from an earlier entry can go stale.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureStore {
     by_key: HashMap<(ExtractorId, VideoId), VideoFeatures>,
-    log: Vec<FeatureStoreChange>,
+    log: Vec<(ExtractorId, VideoId)>,
 }
 
 impl FeatureStore {
@@ -152,47 +112,38 @@ impl FeatureStore {
         Self::default()
     }
 
-    /// The store's generation: the number of mutations applied so far. Each
-    /// mutation appends one [`FeatureStoreChange`] to the log, so a consumer
-    /// holding generation `g` can replay `changes_since(g)` to catch up.
+    /// The store's generation: the number of entries inserted so far. A
+    /// consumer holding generation `g` can replay `changes_since(g)` to
+    /// catch up.
     pub fn generation(&self) -> u64 {
         self.log.len() as u64
     }
 
-    /// The mutations applied since generation `gen` (oldest first).
+    /// The keys inserted since generation `gen`, oldest first.
     ///
     /// # Panics
     /// Panics if `gen` is newer than the store's current generation.
-    pub fn changes_since(&self, gen: u64) -> &[FeatureStoreChange] {
+    pub fn changes_since(&self, gen: u64) -> &[(ExtractorId, VideoId)] {
         &self.log[gen as usize..]
     }
 
-    /// Stores (replacing) the vectors of one video for one extractor,
-    /// converting to the contiguous block representation.
-    pub fn put(&mut self, extractor: ExtractorId, vid: VideoId, vectors: Vec<FeatureVector>) {
-        let replaced = self
-            .by_key
-            .insert(
-                (extractor, vid),
-                VideoFeatures::from_vectors(extractor, vid, &vectors),
-            )
-            .is_some();
-        self.log.push(FeatureStoreChange::Upsert {
-            extractor,
-            vid,
-            replaced,
-        });
-    }
-
-    /// Stores an already-built contiguous entry.
-    pub fn put_block(&mut self, features: VideoFeatures) {
-        let (extractor, vid) = (features.extractor, features.vid);
-        let replaced = self.by_key.insert((extractor, vid), features).is_some();
-        self.log.push(FeatureStoreChange::Upsert {
-            extractor,
-            vid,
-            replaced,
-        });
+    /// Stores the vectors of one video for one extractor in the contiguous
+    /// block representation, unless the key already has an entry: the
+    /// existing entry is kept, nothing is logged, and `false` is returned.
+    pub fn insert(
+        &mut self,
+        extractor: ExtractorId,
+        vid: VideoId,
+        vectors: &[FeatureVector],
+    ) -> bool {
+        match self.by_key.entry((extractor, vid)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(VideoFeatures::from_vectors(extractor, vid, vectors));
+                self.log.push((extractor, vid));
+                true
+            }
+        }
     }
 
     /// Returns the contiguous windows of one video for one extractor, if
@@ -227,36 +178,6 @@ impl FeatureStore {
     pub fn is_empty(&self) -> bool {
         self.by_key.is_empty()
     }
-
-    /// Total number of stored vectors across all entries.
-    pub fn total_vectors(&self) -> usize {
-        // ve-lint: allow(nondeterministic-iteration) -- integer sum over every value; order-insensitive
-        self.by_key.values().map(|v| v.len()).sum::<usize>()
-    }
-
-    /// Approximate resident bytes of the stored vectors (data payloads only),
-    /// which the eager-extraction guardrail can use to cap background work.
-    pub fn approx_bytes(&self) -> usize {
-        // ve-lint: allow(nondeterministic-iteration) -- integer sum over every value; order-insensitive
-        self.by_key
-            .values()
-            .map(|v| v.payload_bytes())
-            .sum::<usize>()
-    }
-
-    /// Drops every vector belonging to an extractor (used when the rising
-    /// bandit eliminates a candidate feature and its storage can be
-    /// reclaimed).
-    pub fn drop_extractor(&mut self, extractor: ExtractorId) -> usize {
-        let before = self.by_key.len();
-        self.by_key.retain(|(e, _), _| *e != extractor);
-        let dropped = before - self.by_key.len();
-        if dropped > 0 {
-            self.log
-                .push(FeatureStoreChange::DropExtractor { extractor });
-        }
-        dropped
-    }
 }
 
 #[cfg(test)]
@@ -276,11 +197,11 @@ mod tests {
     #[test]
     fn put_get_and_contains() {
         let mut s = FeatureStore::new();
-        s.put(
+        assert!(s.insert(
             ExtractorId::R3d,
             VideoId(1),
-            vec![fv(ExtractorId::R3d, 1, 0.0, 4)],
-        );
+            &[fv(ExtractorId::R3d, 1, 0.0, 4)],
+        ));
         assert!(s.contains(ExtractorId::R3d, VideoId(1)));
         assert!(!s.contains(ExtractorId::Mvit, VideoId(1)));
         assert_eq!(s.get(ExtractorId::R3d, VideoId(1)).unwrap().len(), 1);
@@ -290,10 +211,10 @@ mod tests {
     #[test]
     fn entries_are_contiguous_blocks_with_zero_copy_rows() {
         let mut s = FeatureStore::new();
-        s.put(
+        s.insert(
             ExtractorId::R3d,
             VideoId(1),
-            vec![
+            &[
                 fv(ExtractorId::R3d, 1, 0.0, 3),
                 fv(ExtractorId::R3d, 1, 1.0, 3),
             ],
@@ -311,10 +232,10 @@ mod tests {
     #[test]
     fn window_lookup_prefers_overlap_then_falls_back_to_last() {
         let mut s = FeatureStore::new();
-        s.put(
+        s.insert(
             ExtractorId::Clip,
             VideoId(3),
-            vec![
+            &[
                 fv(ExtractorId::Clip, 3, 0.0, 2),
                 fv(ExtractorId::Clip, 3, 1.0, 2),
                 fv(ExtractorId::Clip, 3, 2.0, 2),
@@ -327,29 +248,19 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_to_legacy_vectors() {
-        let vectors = vec![
-            fv(ExtractorId::Mvit, 7, 0.0, 5),
-            fv(ExtractorId::Mvit, 7, 1.0, 5),
-        ];
-        let entry = VideoFeatures::from_vectors(ExtractorId::Mvit, VideoId(7), &vectors);
-        assert_eq!(entry.to_vectors(), vectors);
-    }
-
-    #[test]
     fn videos_with_features_is_sorted_per_extractor() {
         let mut s = FeatureStore::new();
         for vid in [5u64, 1, 3] {
-            s.put(
+            s.insert(
                 ExtractorId::Clip,
                 VideoId(vid),
-                vec![fv(ExtractorId::Clip, vid, 0.0, 4)],
+                &[fv(ExtractorId::Clip, vid, 0.0, 4)],
             );
         }
-        s.put(
+        s.insert(
             ExtractorId::R3d,
             VideoId(9),
-            vec![fv(ExtractorId::R3d, 9, 0.0, 4)],
+            &[fv(ExtractorId::R3d, 9, 0.0, 4)],
         );
         assert_eq!(
             s.videos_with_features(ExtractorId::Clip),
@@ -359,131 +270,64 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_and_drop_extractor() {
+    fn a_second_insert_keeps_the_first_entry() {
         let mut s = FeatureStore::new();
-        s.put(
+        assert!(s.insert(
             ExtractorId::R3d,
             VideoId(1),
-            vec![
-                fv(ExtractorId::R3d, 1, 0.0, 8),
-                fv(ExtractorId::R3d, 1, 1.0, 8),
+            &[fv(ExtractorId::R3d, 1, 0.0, 4)],
+        ));
+        let gen = s.generation();
+        assert!(!s.insert(
+            ExtractorId::R3d,
+            VideoId(1),
+            &[
+                fv(ExtractorId::R3d, 1, 2.0, 4),
+                fv(ExtractorId::R3d, 1, 3.0, 4),
             ],
-        );
-        s.put(
-            ExtractorId::Mvit,
-            VideoId(1),
-            vec![fv(ExtractorId::Mvit, 1, 0.0, 8)],
-        );
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.total_vectors(), 3);
-        assert_eq!(s.approx_bytes(), 3 * 8 * 4);
-        assert_eq!(s.drop_extractor(ExtractorId::R3d), 1);
-        assert_eq!(s.total_vectors(), 1);
-        assert!(!s.contains(ExtractorId::R3d, VideoId(1)));
-    }
-
-    #[test]
-    fn put_replaces_existing_entry() {
-        let mut s = FeatureStore::new();
-        s.put(
-            ExtractorId::R3d,
-            VideoId(1),
-            vec![fv(ExtractorId::R3d, 1, 0.0, 4)],
-        );
-        s.put(
-            ExtractorId::R3d,
-            VideoId(1),
-            vec![
-                fv(ExtractorId::R3d, 1, 0.0, 4),
-                fv(ExtractorId::R3d, 1, 1.0, 4),
-            ],
-        );
-        assert_eq!(s.get(ExtractorId::R3d, VideoId(1)).unwrap().len(), 2);
+        ));
+        let entry = s.get(ExtractorId::R3d, VideoId(1)).unwrap();
+        assert_eq!(entry.len(), 1);
+        assert_eq!(entry.row(0), &[0.0; 4]);
         assert_eq!(s.len(), 1);
+        assert_eq!(s.generation(), gen, "a kept entry logs nothing");
     }
 
     #[test]
-    fn change_log_records_upserts_and_drops() {
+    fn change_log_records_insertions_in_order() {
         let mut s = FeatureStore::new();
         assert_eq!(s.generation(), 0);
-        s.put(
-            ExtractorId::R3d,
-            VideoId(1),
-            vec![fv(ExtractorId::R3d, 1, 0.0, 4)],
-        );
-        s.put(
-            ExtractorId::R3d,
-            VideoId(2),
-            vec![fv(ExtractorId::R3d, 2, 0.0, 4)],
-        );
-        assert_eq!(s.generation(), 2);
+        for (e, vid) in [
+            (ExtractorId::R3d, 2),
+            (ExtractorId::Clip, 2),
+            (ExtractorId::R3d, 1),
+        ] {
+            s.insert(e, VideoId(vid), &[fv(e, vid, 0.0, 4)]);
+        }
+        assert_eq!(s.generation(), 3);
         assert_eq!(
             s.changes_since(0),
             &[
-                FeatureStoreChange::Upsert {
-                    extractor: ExtractorId::R3d,
-                    vid: VideoId(1),
-                    replaced: false,
-                },
-                FeatureStoreChange::Upsert {
-                    extractor: ExtractorId::R3d,
-                    vid: VideoId(2),
-                    replaced: false,
-                },
+                (ExtractorId::R3d, VideoId(2)),
+                (ExtractorId::Clip, VideoId(2)),
+                (ExtractorId::R3d, VideoId(1)),
             ]
         );
         // A consumer that caught up sees only the delta.
         let caught_up = s.generation();
-        s.put(
+        s.insert(
             ExtractorId::R3d,
             VideoId(1),
-            vec![fv(ExtractorId::R3d, 1, 0.0, 4)],
+            &[fv(ExtractorId::R3d, 1, 0.0, 4)],
+        );
+        s.insert(
+            ExtractorId::Mvit,
+            VideoId(1),
+            &[fv(ExtractorId::Mvit, 1, 0.0, 4)],
         );
         assert_eq!(
             s.changes_since(caught_up),
-            &[FeatureStoreChange::Upsert {
-                extractor: ExtractorId::R3d,
-                vid: VideoId(1),
-                replaced: true,
-            }]
-        );
-        s.drop_extractor(ExtractorId::R3d);
-        assert_eq!(
-            s.changes_since(s.generation() - 1),
-            &[FeatureStoreChange::DropExtractor {
-                extractor: ExtractorId::R3d,
-            }]
-        );
-        // Dropping an extractor with no entries records nothing.
-        let gen = s.generation();
-        assert_eq!(s.drop_extractor(ExtractorId::R3d), 0);
-        assert_eq!(s.generation(), gen);
-    }
-
-    #[test]
-    fn put_block_logs_like_put() {
-        let mut s = FeatureStore::new();
-        let entry = VideoFeatures::from_vectors(
-            ExtractorId::Clip,
-            VideoId(4),
-            &[fv(ExtractorId::Clip, 4, 0.0, 2)],
-        );
-        s.put_block(entry.clone());
-        s.put_block(entry);
-        assert_eq!(
-            s.changes_since(0),
-            &[
-                FeatureStoreChange::Upsert {
-                    extractor: ExtractorId::Clip,
-                    vid: VideoId(4),
-                    replaced: false,
-                },
-                FeatureStoreChange::Upsert {
-                    extractor: ExtractorId::Clip,
-                    vid: VideoId(4),
-                    replaced: true,
-                },
-            ]
+            &[(ExtractorId::Mvit, VideoId(1))]
         );
     }
 
@@ -491,7 +335,7 @@ mod tests {
     fn empty_store() {
         let s = FeatureStore::new();
         assert!(s.is_empty());
-        assert_eq!(s.total_vectors(), 0);
+        assert_eq!(s.generation(), 0);
         assert_eq!(
             s.videos_with_features(ExtractorId::R3d),
             Vec::<VideoId>::new()

@@ -26,7 +26,7 @@ pub mod feature_store;
 pub mod labels;
 pub mod model_registry;
 
-pub use feature_store::{FeatureStore, FeatureStoreChange, VideoFeatures};
+pub use feature_store::{FeatureStore, VideoFeatures};
 pub use labels::{LabelRecord, LabelStore};
 pub use model_registry::ModelRegistry;
 
@@ -100,10 +100,10 @@ mod tests {
             })
         });
         worker.with_features_mut(|f| {
-            f.put(
+            f.insert(
                 ExtractorId::R3d,
                 VideoId(1),
-                vec![ve_features::FeatureVector {
+                &[ve_features::FeatureVector {
                     extractor: ExtractorId::R3d,
                     vid: VideoId(1),
                     range: TimeRange::new(0.0, 1.0),
