@@ -16,12 +16,14 @@
 //! The binary asserts the Figure 6 ordering (Serial > VE-partial > VE-full)
 //! on the measured medians before writing the artifact.
 //!
-//! `strategies.<s>.candidate_rows` counts the probability rows the ALM's
-//! prefetch served versus the rows selection scored itself, with their
-//! `served_share`, and the Cluster-Margin calls that returned the
-//! prefetch's prepared picks (`pools_served`, a name kept from when the
-//! prefetch prepared only the margin pool), from an inline twin of each
-//! session that samples with Cluster-Margin from the first call.
+//! `strategies.<s>.candidate_rows` comes from an inline twin of each
+//! session that samples with Cluster-Margin from the first call. It counts
+//! the calls that returned the ALM prefetch's prepared picks
+//! (`pools_served`, a name kept from when the prefetch prepared only the
+//! margin pool), the predicted rows behind those picks (`hit_rows`), the
+//! rows the other calls scored themselves (`miss_rows`), the share of the
+//! two that was served (`served_share`), and the prefetches dropped unused
+//! (`invalidations`).
 
 use ve_bench::emit::Artifact;
 use ve_obs::json::Json;

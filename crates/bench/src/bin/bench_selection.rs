@@ -79,7 +79,7 @@ fn fixture(pool: &Pool, kind: AcquisitionKind) -> Fixture {
         .with_extra_candidates(0);
     config.train.epochs = 40;
     let fm = FeatureManager::new(
-        FeatureSimulator::with_dim(pool.dataset, config.num_classes, 17, config.feature_dim),
+        FeatureSimulator::new(pool.dataset, config.num_classes, 17),
         StorageManager::new(),
     );
     let mut windows = 0usize;

@@ -69,12 +69,7 @@ fn fixture() -> Fixture {
         .with_extra_candidates(0);
     config.train.epochs = 40;
     let fm = FeatureManager::new(
-        FeatureSimulator::with_dim(
-            DatasetName::Deer,
-            config.num_classes,
-            17,
-            config.feature_dim,
-        ),
+        FeatureSimulator::new(DatasetName::Deer, config.num_classes, 17),
         StorageManager::new(),
     );
     let mut windows = 0usize;

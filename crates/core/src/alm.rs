@@ -21,22 +21,21 @@
 //! the user labels next — scores them, and runs Cluster-Margin over them,
 //! keeping its picks together with a stamp of what the prediction assumed.
 //! When the stamp still holds, the next Cluster-Margin call returns those
-//! picks as they are; otherwise the call takes the prefetched rows by
-//! window identity and scores only the rows they lack. Every row still
-//! comes from [`ve_ml::TrainedModel::predict_proba_rows`] and the selection
-//! is deterministic, so the picks are bit-identical to scoring every row
-//! and selecting on the spot ([`ProbCacheStats`] counts where the rows came
-//! from).
+//! picks as they are; otherwise the call drops the prefetch and scores its
+//! own eligible rows. Every row comes from
+//! [`ve_ml::TrainedModel::predict_proba_rows`] and the selection is
+//! deterministic, so served picks are bit-identical to scoring every row
+//! and selecting on the spot ([`ProbCacheStats`] counts which calls were
+//! served).
 
 use crate::acquisition_index::{AcquisitionIndex, AcquisitionIndexStats};
 use crate::config::{FeatureSelectionPolicy, SamplingPolicy, VocalExploreConfig};
 use crate::feature_manager::FeatureManager;
-use crate::model_manager::{FittedModel, ModelManager};
+use crate::model_manager::ModelManager;
 use crate::observability::{ObsHandle, SessionEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::Arc;
 use ve_al::{
     cluster_margin_selection, greedy_k_center, random_selection, uncertainty_selection_from_probs,
     AcquisitionKind, ClusterMarginConfig, VeSample,
@@ -72,37 +71,24 @@ pub struct SelectionStats {
 /// next selection's predicted candidates with the new model
 /// ([`ActiveLearningManager::prefetch_candidates`]) and selects among them;
 /// the next selection returns those picks when the prediction held, and
-/// otherwise serves the rows it finds there and scores only the rest.
+/// otherwise drops the prefetch and scores its own rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbCacheStats {
-    /// Rows served from the prefetch.
+    /// Predicted rows of the prefetches whose picks were served.
     pub hit_rows: u64,
     /// Cluster-Margin calls that returned the prefetch's prepared picks,
     /// its stamp holding: they skipped the eligible-row reduction, the
-    /// probability join and all of Cluster-Margin (their rows count as
-    /// served). The name dates from when the prefetch prepared only the
-    /// margin pool; it is kept so the latency benchmark's schema and its
-    /// contract rule stay as they are.
+    /// scoring and all of Cluster-Margin. The name dates from when the
+    /// prefetch prepared only the margin pool; it is kept so the latency
+    /// benchmark's schema and its contract rule stay as they are.
     pub pools_served: u64,
-    /// Rows scored by the selection itself: their window was not
-    /// prefetched, or no valid prefetch existed.
+    /// Rows scored by the selection itself: every eligible row of a
+    /// Cluster-Margin or Uncertainty call that no prefetch served.
     pub miss_rows: u64,
     /// Prefetches dropped unused: replaced by a newer prefetch, dropped with
     /// an index replaced for another extractor or clip length, or found
-    /// stale (another model version) by the selection that would have
-    /// served them.
+    /// not to hold by the selection that would have served them.
     pub invalidations: u64,
-}
-
-/// Window identity of an index row: its video and the bits of its start
-/// time. Index rows and eligible rows are in canonical order (videos
-/// ascending by id, windows in time order) and window starts are
-/// non-negative, so keys of ascending rows ascend too, and a merge-join
-/// finds a window again after merge splices have renumbered the rows.
-type WindowKey = (VideoId, u64);
-
-fn window_key((vid, range): (VideoId, TimeRange)) -> WindowKey {
-    (vid, range.start.to_bits())
 }
 
 /// What a prefetch assumed about the next selection. While every field
@@ -146,10 +132,8 @@ impl Stamp {
 /// The next selection's candidates, prepared while the user labels.
 struct Prefetch {
     stamp: Stamp,
-    /// Window identity of each predicted eligible row, ascending.
-    keys: Vec<WindowKey>,
-    /// One probability row per key.
-    probs: FeatureBlock,
+    /// Predicted eligible rows the prefetch scored.
+    rows: usize,
     /// Index rows Cluster-Margin picks from the predicted rows at the
     /// stamp's budget, in pick order.
     selection: Vec<usize>,
@@ -298,11 +282,7 @@ impl ActiveLearningManager {
                 picks: last.picks.clone(),
                 budget: last.budget,
             },
-            keys: eligible
-                .iter()
-                .map(|&row| window_key(index.meta_at(row)))
-                .collect(),
-            probs,
+            rows: eligible.len(),
             selection,
         };
         if self.prefetch.replace(prefetch).is_some() {
@@ -498,9 +478,8 @@ impl ActiveLearningManager {
     }
 
     /// Makes the index serve `(extractor, clip_len)`, constructing a new one
-    /// when the current one serves another pair. The new index may reuse a
-    /// window start with other features (another clip length cuts other
-    /// windows), so a prefetch scored over the old index is dropped.
+    /// when the current one serves another pair. A prefetch prepared over
+    /// the old index is dropped: its rows number that index.
     /// The last selection's row numbers die here either way: the caller
     /// syncs the index next.
     fn ensure_index(&mut self, extractor: ExtractorId, clip_len: f64) -> &mut AcquisitionIndex {
@@ -658,61 +637,56 @@ impl ActiveLearningManager {
                 self.coverage_scratch = coverage;
                 picks
             }
-            AcquisitionKind::ClusterMargin => {
+            AcquisitionKind::ClusterMargin | AcquisitionKind::Uncertainty => {
                 let latest = mm.latest_versioned(extractor);
                 let version = latest.as_ref().map(|(version, _)| *version);
-                if let Some(prepared) = self
-                    .prefetch
-                    .take_if(|p| p.stamp.holds(index, version, budget))
-                {
+                match self.prefetch.take() {
                     // The eligible rows and the index block are the
                     // predicted ones, so the prepared picks are this call's.
-                    self.prob_stats.hit_rows += prepared.keys.len() as u64;
-                    self.prob_stats.pools_served += 1;
-                    prepared.selection
-                } else {
-                    let eligible = index.eligible_rows();
-                    let probs = candidate_probs(
-                        index,
-                        latest,
-                        &eligible,
-                        self.prefetch.take(),
-                        &mut self.prob_stats,
-                    );
-                    cluster_margin_selection(
-                        index.block(),
-                        &eligible,
-                        &probs,
-                        budget,
-                        &ClusterMarginConfig::default(),
-                    )
-                    .into_iter()
-                    .map(|i| eligible[i])
-                    .collect()
+                    Some(prepared)
+                        if acquisition == AcquisitionKind::ClusterMargin
+                            && prepared.stamp.holds(index, version, budget) =>
+                    {
+                        self.prob_stats.hit_rows += prepared.rows as u64;
+                        self.prob_stats.pools_served += 1;
+                        prepared.selection
+                    }
+                    unserved => {
+                        self.prob_stats.invalidations += u64::from(unserved.is_some());
+                        let eligible = index.eligible_rows();
+                        // No model yet: an empty block, as both selections
+                        // expect.
+                        let probs = match latest {
+                            Some((_, fitted)) => {
+                                self.prob_stats.miss_rows += eligible.len() as u64;
+                                fitted.predict_proba_rows(index.block(), &eligible)
+                            }
+                            None => FeatureBlock::empty(0),
+                        };
+                        let picks = if acquisition == AcquisitionKind::ClusterMargin {
+                            cluster_margin_selection(
+                                index.block(),
+                                &eligible,
+                                &probs,
+                                budget,
+                                &ClusterMarginConfig::default(),
+                            )
+                        } else {
+                            let class =
+                                target_label.expect("uncertainty sampling needs a target label");
+                            let (n_pos, n_neg) = labels.positive_negative_counts(class);
+                            uncertainty_selection_from_probs(
+                                &probs,
+                                class,
+                                eligible.len(),
+                                n_pos,
+                                n_neg,
+                                budget,
+                            )
+                        };
+                        picks.into_iter().map(|i| eligible[i]).collect()
+                    }
                 }
-            }
-            AcquisitionKind::Uncertainty => {
-                let class = target_label.expect("uncertainty sampling needs a target label");
-                let eligible = index.eligible_rows();
-                let probs = candidate_probs(
-                    index,
-                    mm.latest_versioned(extractor),
-                    &eligible,
-                    self.prefetch.take(),
-                    &mut self.prob_stats,
-                );
-                let (n_pos, n_neg) = labels.positive_negative_counts(class);
-                uncertainty_selection_from_probs(
-                    &probs,
-                    class,
-                    eligible.len(),
-                    n_pos,
-                    n_neg,
-                    budget,
-                )
-                .into_iter()
-                .map(|i| eligible[i])
-                .collect()
             }
             // `select_segments` routes Random to `random_segments` before
             // ever reaching the active path.
@@ -742,71 +716,6 @@ impl ActiveLearningManager {
             },
         )
     }
-}
-
-/// Probability rows of the `eligible` rows of `index` under `latest`, the
-/// latest model for the index's extractor and its registry version, one row
-/// per entry, in order; an empty block while no model exists. A `prefetch`
-/// scored by that same model version (versions are unique across
-/// extractors) serves every window it holds, found by a merge-join on
-/// window identity: the feature store is insert-only, so a window's
-/// features never change, and `ensure_index` drops the prefetch with its
-/// index. The remaining rows are scored in one
-/// [`FittedModel::predict_proba_rows`] call. Any other prefetch is dropped
-/// as an invalidation.
-fn candidate_probs(
-    index: &AcquisitionIndex,
-    latest: Option<(u64, Arc<FittedModel>)>,
-    eligible: &[usize],
-    prefetch: Option<Prefetch>,
-    stats: &mut ProbCacheStats,
-) -> FeatureBlock {
-    let prefetch = match prefetch {
-        Some(p) if latest.as_ref().map(|(version, _)| *version) == Some(p.stamp.model_version) => {
-            Some(p)
-        }
-        stale => {
-            stats.invalidations += u64::from(stale.is_some());
-            None
-        }
-    };
-    let Some((_, fitted)) = latest else {
-        return FeatureBlock::empty(0);
-    };
-    let Some(prefetch) = prefetch else {
-        stats.miss_rows += eligible.len() as u64;
-        return fitted.predict_proba_rows(index.block(), eligible);
-    };
-    // For each eligible row, the prefetch row holding its window, if any.
-    let mut served: Vec<Option<usize>> = Vec::with_capacity(eligible.len());
-    let mut misses: Vec<usize> = Vec::new();
-    let mut next = 0;
-    for &row in eligible {
-        let key = window_key(index.meta_at(row));
-        while next < prefetch.keys.len() && prefetch.keys[next] < key {
-            next += 1;
-        }
-        if prefetch.keys.get(next) == Some(&key) {
-            served.push(Some(next));
-            next += 1;
-        } else {
-            served.push(None);
-            misses.push(row);
-        }
-    }
-    stats.hit_rows += (eligible.len() - misses.len()) as u64;
-    stats.miss_rows += misses.len() as u64;
-    let fresh = fitted.predict_proba_rows(index.block(), &misses);
-    let classes = prefetch.probs.dim();
-    let mut data = Vec::with_capacity(eligible.len() * classes);
-    let mut fresh_rows = fresh.iter_rows();
-    for from in served {
-        data.extend_from_slice(match from {
-            Some(r) => prefetch.probs.row(r),
-            None => fresh_rows.next().expect("one scored row per miss"),
-        });
-    }
-    FeatureBlock::from_vec(eligible.len(), classes, data)
 }
 
 /// All unlabeled `(vid, window)` pairs in the corpus.
@@ -1041,132 +950,6 @@ mod tests {
         assert_eq!(picks.len(), 5);
     }
 
-    fn bits(block: &FeatureBlock) -> Vec<u32> {
-        block.as_slice().iter().map(|p| p.to_bits()).collect()
-    }
-
-    /// Syncs the ALM's index the way a selection does, scores its eligible
-    /// rows through `candidate_probs` — the prefetch included — and checks
-    /// every row against a fresh `predict_proba_rows` call bit for bit.
-    /// Returns the rows served from the prefetch.
-    fn served_rows_match_fresh_scoring(
-        alm: &mut ActiveLearningManager,
-        fx: &Fixture,
-        clip_len: f64,
-    ) -> u64 {
-        let extractor = alm.current_extractor();
-        let index = alm.ensure_index(extractor, clip_len);
-        index.sync(&fx.fm, &fx.dataset.train, &fx.labels);
-        let eligible = index.eligible_rows();
-        let index = alm.index.as_ref().expect("index ensured");
-        let hits_before = alm.prob_stats.hit_rows;
-        let served = candidate_probs(
-            index,
-            fx.mm.latest_versioned(extractor),
-            &eligible,
-            alm.prefetch.take(),
-            &mut alm.prob_stats,
-        );
-        let (_, fitted) = fx.mm.latest_versioned(extractor).expect("a model");
-        let fresh = fitted.predict_proba_rows(index.block(), &eligible);
-        assert_eq!(served.rows(), eligible.len());
-        assert_eq!(bits(&served), bits(&fresh), "a served row differs");
-        // The next prefetch predicts this call's rows: no picks to mask.
-        alm.last_selection = Some(LastSelection {
-            picks: Vec::new(),
-            budget: 5,
-        });
-        alm.prob_stats.hit_rows - hits_before
-    }
-
-    #[test]
-    fn every_served_row_equals_fresh_scoring() {
-        let mut fx = fixture(8);
-        let extractor = ExtractorId::Mvit;
-        let mut vids: Vec<VideoId> = fx.dataset.train.videos().iter().map(|c| c.id).collect();
-        vids.sort_unstable();
-        let extract = |fx: &Fixture, vids: &[VideoId]| {
-            for &vid in vids {
-                let clip = fx.dataset.train.get(vid).expect("train video");
-                fx.fm.ensure_clip(extractor, clip).unwrap();
-            }
-        };
-        let mut round = 0;
-        let mut train = |fx: &Fixture| {
-            round += 1;
-            let records = fx.labels.records();
-            assert!(fx
-                .mm
-                .train(extractor, &fx.dataset.train, &fx.fm, records, round)
-                .unwrap());
-        };
-        let evens: Vec<VideoId> = vids[..30].iter().step_by(2).copied().collect();
-        extract(&fx, &evens);
-        label_some(&mut fx, 12);
-        let mut alm = ActiveLearningManager::new(
-            fx.config
-                .clone()
-                .with_sampling(SamplingPolicy::Fixed(AcquisitionKind::ClusterMargin))
-                .with_feature_selection(FeatureSelectionPolicy::Fixed(extractor)),
-        );
-        train(&fx);
-        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0), 0);
-
-        // Same model version: every still-eligible row is served.
-        alm.prefetch_candidates(&fx.mm);
-        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0) > 0);
-
-        // Merge splices renumber the rows; window identity still finds them.
-        train(&fx);
-        alm.prefetch_candidates(&fx.mm);
-        let odds: Vec<VideoId> = vids[1..30].iter().step_by(2).copied().collect();
-        extract(&fx, &odds);
-        let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
-        for &vid in &odds[..4] {
-            let range = TimeRange::new(1.0, 2.0);
-            fx.labels.add(LabelRecord {
-                vid,
-                range,
-                classes: oracle.label(&fx.dataset.train, vid, &range),
-                iteration: 1,
-            });
-        }
-        let epoch = alm.index.as_ref().expect("built").epoch();
-        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0) > 0);
-        assert!(alm.index.as_ref().expect("built").epoch() > epoch, "merged");
-
-        // A retrain after the prefetch makes it stale.
-        alm.prefetch_candidates(&fx.mm);
-        train(&fx);
-        let stats = alm.prob_cache_stats();
-        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 1.0), 0);
-        assert_eq!(
-            alm.prob_cache_stats().invalidations,
-            stats.invalidations + 1
-        );
-
-        // A replaced index (another clip length) drops the prefetch: its
-        // window starts may name other windows.
-        alm.prefetch_candidates(&fx.mm);
-        assert_eq!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0), 0);
-        assert_eq!(
-            alm.prob_cache_stats().invalidations,
-            stats.invalidations + 2
-        );
-
-        // The new index's own prefetch is served.
-        alm.prefetch_candidates(&fx.mm);
-        assert!(served_rows_match_fresh_scoring(&mut alm, &fx, 2.0) > 0);
-
-        // An unused prefetch replaced by a newer one is an invalidation too.
-        alm.prefetch_candidates(&fx.mm);
-        alm.prefetch_candidates(&fx.mm);
-        assert_eq!(
-            alm.prob_cache_stats().invalidations,
-            stats.invalidations + 3
-        );
-    }
-
     const POOL_BUDGET: usize = 5;
 
     /// Labels `picks` with their ground truth, as the user labels a batch.
@@ -1339,6 +1122,7 @@ mod tests {
         assert_eq!(next_call_matches_fresh(&mut alm, &fx), 1);
         let after = alm.prob_cache_stats();
         assert_eq!(after.miss_rows, before.miss_rows, "nothing scored");
+        assert_eq!(after.invalidations, before.invalidations);
         assert_eq!(after.hit_rows - before.hit_rows, 16, "every row served");
     }
 
@@ -1403,6 +1187,68 @@ mod tests {
         let clip = &fx.dataset.train.videos()[8];
         fx.fm.ensure_clip(ExtractorId::Mvit, clip).unwrap();
         assert!(!served_call_matches_oracle(&mut alm, &fx, POOL_BUDGET));
+    }
+
+    /// Runs the next Cluster-Margin call of `budget` at `clip_len` and
+    /// returns how far it moved `[hit_rows, pools_served, miss_rows,
+    /// invalidations]`.
+    fn next_call_counters(
+        alm: &mut ActiveLearningManager,
+        fx: &Fixture,
+        budget: usize,
+        clip_len: f64,
+    ) -> [u64; 4] {
+        let before = alm.prob_cache_stats();
+        alm.select_segments(
+            &fx.dataset.train,
+            &fx.fm,
+            &fx.mm,
+            &fx.labels,
+            budget,
+            clip_len,
+            None,
+        );
+        let after = alm.prob_cache_stats();
+        [
+            after.hit_rows - before.hit_rows,
+            after.pools_served - before.pools_served,
+            after.miss_rows - before.miss_rows,
+            after.invalidations - before.invalidations,
+        ]
+    }
+
+    #[test]
+    fn an_unserved_prefetch_is_dropped_as_one_invalidation() {
+        let mut fx = fixture(8);
+        let mut alm = prepared_pool(&mut fx);
+
+        // A call whose stamp fails (another budget) scores every eligible
+        // row itself.
+        let index = alm.index.as_mut().expect("built");
+        index.sync(&fx.fm, &fx.dataset.train, &fx.labels);
+        let eligible = index.eligible_rows().len() as u64;
+        assert!(eligible > 0);
+        assert_eq!(
+            next_call_counters(&mut alm, &fx, POOL_BUDGET - 1, 1.0),
+            [0, 0, eligible, 1]
+        );
+
+        // A retrain after the prefetch makes it stale.
+        alm.prefetch_candidates(&fx.mm);
+        retrain(&fx, 3);
+        let [hits, pools, _, dropped] = next_call_counters(&mut alm, &fx, POOL_BUDGET, 1.0);
+        assert_eq!((hits, pools, dropped), (0, 0, 1));
+
+        // A replaced index (another clip length) drops the prefetch once.
+        alm.prefetch_candidates(&fx.mm);
+        let [hits, pools, _, dropped] = next_call_counters(&mut alm, &fx, POOL_BUDGET, 2.0);
+        assert_eq!((hits, pools, dropped), (0, 0, 1));
+
+        // An unused prefetch replaced by a newer one is an invalidation too.
+        let before = alm.prob_cache_stats().invalidations;
+        alm.prefetch_candidates(&fx.mm);
+        alm.prefetch_candidates(&fx.mm);
+        assert_eq!(alm.prob_cache_stats().invalidations, before + 1);
     }
 
     #[test]

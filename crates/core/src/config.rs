@@ -8,6 +8,10 @@ use ve_sched::fault::FaultPlan;
 use ve_sched::{RetryPolicy, SchedulerStrategy};
 use ve_vidsim::{Dataset, DatasetName, TaskKind};
 
+/// Minimum number of labels before predictions are returned (the prototype
+/// waits for 5).
+pub const MIN_LABELS_FOR_PREDICTIONS: usize = 5;
+
 /// How the ALM chooses the acquisition function.
 #[derive(Debug, Clone, Copy)]
 pub enum SamplingPolicy {
@@ -128,11 +132,6 @@ pub struct VocalExploreConfig {
     /// feature-space clusters) instead of the old random shuffle-truncate,
     /// so per-call work stays bounded without dropping whole regions.
     pub candidate_cap: usize,
-    /// Minimum number of labels before predictions are returned (the
-    /// prototype waits for 5).
-    pub min_labels_for_predictions: usize,
-    /// Embedding dimensionality of the simulated extractors.
-    pub feature_dim: usize,
     /// Training hyperparameters for the linear models.
     pub train: TrainConfig,
     /// Latency cost model.
@@ -196,8 +195,6 @@ impl VocalExploreConfig {
             preprocess: PreprocessPolicy::None,
             extra_candidates_x: 50,
             candidate_cap: 2_000,
-            min_labels_for_predictions: 5,
-            feature_dim: ve_features::simulator::DEFAULT_SIM_DIM,
             train: TrainConfig::default(),
             costs: CostModel::default(),
             t_user: 10.0,
@@ -325,7 +322,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_settings() {
         let cfg = VocalExploreConfig::new(DatasetName::Deer, 9, TaskKind::SingleLabel, 0);
-        assert_eq!(cfg.min_labels_for_predictions, 5);
         assert_eq!(cfg.t_user, 10.0);
         assert_eq!(cfg.strategy, SchedulerStrategy::VeFull);
         assert!(matches!(cfg.sampling, SamplingPolicy::VeSample(_)));

@@ -46,8 +46,9 @@
 //!    thread, after a published model) the ALM's prefetch: the next
 //!    selection's predicted candidates, their probabilities and
 //!    Cluster-Margin's picks among them, which the next call returns when
-//!    the user labeled the last picks and nothing else moved. Under Serial the same
-//!    work runs in step 1, inside the visible window.
+//!    the user labeled the last picks and nothing else moved; any other
+//!    call drops the prefetch and scores its own candidates. Under Serial
+//!    the same work runs in step 1, inside the visible window.
 //! 7. Think time (measured mode), the `wait_idle` barrier (work past the
 //!    window is *spill*, never charged to the next call), eager give-ups
 //!    recorded in submission order, then F1.
@@ -229,10 +230,11 @@ pub struct SessionOutcome {
     /// fine-tunes. Deterministic, so equal between [`SessionRunner::run`]
     /// and [`SessionRunner::run_measured`].
     pub training: TrainingStats,
-    /// Where the session's Cluster-Margin and Uncertainty selections got
-    /// their probability rows: served from the prefetch or scored on the
-    /// spot, and how many Cluster-Margin calls returned the prefetch's
-    /// prepared picks (`pools_served`). Deterministic, so equal between
+    /// How the session's Cluster-Margin and Uncertainty selections were
+    /// served: the Cluster-Margin calls that returned the prefetch's
+    /// prepared picks (`pools_served`) and their predicted rows, the rows
+    /// the other calls scored on the spot, and the prefetches dropped
+    /// unused. Deterministic, so equal between
     /// [`SessionRunner::run`] and [`SessionRunner::run_measured`].
     pub prob_cache: ProbCacheStats,
     /// Timing plane: one span per executor task (queue wait, run time,
@@ -939,7 +941,6 @@ mod tests {
             }))
             .with_compute_threads(2);
         cfg.system.train.epochs = 20;
-        let min_labels = cfg.system.min_labels_for_predictions;
         let out = SessionRunner::new(cfg).run_measured();
         assert_eq!(out.executor.submitted, out.timings.len() as u64);
         let converged_at = out.feature_selected_at.expect("the bandit must converge");
@@ -952,7 +953,7 @@ mod tests {
             // VE-partial runs iteration i's deferred work after its record
             // is read and never after the last labels.
             let has_candidates = record.iteration < out.records.len()
-                && record.labels_total >= min_labels
+                && record.labels_total >= crate::config::MIN_LABELS_FOR_PREDICTIONS
                 && record.selected_extractor.is_none();
             let spans = out
                 .timings

@@ -169,9 +169,6 @@ const REPLAY_CAP: usize = 64;
 /// accumulated usable training set, its running scaler moments, and the last
 /// trained weights to fine-tune from.
 struct WarmState {
-    /// Feature dimensionality the state was seeded with (a mismatch forces a
-    /// cold restart).
-    dim: usize,
     /// Every usable training row consumed so far, unscaled, in label-record
     /// order.
     examples: Vec<Vec<f32>>,
@@ -303,8 +300,8 @@ impl ModelManager {
     ///
     /// The call fine-tunes the previous weights on the Δ new labels plus at
     /// most `REPLAY_CAP` older examples. It falls back to a cold fit from
-    /// scratch on the first trainable call, a rewound label list, a
-    /// feature-dimension change, or a task change. Warm-started weights
+    /// scratch on the first trainable call, a rewound label list, or a task
+    /// change. Warm-started weights
     /// follow the `warm-start/v1` tolerance contract: they are a
     /// deterministic function of the training-call history (bit-identical
     /// across runs and thread counts) but not bit-identical to a cold fit;
@@ -381,13 +378,11 @@ impl ModelManager {
             stats.cold_trains += 1;
             stats.last_examples = features.len();
         }
-        let dim = features[0].len();
-        let mut moments = ScalerMoments::new(dim);
+        let mut moments = ScalerMoments::new(features[0].len());
         moments.update(&features);
         self.warm.lock().insert(
             extractor,
             WarmState {
-                dim,
                 examples: features.clone(),
                 targets,
                 moments,
@@ -409,9 +404,9 @@ impl ModelManager {
 
     /// Attempts a warm (fine-tuning) update for the extractor. Only runs when
     /// a previous warm state exists and is compatible with the new Δ labels;
-    /// every incompatibility (rewound label list, changed feature geometry,
-    /// task mismatch) discards the state and reports
-    /// [`WarmOutcome::ColdStart`] so the caller re-seeds from scratch.
+    /// every incompatibility (rewound label list, task mismatch) discards
+    /// the state and reports [`WarmOutcome::ColdStart`] so the caller
+    /// re-seeds from scratch.
     fn warm_update(
         &self,
         extractor: ExtractorId,
@@ -432,10 +427,6 @@ impl ModelManager {
         // `training_set` so cold and warm consume the same record stream.
         let (d_features, d_targets) =
             self.training_set(extractor, corpus, fm, &labels[state.consumed..]);
-        if d_features.iter().any(|f| f.len() != state.dim) {
-            states.remove(&extractor);
-            return WarmOutcome::ColdStart;
-        }
         let old_len = state.examples.len();
         state.moments.update(&d_features);
         state.examples.extend(d_features);

@@ -10,7 +10,7 @@
 
 use crate::alm::{ActiveLearningManager, SelectionStats};
 use crate::api::{ExploreBatch, SegmentRef};
-use crate::config::VocalExploreConfig;
+use crate::config::{VocalExploreConfig, MIN_LABELS_FOR_PREDICTIONS};
 use crate::degradation::Degradation;
 use crate::feature_manager::FeatureManager;
 use crate::model_manager::{InferenceError, ModelManager};
@@ -54,12 +54,7 @@ impl VocalExplore {
     pub fn new(config: VocalExploreConfig) -> Self {
         ve_sched::parallel::set_parallelism(config.compute_threads);
         let storage = StorageManager::new();
-        let simulator = FeatureSimulator::with_dim(
-            config.dataset,
-            config.num_classes,
-            config.seed,
-            config.feature_dim,
-        );
+        let simulator = FeatureSimulator::new(config.dataset, config.num_classes, config.seed);
         let fault = config
             .fault_plan
             .clone()
@@ -305,7 +300,7 @@ impl VocalExplore {
     /// the number of `T_e` scores produced.
     pub fn process_pending_work_on(&mut self, executor: &Executor, time_scale: f64) -> usize {
         let labels = self.storage.labels_snapshot();
-        if labels.len() < self.config.min_labels_for_predictions {
+        if labels.len() < MIN_LABELS_FOR_PREDICTIONS {
             return 0;
         }
         let iteration = self.iteration;
@@ -412,7 +407,7 @@ impl VocalExplore {
     /// Whether `Explore`/`Watch` will attach predictions right now (enough
     /// labels collected and a model trained for the current extractor).
     pub fn predictions_ready(&self) -> bool {
-        self.label_count() >= self.config.min_labels_for_predictions
+        self.label_count() >= MIN_LABELS_FOR_PREDICTIONS
             && self.mm.has_model(self.alm.current_extractor())
     }
 
